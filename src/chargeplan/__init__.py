@@ -38,7 +38,6 @@ from .exact import (
 )
 from .metaheuristics import (
     GAParams,
-    MultiRunResult,
     SAParams,
     genetic_algorithm,
     multi_run,
@@ -74,7 +73,6 @@ __all__ = [
     "DemandPoint",
     "GAParams",
     "Instance",
-    "MultiRunResult",
     "QueueModel",
     "SAParams",
     "ScenarioSpec",

@@ -13,7 +13,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 from datetime import datetime, timezone
 
 from . import demand as dm
@@ -54,14 +53,34 @@ def _meta(args, extra: dict | None = None) -> dict:
     return meta
 
 
+# every key a --config file may hold: top-level keys, then each section's
+_CONFIG_KEYS = {
+    "": {"sa", "ga", "solver", "costs", "n_runs"},
+    "sa": {"initial_temperature", "max_iterations", "cooling_factor", "assignment_randomness", "seed"},
+    "ga": {"population_size", "tournament_fraction", "assignment_randomness", "max_iterations", "seed"},
+    "solver": {"gap_threshold", "time_limit", "max_chargers"},
+    "costs": {"travel_cost_rate", "wait_cost_rate"},
+}
+
+
 def _load_config(path: str | None) -> dict:
+    """Read a --config file, rejecting any key nothing would read."""
     if not path:
         return {}
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read config: {exc}", path=path) from exc
+    for name, allowed in _CONFIG_KEYS.items():  # the top level is checked first
+        section = cfg.get(name, {}) if name else cfg
+        if not isinstance(section, dict):
+            raise ParseError(f"config {name or 'file'} must be a JSON object", path=path)
+        unknown = sorted(set(section) - allowed)
+        if unknown:
+            keys = ", ".join(repr(f"{name}.{k}" if name else k) for k in unknown)
+            raise ParseError(f"unknown config key {keys}", path=path)
+    return cfg
 
 
 def _resolve_time_limit(value: str | None, instance: mdl.Instance | None) -> float | None:
@@ -102,7 +121,6 @@ def _solver_config(args, cfg: dict, instance: mdl.Instance | None) -> SolverConf
         else solver_cfg.get("time_limit"),
         max_chargers=solver_cfg.get("max_chargers"),
         enforce_proximity=True if getattr(args, "enforce_proximity", False) else None,
-        seed=args.seed,
     )
 
 
@@ -140,7 +158,7 @@ def _run_method(instance: mdl.Instance, method: str, args, cfg: dict):
     if n_runs > 1:
         return multi_run(
             instance, method, params, n_runs, base_seed=args.seed, time_limit=config.time_limit
-        ).best
+        )
     if method == "sa":
         return simulated_annealing(instance, params, time_limit=config.time_limit)
     if method == "ga":
@@ -176,36 +194,6 @@ def cmd_gen_demand(args) -> int:
         events.extend(dm.segment_block(block, args.range_min))
     if not events:
         print("warning: no demand events were generated", file=sys.stderr)
-        instance_dict = {
-            "demand_points": [],
-            "stations": [],
-            "charger_types": [
-                {
-                    "id": k.id,
-                    "power_kw": k.power_kw,
-                    "unit_cost_rate": k.unit_cost_rate,
-                    "recharge_time_min": k.recharge_time_min,
-                }
-                for k in kinds
-            ],
-            "costs": {
-                "travel_cost_rate": presets.TRAVEL_COST_PER_MIN,
-                "wait_cost_rate": presets.WAIT_COST_PER_MIN,
-            },
-            "travel": [],
-            "options": {
-                "epsilon": 1e-6,
-                "enforce_proximity": False,
-                "speed_kmh": args.speed_kmh,
-                "max_travel_minutes": args.max_travel_min,
-            },
-        }
-        instance_dict["meta"] = _meta(args)
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(instance_dict, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return EXIT_OK
-
     points = dm.aggregate_demand(events, args.horizon_min)
     points, stations, travel = dm.build_coverage(
         points, stations, args.max_travel_min, args.speed_kmh
@@ -223,9 +211,7 @@ def cmd_gen_demand(args) -> int:
     )
     payload = mdl.instance_to_dict(instance)
     payload["meta"] = _meta(args, {"blocks": str(args.blocks), "events": len(events)})
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    mdl.write_json(args.out, payload)
     print(
         f"instance written: {len(points)} demand points, {len(stations)} stations, "
         f"{len(events)} events"
@@ -235,50 +221,23 @@ def cmd_gen_demand(args) -> int:
 
 def cmd_cluster(args) -> int:
     instance = mdl.load_instance(args.instance)
-    if args.k_demand == len(instance.demand_points) and args.k_station == len(instance.stations):
-        # full identity: preserve the instance (and its travel matrix) as-is
-        payload = mdl.instance_to_dict(instance)
-        payload["meta"] = _meta(args, {"k_demand": args.k_demand, "k_station": args.k_station, "seed": args.seed})
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        total = sum(p.rate for p in instance.demand_points)
-        print(f"clustered instance written; total demand rate {total!r}/min")
-        return EXIT_OK
-    points = dm.cluster_demand_points(list(instance.demand_points), args.k_demand, args.seed)
-    stations = dm.cluster_stations(list(instance.stations), args.k_station, args.seed + 1)
-    cutoff = instance.max_travel_minutes
-    if cutoff is None:
-        clustered = mdl.make_instance(
-            [replace(p, reachable=()) for p in points],
-            [replace(s, served=()) for s in stations],
+    if args.k_demand != len(instance.demand_points) or args.k_station != len(instance.stations):
+        # full identity keeps the instance, and so its travel matrix, as it is
+        instance = mdl.make_instance(
+            dm.cluster_demand_points(list(instance.demand_points), args.k_demand, args.seed),
+            dm.cluster_stations(list(instance.stations), args.k_station, args.seed + 1),
             instance.charger_types,
             travel_cost_rate=instance.travel_cost_rate,
             wait_cost_rate=instance.wait_cost_rate,
             speed_kmh=instance.speed_kmh,
+            max_travel_minutes=instance.max_travel_minutes,
             epsilon=instance.epsilon,
             enforce_proximity=instance.enforce_proximity,
         )
-    else:
-        points, stations, travel = dm.build_coverage(points, stations, cutoff, instance.speed_kmh)
-        clustered = mdl.make_instance(
-            points,
-            stations,
-            instance.charger_types,
-            travel_cost_rate=instance.travel_cost_rate,
-            wait_cost_rate=instance.wait_cost_rate,
-            travel=travel,
-            speed_kmh=instance.speed_kmh,
-            max_travel_minutes=cutoff,
-            epsilon=instance.epsilon,
-            enforce_proximity=instance.enforce_proximity,
-        )
-    payload = mdl.instance_to_dict(clustered)
+    payload = mdl.instance_to_dict(instance)
     payload["meta"] = _meta(args, {"k_demand": args.k_demand, "k_station": args.k_station, "seed": args.seed})
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    total = sum(p.rate for p in clustered.demand_points)
+    mdl.write_json(args.out, payload)
+    total = sum(p.rate for p in instance.demand_points)
     print(f"clustered instance written; total demand rate {total!r}/min")
     return EXIT_OK
 
@@ -401,7 +360,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p.add_argument("--time-limit", default=None, help="seconds, or 'auto' for the benchmark schedule")
     p.add_argument("--config", default=None, help="JSON config file (sa/ga/solver sections)")
-    p.add_argument("--preset", default="baseline", choices=["baseline"], help="parameter preset")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
 from . import model as mdl
@@ -31,9 +31,6 @@ class AssignmentSet:
             if i in seen:
                 raise ValueError(f"demand {i} assigned more than once")
             seen.add(i)
-
-    def by_demand(self) -> dict[int, tuple[int, int]]:
-        return {i: (j, k) for (i, j, k) in self.triplets}
 
 
 def station_capacity_ok(instance: mdl.Instance, station_id: int) -> bool:
@@ -236,25 +233,19 @@ def best_chargers(
     assignment: AssignmentSet,
     *,
     max_per_pair: int | None = None,
-    marginal_weight: str = "wait",
 ) -> dict[tuple[int, int], int]:
     """Optimal charger counts per (station, type) for a fixed assignment.
 
-    ``marginal_weight`` selects the cost rate weighting the marginal wait
-    saving in the stop rule; "wait" matches the objective, "travel" is kept
-    selectable for comparison. Raises :class:`InfeasibleError` when some pair
-    cannot reach stability within its capacity.
+    Raises :class:`InfeasibleError` when some pair cannot reach stability
+    within its capacity.
     """
-    if marginal_weight not in ("wait", "travel"):
-        raise ValueError("marginal_weight must be 'wait' or 'travel'")
-    rate = instance.wait_cost_rate if marginal_weight == "wait" else instance.travel_cost_rate
     loads = mdl.pair_loads(instance, assignment.triplets)
     out: dict[tuple[int, int], int] = {}
     for (j, k), load in sorted(loads.items()):
         cap = instance.station_cap(j, k)
         if max_per_pair is not None:
             cap = min(cap, max_per_pair)
-        sized = size_pair(load, instance.type_by_id[k], cap, rate, instance.epsilon)
+        sized = size_pair(load, instance.type_by_id[k], cap, instance.wait_cost_rate, instance.epsilon)
         if sized is None:
             raise InfeasibleError(
                 f"station {j} type {k}: load {load:.6g} needs more than {cap} chargers"
@@ -281,13 +272,6 @@ def build_solution(
         active=frozenset(active),
         assignments=assignment.triplets,
         chargers=dict(chargers),
-        waits=mdl.compute_waits(instance, assignment.triplets, chargers),
     )
     cost = mdl.evaluate(instance, sol)
-    return mdl.Solution(
-        active=sol.active,
-        assignments=sol.assignments,
-        chargers=sol.chargers,
-        waits=sol.waits,
-        cost=cost,
-    )
+    return replace(sol, waits=cost.waits, cost=cost)

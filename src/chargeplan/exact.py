@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -40,10 +39,8 @@ class SolverConfig:
 
     gap_threshold: float = 0.0
     time_limit: float | None = None
-    big_m: float | None = None
     max_chargers: int | None = None
     enforce_proximity: bool | None = None  # None inherits the instance flag
-    seed: int = 0
     warm_start: mdl.Solution | None = None
     initial_cuts: tuple["WaitFloorCut", ...] = ()
 
@@ -126,28 +123,6 @@ def _effective_proximity(instance: mdl.Instance, config: SolverConfig | None) ->
     if config is not None and config.enforce_proximity is not None:
         return config.enforce_proximity
     return instance.enforce_proximity
-
-
-def default_big_m(instance: mdl.Instance) -> float:
-    """A per-assignment cost bound: ten times the worst travel plus the worst
-    stable single-charger wait, scaled by the largest demand rate."""
-    if not instance.demand_points:
-        return 1.0
-    max_rate = max(d.rate for d in instance.demand_points)
-    max_travel = max(instance.travel.values(), default=0.0)
-    worst_wait = max(
-        queueing.expected_wait(
-            queueing.QueueModel(
-                arrival_rate=k.service_rate * (1.0 - instance.epsilon),
-                service_rate=k.service_rate,
-                servers=1,
-            )
-        )
-        for k in instance.charger_types
-    )
-    return 10.0 * max_rate * (
-        instance.travel_cost_rate * max_travel + instance.wait_cost_rate * worst_wait
-    )
 
 
 def root_lower_bound(instance: mdl.Instance) -> float:
@@ -325,6 +300,29 @@ def brute_force(
     )
 
 
+class _Node:
+    """One partial assignment: the (station, type) pair of each demand in
+    search order, and the sums that bounding and leaf pricing read from it,
+    accumulated in path order so bounds do not depend on how a node was
+    reached."""
+
+    __slots__ = ("path", "loads", "masks", "stations", "committed", "travel")
+
+    def __init__(self) -> None:
+        self.path: tuple[tuple[int, int], ...] = ()
+        self.loads: dict[tuple[int, int], float] = {}
+        self.masks: dict[tuple[int, int], int] = {}  # bits: positions of the pair's demands
+        self.stations: set[int] = set()
+        self.committed = 0.0  # travel + service-time cost of the assigned demands
+        self.travel = 0.0  # travel cost of the assigned demands
+
+    def copy(self) -> "_Node":
+        node = _Node.__new__(_Node)
+        node.path, node.committed, node.travel = self.path, self.committed, self.travel
+        node.loads, node.masks, node.stations = dict(self.loads), dict(self.masks), set(self.stations)
+        return node
+
+
 class _TreeSearch:
     """Best-first branch-and-bound over per-demand assignment choices."""
 
@@ -384,6 +382,33 @@ class _TreeSearch:
             if 0.0 < rho < 1.0:
                 self._store_cut(make_cut(j, self.instance.type_by_id[k], s, rho))
 
+    # -- node state --------------------------------------------------------
+
+    def _assign(self, node: _Node, pair: tuple[int, int]) -> None:
+        """Extend a node in place: its next demand goes to ``pair``, a
+        (station, type) tuple that the new path holds itself, so that paths
+        in the heap share their pairs."""
+        depth = len(node.path)
+        d = self.demands[depth]
+        j, k = pair
+        t = self.instance.travel[(d.id, j)]
+        node.path += (pair,)
+        node.loads[pair] = node.loads.get(pair, 0.0) + d.rate
+        node.masks[pair] = node.masks.get(pair, 0) | (1 << depth)
+        node.stations.add(j)
+        node.committed += d.rate * (
+            self.instance.travel_cost_rate * t
+            + self.instance.wait_cost_rate / self.instance.type_by_id[k].service_rate
+        )
+        node.travel += d.rate * self.instance.travel_cost_rate * t
+
+    def state(self, path: Iterable[tuple[int, int]]) -> _Node:
+        """The node of a path, accumulated in path order."""
+        node = _Node()
+        for pair in path:
+            self._assign(node, pair)
+        return node
+
     # -- bounding ----------------------------------------------------------
 
     def pair_floor_extra(self, j: int, k: int, load: float) -> float | None:
@@ -408,25 +433,17 @@ class _TreeSearch:
             best = min(best, base + c_wait * extra)
         return best
 
-    def node_bound(self, path: tuple[tuple[int, int], ...]) -> float | None:
+    def node_bound(self, node: _Node) -> float | None:
         """Valid lower bound on every completion of a partial assignment:
         committed station costs, per-pair charger/wait floors, committed
         travel+service cost, and per-demand floors for the rest. None when
         some committed pair is already beyond capacity."""
-        loads: dict[tuple[int, int], float] = {}
-        stations: set[int] = set()
-        assigned = 0.0
-        for d, (j, k) in enumerate(path):
-            lam = self.demands[d].rate
-            loads[(j, k)] = loads.get((j, k), 0.0) + lam
-            stations.add(j)
-            i = self.demands[d].id
-            assigned += lam * (
-                self.instance.travel_cost_rate * self.instance.travel[(i, j)]
-                + self.instance.wait_cost_rate / self.instance.type_by_id[k].service_rate
-            )
-        bound = sum(self.station_cost[j] for j in sorted(stations)) + assigned + self.suffix[len(path)]
-        for (j, k), load in sorted(loads.items()):
+        bound = (
+            sum(self.station_cost[j] for j in sorted(node.stations))
+            + node.committed
+            + self.suffix[len(node.path)]
+        )
+        for (j, k), load in sorted(node.loads.items()):
             floor = self.pair_floor_extra(j, k, load)
             if floor is None:
                 return None
@@ -435,21 +452,11 @@ class _TreeSearch:
 
     # -- leaf evaluation ---------------------------------------------------
 
-    def leaf_cost(self, path: tuple[tuple[int, int], ...]) -> tuple[float, dict[tuple[int, int], int]] | None:
-        masks: dict[tuple[int, int], int] = {}
-        loads: dict[tuple[int, int], float] = {}
-        travel_acc = 0.0
-        stations: set[int] = set()
-        for d, (j, k) in enumerate(path):
-            lam = self.demands[d].rate
-            masks[(j, k)] = masks.get((j, k), 0) | (1 << d)
-            loads[(j, k)] = loads.get((j, k), 0.0) + lam
-            stations.add(j)
-            travel_acc += lam * self.instance.travel_cost_rate * self.instance.travel[(self.demands[d].id, j)]
-        cost = travel_acc + sum(self.station_cost[j] for j in sorted(stations))
+    def leaf_cost(self, node: _Node) -> tuple[float, dict[tuple[int, int], int]] | None:
+        cost = node.travel + sum(self.station_cost[j] for j in sorted(node.stations))
         chargers: dict[tuple[int, int], int] = {}
-        for (j, k), mask in sorted(masks.items()):
-            sized = self.sizer.best(j, k, mask, loads[(j, k)])
+        for (j, k), mask in sorted(node.masks.items()):
+            sized = self.sizer.best(j, k, mask, node.loads[(j, k)])
             if sized is None:
                 return None
             chargers[(j, k)] = sized[0]
@@ -469,32 +476,27 @@ class _TreeSearch:
 
     # -- search ------------------------------------------------------------
 
-    def _children(self, path: tuple[tuple[int, int], ...]):
+    def _children(self, node: _Node) -> list[tuple[int, int]]:
         """Feasible extensions of a node, cheapest myopic cost first."""
-        depth = len(path)
+        depth = len(node.path)
         d = self.demands[depth]
-        loads: dict[tuple[int, int], float] = {}
-        stations: set[int] = set()
-        for dd, (j, k) in enumerate(path):
-            loads[(j, k)] = loads.get((j, k), 0.0) + self.demands[dd].rate
-            stations.add(j)
         out = []
         for (j, k, myopic) in self.choices[depth]:
             kt = self.instance.type_by_id[k]
-            new_load = loads.get((j, k), 0.0) + d.rate
+            new_load = node.loads.get((j, k), 0.0) + d.rate
             cap = self.sizer.cap(j, k)
             if kt.service_rate * cap * (1.0 - self.instance.epsilon) < new_load:
                 continue
             if self.proximity:
-                new_active = stations | {j}
+                new_active = node.stations | {j}
                 if not _closest_ok(self.instance, d.id, j, new_active):
                     continue
-                if j not in stations and any(
+                if j not in node.stations and any(
                     not _closest_ok(self.instance, self.demands[dd].id, jj, new_active)
-                    for dd, (jj, _) in enumerate(path)
+                    for dd, (jj, _) in enumerate(node.path)
                 ):
                     continue
-            dyn = myopic + (0.0 if j in stations else self.station_cost[j])
+            dyn = myopic + (0.0 if j in node.stations else self.station_cost[j])
             out.append((dyn, j, k))
         out.sort(key=lambda c: (c[0], c[1], c[2]))
         return [(j, k) for (_, j, k) in out]
@@ -511,43 +513,35 @@ class _TreeSearch:
             sol = mdl.Solution(frozenset(), frozenset(), {}, {}, None)
             return SolverReport(best=sol, lower_bound=0.0, upper_bound=0.0, gap=0.0)
 
-        def register(path: tuple[tuple[int, int], ...], cost: float, chargers) -> None:
+        def register(leaf: _Node) -> None:
             nonlocal best_path, upper, time_to_best
-            if cost < upper:
-                best_path, upper = path, cost
+            res = self.leaf_cost(leaf)
+            if res is not None and res[0] < upper:
+                best_path, upper = leaf.path, res[0]
                 time_to_best = time.perf_counter() - t0
-                loads: dict[tuple[int, int], float] = {}
-                for dd, (j, k) in enumerate(path):
-                    loads[(j, k)] = loads.get((j, k), 0.0) + self.demands[dd].rate
-                self._cuts_at_incumbent(loads, chargers)
+                self._cuts_at_incumbent(leaf.loads, res[1])
 
         if self.config.warm_start is not None:
-            ws = self.config.warm_start
-            by_demand = {i: (j, k) for (i, j, k) in ws.assignments}
+            by_demand = {i: (j, k) for (i, j, k) in self.config.warm_start.assignments}
             try:
-                path = tuple(by_demand[d.id] for d in self.demands)
-                res = self.leaf_cost(path)
-                if res is not None:
-                    register(path, res[0], res[1])
+                register(self.state(by_demand[d.id] for d in self.demands))
             except KeyError:
-                pass
+                pass  # a warm start whose pairs do not fit the instance is ignored
 
         # greedy myopic dive for an initial incumbent
-        path: tuple[tuple[int, int], ...] = ()
-        while len(path) < self.n:
-            kids = self._children(path)
+        node = _Node()
+        while len(node.path) < self.n:
+            kids = self._children(node)
             if not kids:
                 break
-            path = path + (kids[0],)
-        if len(path) == self.n:
-            res = self.leaf_cost(path)
-            if res is not None:
-                register(path, res[0], res[1])
+            self._assign(node, kids[0])
+        if len(node.path) == self.n:
+            register(node)
 
         lower = 0.0
         heap: list[tuple[float, int, tuple[tuple[int, int], ...]]] = []
         seq = itertools.count()
-        root_bound = self.node_bound(())
+        root_bound = self.node_bound(_Node())
         if root_bound is not None:
             heapq.heappush(heap, (root_bound, next(seq), ()))
 
@@ -561,21 +555,22 @@ class _TreeSearch:
             lower = max(lower, min(key, upper))
             if key >= upper - _PRUNE_MARGIN:
                 continue  # drain; monotone bounds make everything left prunable
-            bound = self.node_bound(path)  # re-tightened by cuts added since push
+            # heap entries hold only the path, so open nodes stay small
+            node = self.state(path)
+            bound = self.node_bound(node)  # re-tightened by cuts added since push
             if bound is None or bound >= upper - _PRUNE_MARGIN:
                 continue
             nodes += 1
             if len(path) == self.n:
-                res = self.leaf_cost(path)
-                if res is not None:
-                    register(path, res[0], res[1])
+                register(node)
                 continue
-            for (j, k) in self._children(path):
-                child = path + ((j, k),)
-                child_bound = self.node_bound(child)
+            for pair in self._children(node):
+                kid = node.copy()
+                self._assign(kid, pair)
+                child_bound = self.node_bound(kid)
                 if child_bound is None or child_bound >= upper - _PRUNE_MARGIN:
                     continue
-                heapq.heappush(heap, (child_bound, next(seq), child))
+                heapq.heappush(heap, (child_bound, next(seq), kid.path))
 
             if (
                 self.config.gap_threshold > 0.0
@@ -685,6 +680,4 @@ def report_to_dict(report: SolverReport) -> dict:
 def save_report(report: SolverReport, path, meta: dict | None = None) -> None:
     payload = dict(report_to_dict(report))
     payload["meta"] = meta or {}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    mdl.write_json(path, payload)

@@ -78,29 +78,44 @@ class GAParams:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: float, rng: random.Random):
-    """Sample an assignment for an activation set and size it; returns
-    (cost, solution) with cost = inf when sizing is infeasible."""
+def _price(instance: mdl.Instance, assignment: AssignmentSet, active: frozenset[int]):
+    """Size the chargers of an assignment and price it with ``active`` open;
+    returns (cost, solution) with cost = inf when sizing is infeasible."""
     try:
-        assignment = demand_assignment(instance, active, randomness, rng)
-        chargers = best_chargers(instance, assignment)
-        sol = build_solution(instance, assignment, chargers, active=active)
-        return sol.cost.total, sol
+        sol = build_solution(instance, assignment, best_chargers(instance, assignment), active=active)
     except InfeasibleError:
         return math.inf, None
+    return sol.cost.total, sol
 
 
-def _strip_idle(solution: mdl.Solution) -> mdl.Solution:
-    """Drop activations with no traffic before reporting; they only add cost."""
-    used = frozenset(j for (_, j, _) in solution.assignments)
-    if used == solution.active:
-        return solution
-    return mdl.Solution(
-        active=used,
-        assignments=solution.assignments,
-        chargers=solution.chargers,
-        waits=solution.waits,
-        cost=None,
+def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: float, rng: random.Random):
+    """Sample an assignment for an activation set and price it."""
+    return _price(instance, demand_assignment(instance, active, randomness, rng), active)
+
+
+def _report(
+    instance: mdl.Instance,
+    best: mdl.Solution,
+    iterations: int,
+    time_to_best: float,
+    terminated: str,
+    stats: dict,
+) -> SolverReport:
+    """Report the incumbent re-priced with only its used stations open (idle
+    activations only add cost), against the travel-and-service floor."""
+    best = build_solution(instance, AssignmentSet(best.assignments), best.chargers)
+    total = best.cost.total
+    lower = min(root_lower_bound(instance), total)
+    return SolverReport(
+        best=best,
+        lower_bound=lower,
+        upper_bound=total,
+        gap=compute_gap(lower, total) if total > 0 else 0.0,
+        nodes_explored=iterations,
+        cuts_added=0,
+        time_to_best=time_to_best,
+        terminated_by=terminated,
+        stats=stats,
     )
 
 
@@ -187,31 +202,10 @@ def simulated_annealing(
             clamp_events += 1
         temp = new_temp
 
-    best_sol = _strip_idle(best_sol)
-    best_sol = build_solution(
-        instance,
-        _assignment_of(best_sol),
-        best_sol.chargers,
-        active=best_sol.active,
+    return _report(
+        instance, best_sol, iterations, time_to_best, terminated,
+        {"clamp_events": clamp_events, "incumbent_trace": trace},
     )
-    lower = root_lower_bound(instance)
-    total = best_sol.cost.total
-    lower = min(lower, total)
-    return SolverReport(
-        best=best_sol,
-        lower_bound=lower,
-        upper_bound=total,
-        gap=compute_gap(lower, total) if total > 0 else 0.0,
-        nodes_explored=iterations,
-        cuts_added=0,
-        time_to_best=time_to_best,
-        terminated_by=terminated,
-        stats={"clamp_events": clamp_events, "incumbent_trace": trace},
-    )
-
-
-def _assignment_of(sol: mdl.Solution) -> AssignmentSet:
-    return AssignmentSet(sol.assignments)
 
 
 @dataclass
@@ -285,24 +279,18 @@ def genetic_algorithm(
             child_active.add(j)
         child = frozenset(child_active)
 
-        try:
-            assignment = demand_assignment(instance, child, params.assignment_randomness, rng)
-            inherited = set()
-            p1_types = {(i, j): k for (i, j, k) in (p1.solution.assignments if p1.solution else ())}
-            p2_types = {(i, j): k for (i, j, k) in (p2.solution.assignments if p2.solution else ())}
-            for (i, j, k) in assignment.triplets:
-                if j in first_half and j in p1.active and (i, j) in p1_types:
-                    inherited.add((i, j, p1_types[(i, j)]))
-                elif j not in first_half and j in p2.active and (i, j) in p2_types:
-                    inherited.add((i, j, p2_types[(i, j)]))
-                else:
-                    inherited.add((i, j, k))
-            assignment = AssignmentSet(frozenset(inherited))
-            chargers = best_chargers(instance, assignment)
-            child_sol = build_solution(instance, assignment, chargers, active=child)
-            child_cost = child_sol.cost.total
-        except InfeasibleError:
-            child_sol, child_cost = None, math.inf
+        assignment = demand_assignment(instance, child, params.assignment_randomness, rng)
+        inherited = set()
+        p1_types = {(i, j): k for (i, j, k) in (p1.solution.assignments if p1.solution else ())}
+        p2_types = {(i, j): k for (i, j, k) in (p2.solution.assignments if p2.solution else ())}
+        for (i, j, k) in assignment.triplets:
+            if j in first_half and j in p1.active and (i, j) in p1_types:
+                inherited.add((i, j, p1_types[(i, j)]))
+            elif j not in first_half and j in p2.active and (i, j) in p2_types:
+                inherited.add((i, j, p2_types[(i, j)]))
+            else:
+                inherited.add((i, j, k))
+        child_cost, child_sol = _price(instance, AssignmentSet(frozenset(inherited)), child)
 
         worst_idx = max(range(len(population)), key=lambda i: (population[i].cost, i))
         worst_cost = population[worst_idx].cost
@@ -322,34 +310,10 @@ def genetic_algorithm(
 
     if best_sol is None:
         raise InfeasibleError("no cover admits a stable charger sizing")
-    best_sol = _strip_idle(best_sol)
-    best_sol = build_solution(
-        instance, _assignment_of(best_sol), best_sol.chargers, active=best_sol.active
+    return _report(
+        instance, best_sol, iterations, time_to_best, terminated,
+        {"population_size": len(population)},
     )
-    lower = root_lower_bound(instance)
-    total = best_sol.cost.total
-    lower = min(lower, total)
-    return SolverReport(
-        best=best_sol,
-        lower_bound=lower,
-        upper_bound=total,
-        gap=compute_gap(lower, total) if total > 0 else 0.0,
-        nodes_explored=iterations,
-        cuts_added=0,
-        time_to_best=time_to_best,
-        terminated_by=terminated,
-        stats={"population_size": len(population)},
-    )
-
-
-@dataclass(frozen=True)
-class MultiRunResult:
-    """Best-of-n report plus the consistency statistics across runs."""
-
-    best: SolverReport
-    run_costs: tuple[float, ...]
-    distinct_objectives: int
-    run_times_to_best: tuple[float, ...]
 
 
 def multi_run(
@@ -359,14 +323,15 @@ def multi_run(
     n_runs: int,
     base_seed: int | None = None,
     time_limit: float | None = None,
-) -> MultiRunResult:
-    """Launch ``n_runs`` independent runs seeded base_seed + 0..n-1 and keep
-    the cheapest result. Runs share only the immutable instance, so they may
+) -> SolverReport:
+    """Launch ``n_runs`` independent runs seeded base_seed + 0..n-1 and report
+    the cheapest. Runs share only the immutable instance, so they may
     execute in any order; they are executed sequentially here for exact
     reproducibility of the aggregate.
 
-    ``distinct_objectives`` counts the distinct final objective values across
-    runs after rounding to 1e-6.
+    The report's ``stats`` add ``run_costs`` (each run's objective),
+    ``distinct_objectives`` (distinct values among them after rounding to
+    1e-6) and ``n_runs``.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -380,27 +345,11 @@ def multi_run(
             reports.append(simulated_annealing(instance, run_params, time_limit))
         else:
             reports.append(genetic_algorithm(instance, run_params, time_limit))
-    best_idx = min(range(n_runs), key=lambda r: (reports[r].upper_bound, r))
-    costs = tuple(r.upper_bound for r in reports)
-    distinct = len({round(c, 6) for c in costs})
-    best = reports[best_idx]
+    best = min(reports, key=lambda rep: rep.upper_bound)
+    costs = [r.upper_bound for r in reports]
     stats = dict(best.stats)
     stats.pop("incumbent_trace", None)
-    stats.update({"run_costs": list(costs), "distinct_objectives": distinct, "n_runs": n_runs})
-    best = SolverReport(
-        best=best.best,
-        lower_bound=best.lower_bound,
-        upper_bound=best.upper_bound,
-        gap=best.gap,
-        nodes_explored=best.nodes_explored,
-        cuts_added=best.cuts_added,
-        time_to_best=best.time_to_best,
-        terminated_by=best.terminated_by,
-        stats=stats,
+    stats.update(
+        {"run_costs": costs, "distinct_objectives": len({round(c, 6) for c in costs}), "n_runs": n_runs}
     )
-    return MultiRunResult(
-        best=best,
-        run_costs=costs,
-        distinct_objectives=distinct,
-        run_times_to_best=tuple(r.time_to_best for r in reports),
-    )
+    return replace(best, stats=stats)

@@ -20,6 +20,7 @@ from . import geo, queueing
 from .errors import (
     InfeasibleDemandError,
     InvalidSOCError,
+    ParseError,
     UnassignedDemandError,
     UnstableQueueError,
 )
@@ -44,12 +45,13 @@ class ChargerType:
     recharge_time_min: float
 
     def __post_init__(self) -> None:
-        if self.power_kw <= 0:
-            raise ValueError("power_kw must be positive")
-        if self.recharge_time_min <= 0:
-            raise ValueError("recharge_time_min must be positive")
-        if self.unit_cost_rate < 0:
-            raise ValueError("unit_cost_rate must be nonnegative")
+        # comparisons against inf also reject NaN, which fails every comparison
+        if not 0 < self.power_kw < math.inf:
+            raise ValueError(f"charger type {self.id}: power_kw must be positive and finite")
+        if not 0 < self.recharge_time_min < math.inf:
+            raise ValueError(f"charger type {self.id}: recharge_time_min must be positive and finite")
+        if not 0 <= self.unit_cost_rate < math.inf:
+            raise ValueError(f"charger type {self.id}: unit_cost_rate must be nonnegative and finite")
 
     @property
     def service_rate(self) -> float:
@@ -95,8 +97,8 @@ class DemandPoint:
     agency: str | None = None
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"demand point {self.id}: rate must be positive")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"demand point {self.id}: rate must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -114,8 +116,8 @@ class CandidateStation:
     source_id: str | None = None  # ingest-only: the stop id in the source feed
 
     def __post_init__(self) -> None:
-        if self.fixed_cost_rate < 0:
-            raise ValueError(f"station {self.id}: fixed_cost_rate must be nonnegative")
+        if not 0 <= self.fixed_cost_rate < math.inf:
+            raise ValueError(f"station {self.id}: fixed_cost_rate must be nonnegative and finite")
         for k, cap in self.max_chargers.items():
             if cap < 0:
                 raise ValueError(f"station {self.id}: negative cap for type {k}")
@@ -140,12 +142,15 @@ class Instance:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError("epsilon must lie in (0, 1)")
+        for name in ("travel_cost_rate", "wait_cost_rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for pair, t in self.travel.items():
             if t < 0 or not math.isfinite(t):
                 raise ValueError(f"travel time for {pair} must be finite and >= 0")
-        object.__setattr__(self, "demand_by_id", {d.id: d for d in self.demand_points})
-        object.__setattr__(self, "station_by_id", {s.id: s for s in self.stations})
-        object.__setattr__(self, "type_by_id", {k.id: k for k in self.charger_types})
+        object.__setattr__(self, "demand_by_id", _by_id("demand", self.demand_points))
+        object.__setattr__(self, "station_by_id", _by_id("station", self.stations))
+        object.__setattr__(self, "type_by_id", _by_id("charger type", self.charger_types))
 
     # filled in __post_init__
     demand_by_id: Mapping[int, DemandPoint] = field(init=False, repr=False, compare=False)
@@ -154,6 +159,17 @@ class Instance:
 
     def station_cap(self, station_id: int, type_id: int) -> int:
         return self.station_by_id[station_id].max_chargers.get(type_id, 0)
+
+
+def _by_id(kind: str, items) -> dict:
+    """Index records by id; two records sharing an id would silently
+    collapse into one, so that is an error."""
+    out = {}
+    for x in items:
+        if x.id in out:
+            raise ValueError(f"duplicate {kind} id {x.id}")
+        out[x.id] = x
+    return out
 
 
 def make_instance(
@@ -218,7 +234,9 @@ def make_instance(
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Per-minute cost totals plus the per-assignment ledger."""
+    """Per-minute cost totals, the per-assignment ledger, and the exact
+    expected wait of every equipped (station, type) pair they were priced
+    with."""
 
     station: float
     charger: float
@@ -226,6 +244,7 @@ class CostBreakdown:
     waiting: float
     total: float
     per_assignment: Mapping[tuple[int, int, int], float]
+    waits: Mapping[tuple[int, int], float]
 
 
 @dataclass(frozen=True)
@@ -286,8 +305,9 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
 
     total = station activation + charger install + travel + expected wait,
     all in currency per minute. Waits are recomputed from the queueing model,
-    never read from ``solution.waits``. Deterministic: sums run in sorted key
-    order, so identical inputs give bit-identical results.
+    never read from ``solution.waits``, and returned in ``waits``.
+    Deterministic: sums run in sorted key order, so identical inputs give
+    bit-identical results.
     """
     assigned: dict[int, tuple[int, int]] = {}
     for (i, j, k) in solution.assignments:
@@ -329,6 +349,7 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
         waiting=waiting,
         total=total,
         per_assignment=per_assignment,
+        waits=waits,
     )
 
 
@@ -525,7 +546,16 @@ def instance_from_dict(data: dict) -> Instance:
     ]
     travel = None
     if data.get("travel"):
-        travel = {(int(i), int(j)): float(t) for i, j, t in data["travel"]}
+        demand_ids = {d.id for d in dps}
+        station_ids = {s.id for s in sts}
+        travel = {}
+        for n, (i, j, t) in enumerate(data["travel"]):
+            i, j = int(i), int(j)
+            if i not in demand_ids:
+                raise ParseError(f"travel[{n}]: unknown demand id {i}")
+            if j not in station_ids:
+                raise ParseError(f"travel[{n}]: unknown station id {j}")
+            travel[(i, j)] = float(t)
     return make_instance(
         dps,
         sts,
@@ -540,12 +570,22 @@ def instance_from_dict(data: dict) -> Instance:
     )
 
 
-def save_instance(instance: Instance, path) -> None:
+def write_json(path, payload) -> None:
+    """Write a JSON output file: indented, keys sorted and newline-ended, so
+    equal payloads give byte-identical files."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def save_instance(instance: Instance, path) -> None:
+    write_json(path, instance_to_dict(instance))
 
 
 def load_instance(path) -> Instance:
     with open(path, encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return instance_from_dict(data)
+    except KeyError as exc:
+        raise ParseError(f"missing required field {exc.args[0]!r}", path=path) from exc

@@ -174,13 +174,8 @@ def run_scenario(instance: mdl.Instance, spec: ScenarioSpec, solve: SolveFn) -> 
                 )
                 parts.append(solve(sub).best)
             merged = _merge_solutions(parts)
-            sol = mdl.Solution(
-                active=merged.active,
-                assignments=merged.assignments,
-                chargers=merged.chargers,
-                waits=mdl.compute_waits(pool, merged.assignments, merged.chargers),
-                cost=mdl.evaluate(pool, merged),
-            )
+            cost = mdl.evaluate(pool, merged)
+            sol = replace(merged, waits=cost.waits, cost=cost)
     except (InfeasibleDemandError, InfeasibleError):
         return ScenarioRow(spec, False, None, None, None, None, None)
 

@@ -154,8 +154,8 @@ def test_c06_metaheuristic_quality():
             n_runs=10, base_seed=11, time_limit=per_instance_budget / 10,
         )
         worst_inst_time = max(worst_inst_time, time.perf_counter() - t_inst)
-        sa_hits += sa.best.upper_bound <= opt + 1e-6
-        ga_hits += ga.best.upper_bound <= opt + 1e-6
+        sa_hits += sa.upper_bound <= opt + 1e-6
+        ga_hits += ga.upper_bound <= opt + 1e-6
     assert worst_inst_time < per_instance_budget
     assert sa_hits >= 90
     assert ga_hits >= 90
@@ -171,7 +171,7 @@ def test_c06_metaheuristic_quality():
             inst, "ga", GAParams(max_iterations=2000, assignment_randomness=0.2),
             n_runs=3, base_seed=5, time_limit=120.0,
         )
-        wins += ga.best.upper_bound <= sa.best.upper_bound + 1e-9
+        wins += ga.upper_bound <= sa.upper_bound + 1e-9
     assert wins >= 12  # 60% of 20
     elapsed = time.perf_counter() - t0
     print(

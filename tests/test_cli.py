@@ -238,6 +238,61 @@ class TestValidate:
         assert "inactive_station" in capsys.readouterr().out
 
 
+
+class TestBadInput:
+    """Bad input ends with exit 3 and a message naming the bad field."""
+
+    def edited(self, unit_instance_file, tmp_path, edit):
+        with open(unit_instance_file, encoding="utf-8") as fh:
+            data = json.load(fh)
+        edit(data)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_duplicate_demand_ids_rejected(self, unit_instance_file, tmp_path, capsys):
+        def twin(data):
+            data["demand_points"].append(dict(data["demand_points"][0], lat=41.89))
+            data["travel"].append([0, 0, 3.0])
+
+        src = self.edited(unit_instance_file, tmp_path, twin)
+        rc = main(["solve", src, "--method", "bnb", "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert "duplicate demand id 0" in capsys.readouterr().err
+
+    def test_nan_rate_rejected(self, unit_instance_file, tmp_path, capsys):
+        src = self.edited(unit_instance_file, tmp_path, lambda d: d["demand_points"][0].update(rate=float("nan")))
+        for method in ("bnb", "sa"):
+            assert main(["solve", src, "--method", method, "--out", str(tmp_path / "r.json")]) == 3
+            assert "rate must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda d: d["travel"].append([0, 9, 1.0]), "unknown station id 9"),
+        (lambda d: d["travel"].append([9, 0, 1.0]), "unknown demand id 9"),
+        (lambda d: d.pop("costs"), "missing required field 'costs'"),
+    ])
+    def test_malformed_instance_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
+        report = tmp_path / "report.json"
+        assert main(["solve", unit_instance_file, "--method", "brute", "--out", str(report)]) == 0
+        src = self.edited(unit_instance_file, tmp_path, edit)
+        assert main(["validate", src, str(report)]) == 3
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg, named", [
+        ({"sa": {"max_iteration": 10}}, "'sa.max_iteration'"),
+        ({"ga": {"pop_size": 4}}, "'ga.pop_size'"),
+        ({"solver": {"gap": 0.1}}, "'solver.gap'"),
+        ({"n_run": 2}, "'n_run'"),
+    ])
+    def test_unknown_config_key_rejected(self, unit_instance_file, tmp_path, capsys, cfg, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["solve", unit_instance_file, "--method", "sa", "--config", str(path),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert f"unknown config key {named}" in capsys.readouterr().err
+
+
 class TestScenariosCommand:
     def test_six_rows_baseline_dominates(self, tmp_path):
         inst = two_agency_instance(11)

@@ -247,13 +247,6 @@ class TestBestChargers:
                     best_s, best_cost = s, cost
             assert got[0] == best_s
 
-    def test_travel_weight_variant_selectable(self):
-        inst = coverage_instance({0: [0]}, 1, rates={0: 0.5})
-        a = AssignmentSet(frozenset({(0, 0, 0)}))
-        wait_counts = best_chargers(inst, a, marginal_weight="wait")
-        travel_counts = best_chargers(inst, a, marginal_weight="travel")
-        assert set(wait_counts) == set(travel_counts) == {(0, 0)}
-
     def test_assignment_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
             AssignmentSet(frozenset({(0, 0, 0), (0, 1, 0)}))

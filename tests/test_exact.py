@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chargeplan.errors import (
     CutUndefinedError,
@@ -15,7 +17,6 @@ from chargeplan.exact import (
     branch_and_bound,
     brute_force,
     compute_gap,
-    default_big_m,
     make_cut,
     root_lower_bound,
 )
@@ -156,13 +157,13 @@ class TestBranchAndBound:
             def leaves_below(path):
                 depth = len(path)
                 for tail in itertools.product(*choice_lists[depth:]):
-                    res = search.leaf_cost(path + tuple(tail))
+                    res = search.leaf_cost(search.state(path + tuple(tail)))
                     if res is not None:
                         yield res[0]
 
             for depth in range(search.n):
                 for prefix in itertools.product(*choice_lists[:depth]):
-                    bound = search.node_bound(tuple(prefix))
+                    bound = search.node_bound(search.state(prefix))
                     descendants = list(leaves_below(tuple(prefix)))
                     if bound is None:
                         assert not descendants
@@ -264,8 +265,60 @@ class TestBounds:
             opt = brute_force(inst).upper_bound
             assert root_lower_bound(inst) <= opt + 1e-12
 
-    def test_default_big_m_exceeds_ledger_entries(self, fixtures40):
-        for inst in fixtures40[:10]:
-            big_m = default_big_m(inst)
-            rep = brute_force(inst)
-            assert all(q < big_m for q in rep.best.cost.per_assignment.values())
+
+
+EPS = 1e-6
+
+
+@st.composite
+def small_instances(draw):
+    """Instances brute force enumerates quickly, drawn from small value sets
+    so that travel times, rates and pair loads tie; some rates sit exactly at
+    the stability margin of one charger, or at half of it so two of them
+    fill it, and charger caps are often one."""
+    n_demand = draw(st.integers(1, 4))
+    n_station = draw(st.integers(1, 3))
+    recharge = draw(st.lists(st.sampled_from([1.0, 2.0, 4.0]), min_size=1, max_size=2))
+    kinds = [
+        ChargerType(id=k, power_kw=100.0 * (k + 1), unit_cost_rate=draw(st.sampled_from([0.05, 0.2, 1.0])),
+                    recharge_time_min=r)
+        for k, r in enumerate(recharge)
+    ]
+    margin = kinds[0].service_rate * (1.0 - EPS)
+    rate = st.sampled_from([0.1, 0.25, 0.5, margin, margin / 2])
+    cap = st.sampled_from([0, 1, 1, 2, 3])
+    demands = [DemandPoint(id=i, lat=41.8, lon=-87.7, rate=draw(rate)) for i in range(n_demand)]
+    stations = [
+        CandidateStation(id=j, lat=41.8, lon=-87.7, fixed_cost_rate=draw(st.sampled_from([0.0, 0.5, 2.0])),
+                         max_chargers={k.id: draw(cap) for k in kinds})
+        for j in range(n_station)
+    ]
+    travel = {}
+    for i in range(n_demand):
+        reach = draw(st.lists(st.sampled_from(range(n_station)), min_size=1, max_size=n_station, unique=True))
+        for j in reach:
+            travel[(i, j)] = draw(st.sampled_from([1.0, 2.0, 5.0]))
+    return make_instance(
+        demands, stations, kinds,
+        travel_cost_rate=draw(st.sampled_from([0.1, 1.0])),
+        wait_cost_rate=draw(st.sampled_from([0.5, 2.0])),
+        travel=travel,
+        epsilon=EPS,
+        enforce_proximity=draw(st.booleans()),
+    )
+
+
+class TestDifferential:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(small_instances())
+    def test_branch_and_bound_matches_brute_force(self, inst):
+        try:
+            want = brute_force(inst)
+        except InfeasibleError:
+            with pytest.raises(InfeasibleError):
+                branch_and_bound(inst)
+            return
+        got = branch_and_bound(inst)
+        assert got.upper_bound == pytest.approx(want.upper_bound, rel=1e-9)
+        assert got.lower_bound == got.upper_bound and got.gap == 0.0
+        assert check_feasibility(inst, got.best) == []

@@ -25,7 +25,7 @@ class TestSimulatedAnnealing:
         inst = small()
         opt = brute_force(inst).upper_bound
         rep = multi_run(inst, "sa", SAParams(max_iterations=2000, assignment_randomness=0.2), n_runs=5)
-        assert rep.best.upper_bound <= opt + 1e-6
+        assert rep.upper_bound <= opt + 1e-6
 
     def test_seed_determinism(self):
         inst = small()
@@ -74,7 +74,7 @@ class TestGeneticAlgorithm:
         inst = small()
         opt = brute_force(inst).upper_bound
         rep = multi_run(inst, "ga", GAParams(max_iterations=1200, assignment_randomness=0.2), n_runs=8)
-        assert rep.best.upper_bound <= opt + 1e-6
+        assert rep.upper_bound <= opt + 1e-6
 
     def test_seed_determinism(self):
         inst = small(7108)
@@ -118,19 +118,19 @@ class TestMultiRun:
         inst = small(7112)
         direct = simulated_annealing(inst, SAParams(max_iterations=300, seed=40))
         wrapped = multi_run(inst, "sa", SAParams(max_iterations=300, seed=0), n_runs=1, base_seed=40)
-        assert wrapped.best.upper_bound == direct.upper_bound
-        assert wrapped.run_costs == (direct.upper_bound,)
+        assert wrapped.upper_bound == direct.upper_bound
+        assert wrapped.stats["run_costs"] == [direct.upper_bound]
 
     def test_best_not_worse_than_any_run(self):
         inst = small(7113)
         res = multi_run(inst, "ga", GAParams(max_iterations=250), n_runs=6, base_seed=3)
-        assert all(res.best.upper_bound <= c + 1e-15 for c in res.run_costs)
-        assert 1 <= res.distinct_objectives <= 6
+        assert all(res.upper_bound <= c + 1e-15 for c in res.stats["run_costs"])
+        assert 1 <= res.stats["distinct_objectives"] <= 6
 
     def test_consistent_on_easy_instance(self):
         inst = small(7114)
         res = multi_run(inst, "sa", SAParams(max_iterations=1500, assignment_randomness=0.2), n_runs=6, base_seed=1)
-        assert res.distinct_objectives == 1
+        assert res.stats["distinct_objectives"] == 1
 
     def test_rejects_bad_args(self):
         inst = small(7115)

@@ -1,10 +1,11 @@
 import dataclasses
+import json
 import math
 
 import pytest
 
 from chargeplan.construction import AssignmentSet, build_solution
-from chargeplan.errors import InvalidSOCError, UnassignedDemandError, UnstableQueueError
+from chargeplan.errors import InvalidSOCError, ParseError, UnassignedDemandError, UnstableQueueError
 from chargeplan.model import (
     CandidateStation,
     ChargerType,
@@ -15,7 +16,9 @@ from chargeplan.model import (
     evaluate,
     instance_from_dict,
     instance_to_dict,
+    load_instance,
     make_instance,
+    save_instance,
 )
 
 from gen import random_instance
@@ -308,3 +311,64 @@ class TestInstanceSchema:
         for d in inst.demand_points:
             for j in d.reachable:
                 assert math.isfinite(inst.travel[(d.id, j)])
+
+
+class TestInputValidation:
+    @staticmethod
+    def parts(**overrides):
+        kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0)
+        dps = [DemandPoint(id=i, lat=41.88, lon=-87.68, rate=0.5) for i in range(2)]
+        sts = [CandidateStation(id=j, lat=41.9, lon=-87.7, fixed_cost_rate=5.0, max_chargers={0: 5}) for j in range(2)]
+        parts = {"demand_points": dps, "stations": sts, "charger_types": [kt]}
+        parts.update(overrides)
+        return parts
+
+    def build(self, travel_cost_rate=1.0, wait_cost_rate=1.0, **overrides):
+        p = self.parts(**overrides)
+        travel = {(d.id, s.id): 2.0 for d in p["demand_points"] for s in p["stations"]}
+        return make_instance(
+            p["demand_points"], p["stations"], p["charger_types"],
+            travel_cost_rate=travel_cost_rate, wait_cost_rate=wait_cost_rate, travel=travel,
+        )
+
+    @pytest.mark.parametrize("field, kind", [
+        ("demand_points", "demand"), ("stations", "station"), ("charger_types", "charger type"),
+    ])
+    def test_duplicate_ids_rejected(self, field, kind):
+        records = self.parts()[field]
+        with pytest.raises(ValueError, match=f"duplicate {kind} id 0"):
+            self.build(**{field: [*records, records[0]]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_numbers_rejected(self, bad):
+        kt = dict(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0)
+        for name in ("power_kw", "unit_cost_rate", "recharge_time_min"):
+            with pytest.raises(ValueError, match=name):
+                ChargerType(**{**kt, name: bad})
+        with pytest.raises(ValueError, match="rate"):
+            DemandPoint(id=0, lat=41.88, lon=-87.68, rate=bad)
+        with pytest.raises(ValueError, match="fixed_cost_rate"):
+            CandidateStation(id=0, lat=41.9, lon=-87.7, fixed_cost_rate=bad)
+        for name in ("travel_cost_rate", "wait_cost_rate"):
+            with pytest.raises(ValueError, match=name):
+                self.build(**{name: bad})
+
+    @pytest.mark.parametrize("entry, message", [
+        ([7, 0, 2.0], "travel\\[1\\]: unknown demand id 7"),
+        ([0, 7, 2.0], "travel\\[1\\]: unknown station id 7"),
+    ])
+    def test_travel_with_unknown_id_is_a_parse_error(self, entry, message):
+        data = instance_to_dict(self.build())
+        data["travel"][1] = entry
+        with pytest.raises(ParseError, match=message):
+            instance_from_dict(data)
+
+    @pytest.mark.parametrize("field", ["costs", "charger_types", "demand_points", "stations"])
+    def test_missing_required_field_is_a_parse_error(self, tmp_path, field):
+        path = tmp_path / "inst.json"
+        save_instance(self.build(), path)
+        data = json.loads(path.read_text())
+        del data[field]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError, match=f"missing required field '{field}'"):
+            load_instance(path)
