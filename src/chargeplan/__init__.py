@@ -58,7 +58,7 @@ from .model import (
     make_instance,
     save_instance,
 )
-from .queueing import QueueModel, TangentCut, delay_factor, erlang_c, expected_wait, tangent_cut
+from .queueing import QueueModel, delay_factor, erlang_c, expected_wait, tangent_cut
 from .scenarios import ScenarioSpec, SweepSpec, run_scenarios, run_sweep, scale_instance
 
 __version__ = "0.1.0"
@@ -80,7 +80,6 @@ __all__ = [
     "SolverConfig",
     "SolverReport",
     "SweepSpec",
-    "TangentCut",
     "Trip",
     "Violation",
     "WaitFloorCut",

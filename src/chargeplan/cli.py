@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -83,17 +84,25 @@ def _load_config(path: str | None) -> dict:
     return cfg
 
 
-def _resolve_time_limit(value: str | None, instance: mdl.Instance | None) -> float | None:
-    if value is None:
-        return None
-    if value == "auto":
+def _resolve_time_limit(args, cfg: dict, instance: mdl.Instance | None) -> float | None:
+    """Seconds from ``--time-limit``, else from the config's
+    ``solver.time_limit``, else None; a limit must be positive and finite."""
+    if args.time_limit == "auto":
         if instance is None:
             raise ParseError("--time-limit auto needs an instance")
         return presets.auto_time_limit(len(instance.demand_points), len(instance.stations))
+    name, value = "--time-limit", args.time_limit
+    if value is None:
+        name, value = "solver.time_limit", cfg.get("solver", {}).get("time_limit")
+        if value is None:
+            return None
     try:
-        return float(value)
-    except ValueError as exc:
-        raise ParseError(f"bad --time-limit {value!r}") from exc
+        seconds = float(value)  # a string from the flag, a JSON value from the config
+    except (TypeError, ValueError):
+        seconds = math.nan
+    if isinstance(value, bool) or not 0.0 < seconds < math.inf:
+        raise ParseError(f"bad {name} {value!r}: need a positive, finite number of seconds")
+    return seconds
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
@@ -116,9 +125,7 @@ def _solver_config(args, cfg: dict, instance: mdl.Instance | None) -> SolverConf
             if args.gap_threshold is not None
             else solver_cfg.get("gap_threshold", 0.0)
         ),
-        time_limit=_resolve_time_limit(args.time_limit, instance)
-        if args.time_limit is not None
-        else solver_cfg.get("time_limit"),
+        time_limit=_resolve_time_limit(args, cfg, instance),
         max_chargers=solver_cfg.get("max_chargers"),
         enforce_proximity=True if getattr(args, "enforce_proximity", False) else None,
     )

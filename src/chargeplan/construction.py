@@ -228,12 +228,7 @@ def size_pair(
     return (s, wait)
 
 
-def best_chargers(
-    instance: mdl.Instance,
-    assignment: AssignmentSet,
-    *,
-    max_per_pair: int | None = None,
-) -> dict[tuple[int, int], int]:
+def best_chargers(instance: mdl.Instance, assignment: AssignmentSet) -> dict[tuple[int, int], int]:
     """Optimal charger counts per (station, type) for a fixed assignment.
 
     Raises :class:`InfeasibleError` when some pair cannot reach stability
@@ -243,8 +238,6 @@ def best_chargers(
     out: dict[tuple[int, int], int] = {}
     for (j, k), load in sorted(loads.items()):
         cap = instance.station_cap(j, k)
-        if max_per_pair is not None:
-            cap = min(cap, max_per_pair)
         sized = size_pair(load, instance.type_by_id[k], cap, instance.wait_cost_rate, instance.epsilon)
         if sized is None:
             raise InfeasibleError(

@@ -6,7 +6,7 @@ traffic (idle activations only add cost), charger counts come from the convex
 per-pair sizing rule, and waits sit at their steady-state values. The
 branch-and-bound assigns demands in descending-rate order, bounds partial
 assignments with travel and service-time floors, and tightens the waiting
-floors with affine underestimators of the convex delay factor collected at
+floors with exact tangent lines of the convex delay factor taken at
 every incumbent.
 """
 
@@ -30,7 +30,6 @@ from .errors import (
 )
 
 _PRUNE_MARGIN = 1e-9
-_TRAVEL_TIE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,8 +40,6 @@ class SolverConfig:
     time_limit: float | None = None
     max_chargers: int | None = None
     enforce_proximity: bool | None = None  # None inherits the instance flag
-    warm_start: mdl.Solution | None = None
-    initial_cuts: tuple["WaitFloorCut", ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gap_threshold < 1.0:
@@ -91,11 +88,6 @@ class WaitFloorCut:
         ms = self.service_rate * self.servers
         return self.intercept / ms + self.slope * load / (ms * ms) + 1.0 / self.service_rate
 
-    def excess(self, load: float) -> float:
-        """Floor on the wait beyond the bare service time 1/mu."""
-        ms = self.service_rate * self.servers
-        return self.intercept / ms + self.slope * load / (ms * ms)
-
 
 def make_cut(
     station_id: int,
@@ -107,22 +99,16 @@ def make_cut(
     ``anchor_rho``. Undefined for zero servers."""
     if servers < 1:
         raise CutUndefinedError("wait floor undefined for zero chargers")
-    tc = queueing.tangent_cut(anchor_rho, servers, charger_type.service_rate)
+    intercept, slope = queueing.tangent_cut(anchor_rho, servers)
     return WaitFloorCut(
         station_id=station_id,
         charger_type_id=charger_type.id,
         servers=servers,
         service_rate=charger_type.service_rate,
-        intercept=tc.intercept,
-        slope=tc.slope,
+        intercept=intercept,
+        slope=slope,
         anchor_rho=anchor_rho,
     )
-
-
-def _effective_proximity(instance: mdl.Instance, config: SolverConfig | None) -> bool:
-    if config is not None and config.enforce_proximity is not None:
-        return config.enforce_proximity
-    return instance.enforce_proximity
 
 
 def root_lower_bound(instance: mdl.Instance) -> float:
@@ -195,14 +181,6 @@ def _choices_for(instance: mdl.Instance, d: mdl.DemandPoint) -> list[tuple[int, 
     return opts
 
 
-def _closest_ok(instance: mdl.Instance, i: int, j: int, active: Iterable[int]) -> bool:
-    best = min(
-        (instance.travel[(i, jj)] for jj in instance.demand_by_id[i].reachable if jj in active),
-        default=math.inf,
-    )
-    return instance.travel[(i, j)] <= best + _TRAVEL_TIE_TOL
-
-
 def brute_force(
     instance: mdl.Instance,
     *,
@@ -216,7 +194,7 @@ def brute_force(
     if not demands:
         sol = mdl.Solution(frozenset(), frozenset(), {}, {}, None)
         return SolverReport(best=sol, lower_bound=0.0, upper_bound=0.0, gap=0.0)
-    proximity = _effective_proximity(instance, None) if enforce_proximity is None else enforce_proximity
+    proximity = instance.enforce_proximity if enforce_proximity is None else enforce_proximity
 
     choices = [_choices_for(instance, d) for d in demands]
     n_leaves = 1.0
@@ -251,7 +229,7 @@ def brute_force(
                 cost += station_cost[j]
         if proximity:
             for d in range(n):
-                if not _closest_ok(instance, ids[d], picked[d][0], stations_seen):
+                if mdl.closer_active(instance, ids[d], picked[d][0], stations_seen) is not None:
                     return
         if cost < best_cost:
             best_cost = cost
@@ -329,7 +307,9 @@ class _TreeSearch:
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
         self.config = config
-        self.proximity = _effective_proximity(instance, config)
+        self.proximity = (
+            instance.enforce_proximity if config.enforce_proximity is None else config.enforce_proximity
+        )
         self.demands = _order_demands(instance)
         self.n = len(self.demands)
         self.choices = [_choices_for(instance, d) for d in self.demands]
@@ -341,46 +321,22 @@ class _TreeSearch:
         # cut pool: (station, type, servers) -> list of (intercept, slope)
         self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
         self.cut_keys: set[tuple[int, int, int, float]] = set()
-        self.cuts_added = 0
-        for cut in config.initial_cuts:
-            self._store_cut(cut)
         self.station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
 
     # -- cut plumbing ------------------------------------------------------
 
-    def _store_cut(self, cut: WaitFloorCut) -> bool:
-        key = (cut.station_id, cut.charger_type_id, cut.servers, round(cut.anchor_rho, 9))
-        if key in self.cut_keys:
-            return False
-        self.cut_keys.add(key)
-        self.cuts.setdefault(
-            (cut.station_id, cut.charger_type_id, cut.servers), []
-        ).append((cut.intercept, cut.slope))
-        self.cuts_added += 1
-        return True
-
-    def collect_cuts(self) -> tuple[WaitFloorCut, ...]:
-        out = []
-        for (j, k, s), lines in sorted(self.cuts.items()):
-            mu = self.instance.type_by_id[k].service_rate
-            for (a, b) in lines:
-                out.append(
-                    WaitFloorCut(
-                        station_id=j, charger_type_id=k, servers=s, service_rate=mu,
-                        intercept=a, slope=b, anchor_rho=float("nan"),
-                    )
-                )
-        return tuple(out)
-
     def _cuts_at_incumbent(self, loads: Mapping[tuple[int, int], float], chargers: Mapping[tuple[int, int], int]) -> None:
+        """Add the tangent line of each equipped pair's delay factor at the
+        incumbent's utilization, once per (pair, servers, anchor)."""
         for (j, k), s in sorted(chargers.items()):
             load = loads.get((j, k), 0.0)
             if s < 1 or load <= 0:
                 continue
-            mu = self.instance.type_by_id[k].service_rate
-            rho = load / (mu * s)
-            if 0.0 < rho < 1.0:
-                self._store_cut(make_cut(j, self.instance.type_by_id[k], s, rho))
+            rho = load / (self.instance.type_by_id[k].service_rate * s)
+            key = (j, k, s, round(rho, 9))
+            if 0.0 < rho < 1.0 and key not in self.cut_keys:
+                self.cut_keys.add(key)
+                self.cuts.setdefault((j, k, s), []).append(queueing.tangent_cut(rho, s))
 
     # -- node state --------------------------------------------------------
 
@@ -463,14 +419,15 @@ class _TreeSearch:
             cost += sized[1]
         return cost, chargers
 
-    def _solution_from(self, path: tuple[tuple[int, int], ...]) -> mdl.Solution:
+    def _solution_from(
+        self, path: tuple[tuple[int, int], ...], chargers: Mapping[tuple[int, int], int]
+    ) -> mdl.Solution:
+        """The incumbent of ``path`` with the charger counts its leaf was
+        priced with."""
         assignment = AssignmentSet(
             frozenset(
                 (self.demands[d].id, j, k) for d, (j, k) in enumerate(path)
             )
-        )
-        chargers = best_chargers(
-            self.instance, assignment, max_per_pair=self.config.max_chargers
         )
         return build_solution(self.instance, assignment, chargers)
 
@@ -489,10 +446,10 @@ class _TreeSearch:
                 continue
             if self.proximity:
                 new_active = node.stations | {j}
-                if not _closest_ok(self.instance, d.id, j, new_active):
+                if mdl.closer_active(self.instance, d.id, j, new_active) is not None:
                     continue
                 if j not in node.stations and any(
-                    not _closest_ok(self.instance, self.demands[dd].id, jj, new_active)
+                    mdl.closer_active(self.instance, self.demands[dd].id, jj, new_active) is not None
                     for dd, (jj, _) in enumerate(node.path)
                 ):
                     continue
@@ -504,6 +461,7 @@ class _TreeSearch:
     def solve(self) -> SolverReport:
         t0 = time.perf_counter()
         best_path: tuple[tuple[int, int], ...] | None = None
+        best_counts: dict[tuple[int, int], int] = {}
         upper = math.inf
         time_to_best = 0.0
         nodes = 0
@@ -514,19 +472,12 @@ class _TreeSearch:
             return SolverReport(best=sol, lower_bound=0.0, upper_bound=0.0, gap=0.0)
 
         def register(leaf: _Node) -> None:
-            nonlocal best_path, upper, time_to_best
+            nonlocal best_path, best_counts, upper, time_to_best
             res = self.leaf_cost(leaf)
             if res is not None and res[0] < upper:
-                best_path, upper = leaf.path, res[0]
+                best_path, best_counts, upper = leaf.path, res[1], res[0]
                 time_to_best = time.perf_counter() - t0
                 self._cuts_at_incumbent(leaf.loads, res[1])
-
-        if self.config.warm_start is not None:
-            by_demand = {i: (j, k) for (i, j, k) in self.config.warm_start.assignments}
-            try:
-                register(self.state(by_demand[d.id] for d in self.demands))
-            except KeyError:
-                pass  # a warm start whose pairs do not fit the instance is ignored
 
         # greedy myopic dive for an initial incumbent
         node = _Node()
@@ -585,7 +536,7 @@ class _TreeSearch:
         if best_path is None:
             raise InfeasibleError("no stable assignment exists within charger capacities")
 
-        solution = self._solution_from(best_path)
+        solution = self._solution_from(best_path, best_counts)
         total = solution.cost.total
         if terminated == "optimality" and not heap:
             lower = total  # search tree exhausted: the incumbent is proven optimal
@@ -601,7 +552,7 @@ class _TreeSearch:
             upper_bound=total,
             gap=gap,
             nodes_explored=nodes,
-            cuts_added=self.cuts_added,
+            cuts_added=len(self.cut_keys),
             time_to_best=time_to_best,
             terminated_by=terminated,
             stats={"cut_pool": len(self.cut_keys)},

@@ -353,6 +353,18 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
     )
 
 
+def closer_active(instance: Instance, i: int, j: int, active: Iterable[int]) -> float | None:
+    """The proximity rule: demand ``i`` may use station ``j`` only if no
+    station in ``active`` is closer, up to a tie tolerance. Returns the travel
+    minutes to the closest active reachable station when it is closer, else
+    None."""
+    best = min(
+        (instance.travel[(i, jj)] for jj in instance.demand_by_id[i].reachable if jj in active),
+        default=math.inf,
+    )
+    return best if instance.travel[(i, j)] > best + _TRAVEL_TIE_TOL else None
+
+
 @dataclass(frozen=True)
 class Violation:
     """One violated constraint instance (data, not an exception)."""
@@ -438,17 +450,13 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
             if counts.get(i) == 1 and (i, j) in instance.travel:
                 by_demand[i] = j
         for i, j in sorted(by_demand.items()):
-            options = [
-                instance.travel[(i, jj)]
-                for jj in lam_of[i].reachable
-                if jj in solution.active
-            ]
-            if options and instance.travel[(i, j)] > min(options) + _TRAVEL_TIE_TOL:
+            closest = closer_active(instance, i, j, solution.active)
+            if closest is not None:
                 out.append(
                     Violation(
                         "not_closest_active",
                         (i, j),
-                        f"travel {instance.travel[(i, j)]:.6g} > closest active {min(options):.6g}",
+                        f"travel {instance.travel[(i, j)]:.6g} > closest active {closest:.6g}",
                     )
                 )
     return out
@@ -509,40 +517,61 @@ def instance_to_dict(instance: Instance) -> dict:
     }
 
 
+def _number(value, name: str, kind: type = float):
+    """A JSON number as ``kind`` (float or int). Anything else (null, a
+    string, a boolean, a fraction where an integer belongs) is a ParseError
+    naming the field; range checks are left to the records themselves."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ParseError(f"{name}: expected a number, got {value!r}")
+    if kind is int and not (isinstance(value, int) or value.is_integer()):
+        raise ParseError(f"{name}: expected an integer, got {value!r}")
+    return kind(value)
+
+
+def _type_key(key: str, name: str) -> int:
+    """A charger type id written as a JSON object key."""
+    try:
+        return int(key)
+    except ValueError:
+        raise ParseError(f"{name}: charger type id {key!r} is not an integer") from None
+
+
 def instance_from_dict(data: dict) -> Instance:
     opts = data.get("options", {})
     kinds = [
         ChargerType(
-            id=int(k["id"]),
-            power_kw=float(k["power_kw"]),
-            unit_cost_rate=float(k["unit_cost_rate"]),
-            recharge_time_min=float(
-                k.get("recharge_time_min", 1.0 / k["service_rate"] if "service_rate" in k else 0.0)
-            ),
+            id=_number(k["id"], f"charger_types[{n}].id", int),
+            power_kw=_number(k["power_kw"], f"charger_types[{n}].power_kw"),
+            unit_cost_rate=_number(k["unit_cost_rate"], f"charger_types[{n}].unit_cost_rate"),
+            recharge_time_min=_number(k["recharge_time_min"], f"charger_types[{n}].recharge_time_min"),
         )
-        for k in data["charger_types"]
+        for n, k in enumerate(data["charger_types"])
     ]
     dps = [
         DemandPoint(
-            id=int(d["id"]),
-            lat=float(d["lat"]),
-            lon=float(d["lon"]),
-            rate=float(d["rate"]),
+            id=_number(d["id"], f"demand_points[{n}].id", int),
+            lat=_number(d["lat"], f"demand_points[{n}].lat"),
+            lon=_number(d["lon"], f"demand_points[{n}].lon"),
+            rate=_number(d["rate"], f"demand_points[{n}].rate"),
             agency=d.get("agency"),
         )
-        for d in data["demand_points"]
+        for n, d in enumerate(data["demand_points"])
     ]
     sts = [
         CandidateStation(
-            id=int(s["id"]),
-            lat=float(s["lat"]),
-            lon=float(s["lon"]),
-            fixed_cost_rate=float(s["fixed_cost_rate"]),
-            max_chargers={int(k): int(v) for k, v in s.get("max_chargers", {}).items()},
+            id=_number(s["id"], f"stations[{n}].id", int),
+            lat=_number(s["lat"], f"stations[{n}].lat"),
+            lon=_number(s["lon"], f"stations[{n}].lon"),
+            fixed_cost_rate=_number(s["fixed_cost_rate"], f"stations[{n}].fixed_cost_rate"),
+            max_chargers={
+                _type_key(k, f"stations[{n}].max_chargers"):
+                    _number(v, f"stations[{n}].max_chargers.{k}", int)
+                for k, v in s.get("max_chargers", {}).items()
+            },
             is_garage=bool(s.get("is_garage", False)),
             agency=s.get("agency"),
         )
-        for s in data["stations"]
+        for n, s in enumerate(data["stations"])
     ]
     travel = None
     if data.get("travel"):
@@ -550,22 +579,23 @@ def instance_from_dict(data: dict) -> Instance:
         station_ids = {s.id for s in sts}
         travel = {}
         for n, (i, j, t) in enumerate(data["travel"]):
-            i, j = int(i), int(j)
+            i, j = _number(i, f"travel[{n}][0]", int), _number(j, f"travel[{n}][1]", int)
             if i not in demand_ids:
                 raise ParseError(f"travel[{n}]: unknown demand id {i}")
             if j not in station_ids:
                 raise ParseError(f"travel[{n}]: unknown station id {j}")
-            travel[(i, j)] = float(t)
+            travel[(i, j)] = _number(t, f"travel[{n}][2]")
+    max_travel = opts.get("max_travel_minutes")
     return make_instance(
         dps,
         sts,
         kinds,
-        travel_cost_rate=float(data["costs"]["travel_cost_rate"]),
-        wait_cost_rate=float(data["costs"]["wait_cost_rate"]),
+        travel_cost_rate=_number(data["costs"]["travel_cost_rate"], "costs.travel_cost_rate"),
+        wait_cost_rate=_number(data["costs"]["wait_cost_rate"], "costs.wait_cost_rate"),
         travel=travel,
-        speed_kmh=float(opts.get("speed_kmh", 30.0)),
-        max_travel_minutes=opts.get("max_travel_minutes"),
-        epsilon=float(opts.get("epsilon", 1e-6)),
+        speed_kmh=_number(opts.get("speed_kmh", 30.0), "options.speed_kmh"),
+        max_travel_minutes=None if max_travel is None else _number(max_travel, "options.max_travel_minutes"),
+        epsilon=_number(opts.get("epsilon", 1e-6), "options.epsilon"),
         enforce_proximity=bool(opts.get("enforce_proximity", False)),
     )
 

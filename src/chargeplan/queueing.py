@@ -20,11 +20,6 @@ from dataclasses import dataclass
 
 from .errors import UnstableQueueError
 
-# Utilization step for the tangent slope estimate; evaluation points are
-# clamped inside (0, 1) so anchors next to either end remain usable.
-_FD_STEP = 1e-6
-_RHO_EDGE = 1e-12
-
 
 @dataclass(frozen=True)
 class QueueModel:
@@ -94,58 +89,40 @@ def expected_wait(model: QueueModel) -> float:
     return p / (model.service_rate * model.servers * (1.0 - rho)) + 1.0 / model.service_rate
 
 
-def delay_factor(rho: float, servers: int, service_rate: float) -> float:
+def _delay(rho: float, servers: int) -> tuple[float, float, float]:
+    """The delay factor f = B / D / (1 - rho), with the Erlang-B probability
+    B at offered load ``rho * servers`` and the Erlang-C denominator
+    D = 1 - rho (1 - B) it is built from."""
+    if servers < 1:
+        raise ValueError("the delay factor needs at least one server")
+    if not 0.0 < rho < 1.0:
+        raise UnstableQueueError(f"utilization {rho:.6g} outside (0, 1)")
+    b = _erlang_b(rho * servers, servers)
+    d = 1.0 - rho * (1.0 - b)
+    return b / d / (1.0 - rho), b, d
+
+
+def delay_factor(rho: float, servers: int) -> float:
     """Dimensionless congestion term: delay probability over (1 - rho).
 
     ``expected_wait == delay_factor / (mu s) + 1 / mu``, which makes this the
-    convex piece that the tangent cuts support. The value depends only on
-    (rho, servers); service_rate is accepted to mirror the cut interface.
+    convex piece that the tangent cuts support.
     """
-    if servers < 1:
-        raise ValueError("delay_factor needs at least one server")
-    if not 0.0 < rho < 1.0:
-        raise UnstableQueueError(f"utilization {rho:.6g} outside (0, 1)")
-    mu = service_rate if service_rate > 0 else 1.0
-    model = QueueModel(arrival_rate=rho * servers * mu, service_rate=mu, servers=servers)
-    return erlang_c(model) / (1.0 - rho)
+    return _delay(rho, servers)[0]
 
 
-@dataclass(frozen=True)
-class TangentCut:
-    """Affine support line of :func:`delay_factor` at a chosen utilization.
+def tangent_cut(anchor_rho: float, servers: int) -> tuple[float, float]:
+    """(intercept, slope) of the tangent line of :func:`delay_factor` at
+    ``anchor_rho`` for a fixed server count.
 
-    ``value(rho) <= delay_factor(rho, servers, ...)`` for every stable rho
-    (up to finite-difference error), with equality at ``anchor_rho``.
+    The slope is the exact derivative. With a = rho s, dB/da = B (s/a - 1 + B)
+    gives rho dB/drho = s B D, and so
+
+        f'(rho) / f(rho) = s (1 - rho) / rho + 1 / (1 - rho) + (1 - B) / D,
+
+    a sum of positive terms. The delay factor is convex in rho, so the line
+    lies below it on all of (0, 1) and touches it at the anchor.
     """
-
-    intercept: float
-    slope: float
-    anchor_rho: float
-    servers: int
-    service_rate: float
-
-    def value(self, rho: float) -> float:
-        return self.intercept + self.slope * rho
-
-
-def tangent_cut(anchor_rho: float, servers: int, service_rate: float) -> TangentCut:
-    """Support line of the delay factor at ``anchor_rho`` for fixed servers.
-
-    The slope is a central finite difference; since the delay factor is
-    increasing and convex on (0, 1), the resulting line underestimates it
-    everywhere up to O(step^2) curvature error.
-    """
-    if not 0.0 < anchor_rho < 1.0:
-        raise UnstableQueueError(f"anchor {anchor_rho:.6g} outside (0, 1)")
-    lo = max(anchor_rho - _FD_STEP, _RHO_EDGE)
-    hi = min(anchor_rho + _FD_STEP, 1.0 - _RHO_EDGE)
-    f_anchor = delay_factor(anchor_rho, servers, service_rate)
-    slope = (delay_factor(hi, servers, service_rate) - delay_factor(lo, servers, service_rate)) / (hi - lo)
-    slope = max(slope, 0.0)
-    return TangentCut(
-        intercept=f_anchor - slope * anchor_rho,
-        slope=slope,
-        anchor_rho=anchor_rho,
-        servers=servers,
-        service_rate=service_rate,
-    )
+    f, b, d = _delay(anchor_rho, servers)
+    slope = f * (servers * (1.0 - anchor_rho) / anchor_rho + 1.0 / (1.0 - anchor_rho) + (1.0 - b) / d)
+    return f - slope * anchor_rho, slope

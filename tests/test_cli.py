@@ -270,6 +270,11 @@ class TestBadInput:
         (lambda d: d["travel"].append([0, 9, 1.0]), "unknown station id 9"),
         (lambda d: d["travel"].append([9, 0, 1.0]), "unknown demand id 9"),
         (lambda d: d.pop("costs"), "missing required field 'costs'"),
+        (lambda d: d["demand_points"][0].update(rate=None), "demand_points[0].rate"),
+        (lambda d: d["travel"][0].__setitem__(2, None), "travel[0][2]"),
+        (lambda d: d["options"].update(max_travel_minutes="ten"), "options.max_travel_minutes"),
+        (lambda d: d["stations"][0]["max_chargers"].update({"0": "x"}), "stations[0].max_chargers.0"),
+        (lambda d: d["stations"][0]["max_chargers"].update({"fast": 2}), "charger type id 'fast'"),
     ])
     def test_malformed_instance_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
         report = tmp_path / "report.json"
@@ -277,6 +282,22 @@ class TestBadInput:
         src = self.edited(unit_instance_file, tmp_path, edit)
         assert main(["validate", src, str(report)]) == 3
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "-5", "0", "x"])
+    def test_time_limit_flag_must_be_positive_and_finite(self, unit_instance_file, tmp_path, capsys, value):
+        rc = main(["solve", unit_instance_file, "--method", "bnb", "--time-limit", value,
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert f"bad --time-limit {value!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [float("nan"), -5, 0, "x"])
+    def test_config_time_limit_must_be_positive_and_finite(self, unit_instance_file, tmp_path, capsys, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"solver": {"time_limit": value}}))
+        rc = main(["solve", unit_instance_file, "--method", "bnb", "--config", str(path),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert "bad solver.time_limit" in capsys.readouterr().err
 
     @pytest.mark.parametrize("cfg, named", [
         ({"sa": {"max_iteration": 10}}, "'sa.max_iteration'"),

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -98,11 +99,11 @@ class TestExpectedWait:
 
 class TestDelayFactor:
     def test_single_server_values(self):
-        assert delay_factor(0.5, 1, 1.0) == pytest.approx(1.0, abs=1e-12)
-        assert delay_factor(0.75, 1, 1.0) == pytest.approx(3.0, abs=1e-12)
+        assert delay_factor(0.5, 1) == pytest.approx(1.0, abs=1e-12)
+        assert delay_factor(0.75, 1) == pytest.approx(3.0, abs=1e-12)
 
     def test_two_server_value(self):
-        assert delay_factor(0.5, 2, 1.0) == pytest.approx((1.0 / 3.0) / 0.5, abs=1e-9)
+        assert delay_factor(0.5, 2) == pytest.approx((1.0 / 3.0) / 0.5, abs=1e-9)
 
     def test_wait_decomposition(self):
         # expected_wait == delay_factor/(mu s) + 1/mu
@@ -112,39 +113,59 @@ class TestDelayFactor:
             mu = rng.uniform(0.01, 2.0)
             rho = rng.uniform(0.05, 0.95)
             w = expected_wait(QueueModel(rho * s * mu, mu, s))
-            assert w == pytest.approx(delay_factor(rho, s, mu) / (mu * s) + 1.0 / mu, rel=1e-12)
+            assert w == pytest.approx(delay_factor(rho, s) / (mu * s) + 1.0 / mu, rel=1e-12)
 
     def test_rejects_unstable(self):
         with pytest.raises(UnstableQueueError):
-            delay_factor(1.0, 3, 1.0)
+            delay_factor(1.0, 3)
+
+
+def exact_delay_factor(rho: Fraction, s: int) -> Fraction:
+    """The delay factor in rational arithmetic, by the same Erlang-B recurrence."""
+    a = rho * s
+    b = Fraction(1)
+    for n in range(1, s + 1):
+        b = a * b / (n + a * b)
+    return b / (1 - rho * (1 - b)) / (1 - rho)
 
 
 class TestTangentCut:
     def test_single_server_anchor_half(self):
-        cut = tangent_cut(0.5, 1, 1.0)
+        intercept, slope = tangent_cut(0.5, 1)
         # analytic: slope = 1/(1-rho)^2 = 4, intercept = 1 - 4*0.5 = -1
-        assert cut.slope == pytest.approx(4.0, abs=1e-4)
-        assert cut.intercept == pytest.approx(-1.0, abs=1e-4)
-        assert cut.value(0.75) < delay_factor(0.75, 1, 1.0)
+        assert slope == pytest.approx(4.0, rel=1e-14)
+        assert intercept == pytest.approx(-1.0, rel=1e-14)
+        assert intercept + slope * 0.75 < delay_factor(0.75, 1)
 
     def test_exact_at_anchor(self):
         for s in (1, 2, 6):
-            cut = tangent_cut(0.5, s, 1.0)
-            assert cut.value(0.5) == pytest.approx(delay_factor(0.5, s, 1.0), abs=1e-9)
+            intercept, slope = tangent_cut(0.5, s)
+            assert intercept + slope * 0.5 == pytest.approx(delay_factor(0.5, s), rel=1e-14)
+
+    def test_slope_matches_exact_rational_difference_quotient(self):
+        # over h = 1e-30 the forward difference of the exact delay factor
+        # equals its derivative far below double precision
+        h = Fraction(1, 10**30)
+        for s in (1, 2, 8, 50, 120):
+            for rho in (0.01, 0.05, 0.2, 0.5, 0.9, 0.99):
+                r = Fraction(rho)
+                exact = (exact_delay_factor(r + h, s) - exact_delay_factor(r, s)) / h
+                _, slope = tangent_cut(rho, s)
+                assert abs(Fraction(slope) - exact) <= exact * Fraction(1, 10**12), (s, rho)
 
     def test_underestimates_everywhere(self):
         rng = random.Random(11)
         for _ in range(40):
             s = rng.randint(1, 20)
             anchor = rng.uniform(0.05, 0.95)
-            cut = tangent_cut(anchor, s, 1.0)
-            assert cut.slope >= 0.0
+            intercept, slope = tangent_cut(anchor, s)
+            assert slope > 0.0
             for k in range(1000):
                 rho = (k + 0.5) / 1000.0
-                assert cut.value(rho) <= delay_factor(rho, s, 1.0) + 1e-6
+                assert intercept + slope * rho <= delay_factor(rho, s) + 1e-9
 
     def test_rejects_bad_anchor(self):
         with pytest.raises(UnstableQueueError):
-            tangent_cut(1.0, 2, 1.0)
+            tangent_cut(1.0, 2)
         with pytest.raises(UnstableQueueError):
-            tangent_cut(0.0, 2, 1.0)
+            tangent_cut(0.0, 2)
