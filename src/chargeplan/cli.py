@@ -14,7 +14,9 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields, replace
 from datetime import datetime, timezone
+from functools import partial
 
 from . import demand as dm
 from . import model as mdl
@@ -57,9 +59,9 @@ def _meta(args, extra: dict | None = None) -> dict:
 # every key a --config file may hold: top-level keys, then each section's
 _CONFIG_KEYS = {
     "": {"sa", "ga", "solver", "costs", "n_runs"},
-    "sa": {"initial_temperature", "max_iterations", "cooling_factor", "assignment_randomness", "seed"},
-    "ga": {"population_size", "tournament_fraction", "assignment_randomness", "max_iterations", "seed"},
-    "solver": {"gap_threshold", "time_limit", "max_chargers"},
+    "sa": {"initial_temperature", "max_iterations", "cooling_factor", "assignment_randomness"},
+    "ga": {"population_size", "tournament_fraction", "assignment_randomness", "max_iterations"},
+    "solver": {"gap_threshold", "time_limit"},
     "costs": {"travel_cost_rate", "wait_cost_rate"},
 }
 
@@ -82,6 +84,15 @@ def _load_config(path: str | None) -> dict:
             keys = ", ".join(repr(f"{name}.{k}" if name else k) for k in unknown)
             raise ParseError(f"unknown config key {keys}", path=path)
     return cfg
+
+
+def _config_number(cfg: dict, name: str, default, kind: type = float):
+    """The number at ``name`` (``section.key`` or a top-level key) of a
+    --config, or ``default`` when the key is absent; a value that is present
+    must be a JSON number of ``kind``."""
+    section, _, key = name.rpartition(".")
+    values = cfg.get(section, {}) if section else cfg
+    return mdl._number(values[key], name, kind) if key in values else default
 
 
 def _resolve_time_limit(args, cfg: dict, instance: mdl.Instance | None) -> float | None:
@@ -118,66 +129,45 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 
 
 def _solver_config(args, cfg: dict, instance: mdl.Instance | None) -> SolverConfig:
-    solver_cfg = cfg.get("solver", {})
+    gap = args.gap_threshold
     return SolverConfig(
-        gap_threshold=float(
-            args.gap_threshold
-            if args.gap_threshold is not None
-            else solver_cfg.get("gap_threshold", 0.0)
-        ),
+        gap_threshold=_config_number(cfg, "solver.gap_threshold", 0.0) if gap is None else gap,
         time_limit=_resolve_time_limit(args, cfg, instance),
-        max_chargers=solver_cfg.get("max_chargers"),
-        enforce_proximity=True if getattr(args, "enforce_proximity", False) else None,
     )
 
 
-def _meta_params(args, cfg: dict, kind: str):
-    section = dict(cfg.get(kind, {}))
-    section.setdefault("seed", args.seed)
-    if kind == "sa":
-        return SAParams(
-            initial_temperature=section.get("initial_temperature"),
-            max_iterations=int(section.get("max_iterations", 5000)),
-            cooling_factor=float(section.get("cooling_factor", 0.9)),
-            assignment_randomness=float(section.get("assignment_randomness", 0.1)),
-            seed=int(section["seed"]),
-        )
-    return GAParams(
-        population_size=int(section.get("population_size", 30)),
-        tournament_fraction=float(section.get("tournament_fraction", 0.3)),
-        assignment_randomness=float(section.get("assignment_randomness", 0.1)),
-        max_iterations=int(section.get("max_iterations", 5000)),
-        seed=int(section["seed"]),
+def _meta_params(args, cfg: dict):
+    """SA or GA parameters: ``--seed`` and the config section's numbers, each
+    as its field's type."""
+    method = args.method
+    cls = SAParams if method == "sa" else GAParams
+    ints = {f.name for f in fields(cls) if f.type in ("int", int)}
+    return cls(
+        seed=args.seed,
+        **{
+            key: mdl._number(value, f"{method}.{key}", int if key in ints else float)
+            for key, value in cfg.get(method, {}).items()
+        },
     )
 
 
-def _run_method(instance: mdl.Instance, method: str, args, cfg: dict):
+def _run_method(instance: mdl.Instance, args, cfg: dict):
+    """Solve ``instance`` with ``--method`` and the settings of the flags
+    and the config."""
+    method = args.method
+    if args.enforce_proximity:
+        instance = replace(instance, enforce_proximity=True)
     config = _solver_config(args, cfg, instance)
     if method == "brute":
-        return brute_force(
-            instance,
-            enforce_proximity=config.enforce_proximity,
-        )
+        return brute_force(instance)
     if method == "bnb":
         return branch_and_bound(instance, config)
-    n_runs = int(args.n_runs if args.n_runs is not None else cfg.get("n_runs", 1))
-    params = _meta_params(args, cfg, method)
-    if n_runs > 1:
-        return multi_run(
-            instance, method, params, n_runs, base_seed=args.seed, time_limit=config.time_limit
-        )
-    if method == "sa":
-        return simulated_annealing(instance, params, time_limit=config.time_limit)
-    if method == "ga":
-        return genetic_algorithm(instance, params, time_limit=config.time_limit)
-    raise ParseError(f"unknown method {method!r}")
-
-
-def _solve_fn(method: str, args, cfg: dict):
-    def solve(instance: mdl.Instance):
-        return _run_method(instance, method, args, cfg)
-
-    return solve
+    n_runs = args.n_runs if args.n_runs is not None else _config_number(cfg, "n_runs", 1, int)
+    params = _meta_params(args, cfg)
+    if n_runs != 1:  # multi_run rejects a count below 1
+        return multi_run(instance, method, params, n_runs, time_limit=config.time_limit)
+    solver = simulated_annealing if method == "sa" else genetic_algorithm
+    return solver(instance, params, time_limit=config.time_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -205,13 +195,12 @@ def cmd_gen_demand(args) -> int:
     points, stations, travel = dm.build_coverage(
         points, stations, args.max_travel_min, args.speed_kmh
     )
-    costs = cfg.get("costs", {})
     instance = mdl.make_instance(
         points,
         stations,
         kinds,
-        travel_cost_rate=float(costs.get("travel_cost_rate", presets.TRAVEL_COST_PER_MIN)),
-        wait_cost_rate=float(costs.get("wait_cost_rate", presets.WAIT_COST_PER_MIN)),
+        travel_cost_rate=_config_number(cfg, "costs.travel_cost_rate", presets.TRAVEL_COST_PER_MIN),
+        wait_cost_rate=_config_number(cfg, "costs.wait_cost_rate", presets.WAIT_COST_PER_MIN),
         travel=travel,
         speed_kmh=args.speed_kmh,
         max_travel_minutes=args.max_travel_min,
@@ -253,7 +242,7 @@ def cmd_solve(args) -> int:
     cfg = _load_config(args.config)
     instance = mdl.load_instance(args.instance)
     t0 = time.perf_counter()
-    report = _run_method(instance, args.method, args, cfg)
+    report = _run_method(instance, args, cfg)
     wall = time.perf_counter() - t0
     meta = _meta(
         args,
@@ -280,7 +269,7 @@ def cmd_solve(args) -> int:
 def cmd_scenarios(args) -> int:
     cfg = _load_config(args.config)
     instance = mdl.load_instance(args.instance)
-    rows = run_scenarios(instance, _solve_fn(args.method, args, cfg))
+    rows = run_scenarios(instance, partial(_run_method, args=args, cfg=cfg))
     labels = charger_count_labels(instance)
     type_ids = sorted(labels)
     baseline = next(
@@ -330,7 +319,7 @@ def cmd_sensitivity(args) -> int:
     instance = mdl.load_instance(args.instance)
     multipliers = tuple(float(m) for m in args.multipliers.split(","))
     sweep = SweepSpec(parameter=args.parameter, multipliers=multipliers)
-    rows = run_sweep(instance, sweep, _solve_fn(args.method, args, cfg))
+    rows = run_sweep(instance, sweep, partial(_run_method, args=args, cfg=cfg))
     _write_csv(
         args.out,
         ["parameter", "multiplier", "total_cost", "pct_change_vs_baseline"],
@@ -363,14 +352,32 @@ def cmd_validate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 3, the parse/usage code: argparse's own 2 means
+    infeasible here. Subparsers are made of the same class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
+def _add_solver_flags(p: argparse.ArgumentParser, method: str, func) -> None:
+    """The instance, flags and handler of a command that solves: solve,
+    scenarios, sensitivity."""
+    p.add_argument("instance")
+    p.add_argument("--method", choices=["brute", "bnb", "sa", "ga"], default=method)
+    p.add_argument("--out", required=True)
+    p.add_argument("--gap-threshold", type=float, default=None)
+    p.add_argument("--n-runs", type=int, default=None)
+    p.add_argument("--enforce-proximity", action="store_true", help="closest active station only")
+    p.add_argument("--seed", type=int, default=0, help="RNG seed; run r of --n-runs uses seed + r")
     p.add_argument("--time-limit", default=None, help="seconds, or 'auto' for the benchmark schedule")
     p.add_argument("--config", default=None, help="JSON config file (sa/ga/solver sections)")
+    p.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chargeplan",
         description="Charging-station siting and charger allocation for electric bus fleets",
     )
@@ -385,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--speed-kmh", type=float, default=30.0)
     p.add_argument("--max-chargers-per-type", type=int, default=8)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--config", default=None, help="JSON config file (costs section)")
     p.set_defaults(func=cmd_gen_demand)
 
     p = sub.add_parser("cluster", help="aggregate an instance to k points")
@@ -393,45 +400,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-demand", type=int, required=True)
     p.add_argument("--k-station", type=int, required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0, help="k-means seed")
     p.set_defaults(func=cmd_cluster)
 
-    p = sub.add_parser("solve", help="run one solver on an instance")
-    p.add_argument("instance")
-    p.add_argument("--method", choices=["brute", "bnb", "sa", "ga"], default="bnb")
-    p.add_argument("--out", required=True)
-    p.add_argument("--gap-threshold", type=float, default=None)
-    p.add_argument("--n-runs", type=int, default=None)
-    p.add_argument("--enforce-proximity", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_solve)
-
-    p = sub.add_parser("scenarios", help="joint/separate x station-pool comparison table")
-    p.add_argument("instance")
-    p.add_argument("--method", choices=["brute", "bnb", "sa", "ga"], default="ga")
-    p.add_argument("--out", required=True)
-    p.add_argument("--gap-threshold", type=float, default=None)
-    p.add_argument("--n-runs", type=int, default=None)
-    p.add_argument("--enforce-proximity", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_scenarios)
+    _add_solver_flags(sub.add_parser("solve", help="run one solver on an instance"), "bnb", cmd_solve)
+    _add_solver_flags(
+        sub.add_parser("scenarios", help="joint/separate x station-pool comparison table"), "ga", cmd_scenarios
+    )
 
     p = sub.add_parser("sensitivity", help="one-at-a-time parameter sweep")
-    p.add_argument("instance")
     p.add_argument("--parameter", required=True, choices=["wait_cost", "charger_power", "station_cost", "charger_cost"])
     p.add_argument("--multipliers", required=True, help="comma-separated, e.g. 2,4,6,8,10")
-    p.add_argument("--method", choices=["brute", "bnb", "sa", "ga"], default="ga")
-    p.add_argument("--out", required=True)
-    p.add_argument("--gap-threshold", type=float, default=None)
-    p.add_argument("--n-runs", type=int, default=None)
-    p.add_argument("--enforce-proximity", action="store_true")
-    _add_common(p)
-    p.set_defaults(func=cmd_sensitivity)
+    _add_solver_flags(p, "ga", cmd_sensitivity)
 
     p = sub.add_parser("validate", help="check a report against an instance")
     p.add_argument("instance")
     p.add_argument("report")
-    _add_common(p)
     p.set_defaults(func=cmd_validate)
 
     return parser

@@ -164,7 +164,9 @@ def demand_assignment(
 
     With probability ``randomization`` the station is drawn uniformly from
     the active reachable set, otherwise the closest active station wins
-    (ties: lowest id). The charger type is always uniform random.
+    (ties: lowest id), as it always does when the instance enforces
+    proximity (the exploration draw is still taken). The charger type is
+    always uniform random.
     """
     if not 0.0 <= randomization <= 1.0:
         raise ValueError("randomization must lie in [0, 1]")
@@ -177,7 +179,7 @@ def demand_assignment(
             raise UncoveredDemandError(
                 f"demand {d.id} has no active reachable station"
             )
-        if rng.random() < randomization:
+        if rng.random() < randomization and not instance.enforce_proximity:
             j = options[rng.randrange(len(options))]
         else:
             j = min(options, key=lambda jj: (instance.travel[(d.id, jj)], jj))

@@ -38,8 +38,6 @@ class SolverConfig:
 
     gap_threshold: float = 0.0
     time_limit: float | None = None
-    max_chargers: int | None = None
-    enforce_proximity: bool | None = None  # None inherits the instance flag
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gap_threshold < 1.0:
@@ -135,16 +133,9 @@ def root_lower_bound(instance: mdl.Instance) -> float:
 class _PairSizer:
     """Memoized exact sizing of one (station, type, demand-subset) pair."""
 
-    def __init__(self, instance: mdl.Instance, cap_override: int | None):
+    def __init__(self, instance: mdl.Instance):
         self.instance = instance
-        self.cap_override = cap_override
         self._memo: dict[tuple[int, int, int], tuple[int, float] | None] = {}
-
-    def cap(self, j: int, k: int) -> int:
-        cap = self.instance.station_cap(j, k)
-        if self.cap_override is not None:
-            cap = min(cap, self.cap_override)
-        return cap
 
     def best(self, j: int, k: int, mask: int, load: float) -> tuple[int, float] | None:
         """(charger count, charger+wait cost) for the pair, or None if the
@@ -152,13 +143,13 @@ class _PairSizer:
         key = (j, k, mask)
         if key in self._memo:
             return self._memo[key]
-        kt = self.instance.type_by_id[k]
-        sized = size_pair(load, kt, self.cap(j, k), self.instance.wait_cost_rate, self.instance.epsilon)
+        inst, kt = self.instance, self.instance.type_by_id[k]
+        sized = size_pair(load, kt, inst.station_cap(j, k), inst.wait_cost_rate, inst.epsilon)
         if sized is None:
             self._memo[key] = None
             return None
         s, wait = sized
-        cost = kt.unit_cost_rate * s + load * self.instance.wait_cost_rate * wait
+        cost = kt.unit_cost_rate * s + load * inst.wait_cost_rate * wait
         self._memo[key] = (s, cost)
         return self._memo[key]
 
@@ -185,7 +176,6 @@ def brute_force(
     instance: mdl.Instance,
     *,
     leaf_cap: float = 2e7,
-    enforce_proximity: bool | None = None,
 ) -> SolverReport:
     """Exhaustive enumeration of every assignment vector; the reference
     oracle for everything else. Gap is exactly zero on success."""
@@ -194,7 +184,6 @@ def brute_force(
     if not demands:
         sol = mdl.Solution(frozenset(), frozenset(), {}, {}, None)
         return SolverReport(best=sol, lower_bound=0.0, upper_bound=0.0, gap=0.0)
-    proximity = instance.enforce_proximity if enforce_proximity is None else enforce_proximity
 
     choices = [_choices_for(instance, d) for d in demands]
     n_leaves = 1.0
@@ -203,7 +192,7 @@ def brute_force(
     if n_leaves > leaf_cap:
         raise InstanceTooLargeError(f"{n_leaves:.3g} assignment vectors exceed the cap {leaf_cap:.3g}")
 
-    sizer = _PairSizer(instance, None)
+    sizer = _PairSizer(instance)
     n = len(demands)
     rates = [d.rate for d in demands]
     ids = [d.id for d in demands]
@@ -227,7 +216,7 @@ def brute_force(
             if j not in stations_seen:
                 stations_seen.add(j)
                 cost += station_cost[j]
-        if proximity:
+        if instance.enforce_proximity:
             for d in range(n):
                 if mdl.closer_active(instance, ids[d], picked[d][0], stations_seen) is not None:
                     return
@@ -307,9 +296,6 @@ class _TreeSearch:
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
         self.config = config
-        self.proximity = (
-            instance.enforce_proximity if config.enforce_proximity is None else config.enforce_proximity
-        )
         self.demands = _order_demands(instance)
         self.n = len(self.demands)
         self.choices = [_choices_for(instance, d) for d in self.demands]
@@ -317,7 +303,7 @@ class _TreeSearch:
         self.suffix = [0.0] * (self.n + 1)
         for d in range(self.n - 1, -1, -1):
             self.suffix[d] = self.suffix[d + 1] + self.future_floor[d]
-        self.sizer = _PairSizer(instance, config.max_chargers)
+        self.sizer = _PairSizer(instance)
         # cut pool: (station, type, servers) -> list of (intercept, slope)
         self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
         self.cut_keys: set[tuple[int, int, int, float]] = set()
@@ -372,7 +358,7 @@ class _TreeSearch:
         service-time floor, minimized over every admissible charger count."""
         kt = self.instance.type_by_id[k]
         mu = kt.service_rate
-        cap = self.sizer.cap(j, k)
+        cap = self.instance.station_cap(j, k)
         smin = min_chargers(load, mu, self.instance.epsilon)
         if smin > cap:
             return None
@@ -441,10 +427,10 @@ class _TreeSearch:
         for (j, k, myopic) in self.choices[depth]:
             kt = self.instance.type_by_id[k]
             new_load = node.loads.get((j, k), 0.0) + d.rate
-            cap = self.sizer.cap(j, k)
+            cap = self.instance.station_cap(j, k)
             if kt.service_rate * cap * (1.0 - self.instance.epsilon) < new_load:
                 continue
-            if self.proximity:
+            if self.instance.enforce_proximity:
                 new_active = node.stations | {j}
                 if mdl.closer_active(self.instance, d.id, j, new_active) is not None:
                     continue

@@ -1,10 +1,11 @@
 """Simulated annealing and a genetic algorithm over station-activation space.
 
 Both methods move through subsets of active stations; for each candidate
-subset the demand assignment is sampled (closest station with an exploration
-probability of a random one), charger counts are sized optimally for that
-assignment, and the exact objective is evaluated. Candidates whose sizing is
-infeasible cost infinity and are never recorded as incumbents.
+subset the demand assignment is sampled (closest station, with an exploration
+probability of a random one unless the instance enforces proximity), charger
+counts are sized optimally for that assignment, and the exact objective is
+evaluated. Candidates whose sizing is infeasible cost infinity and are never
+recorded as incumbents.
 
 A multi-run driver launches independently seeded runs and reports the best,
 plus how many distinct final objective values the runs produced.
@@ -321,11 +322,10 @@ def multi_run(
     method: str,
     params: SAParams | GAParams,
     n_runs: int,
-    base_seed: int | None = None,
     time_limit: float | None = None,
 ) -> SolverReport:
-    """Launch ``n_runs`` independent runs seeded base_seed + 0..n-1 and report
-    the cheapest. Runs share only the immutable instance, so they may
+    """Launch ``n_runs`` independent runs seeded ``params.seed`` + 0..n-1 and
+    report the cheapest. Runs share only the immutable instance, so they may
     execute in any order; they are executed sequentially here for exact
     reproducibility of the aggregate.
 
@@ -337,10 +337,9 @@ def multi_run(
         raise ValueError("n_runs must be >= 1")
     if method not in ("sa", "ga"):
         raise ValueError("method must be 'sa' or 'ga'")
-    seed0 = params.seed if base_seed is None else base_seed
     reports = []
     for r in range(n_runs):
-        run_params = replace(params, seed=seed0 + r)
+        run_params = replace(params, seed=params.seed + r)
         if method == "sa":
             reports.append(simulated_annealing(instance, run_params, time_limit))
         else:

@@ -528,6 +528,13 @@ def _number(value, name: str, kind: type = float):
     return kind(value)
 
 
+def _boolean(value, name: str) -> bool:
+    """A JSON true or false; a string such as "false" is a ParseError."""
+    if not isinstance(value, bool):
+        raise ParseError(f"{name}: expected true or false, got {value!r}")
+    return value
+
+
 def _type_key(key: str, name: str) -> int:
     """A charger type id written as a JSON object key."""
     try:
@@ -568,7 +575,7 @@ def instance_from_dict(data: dict) -> Instance:
                     _number(v, f"stations[{n}].max_chargers.{k}", int)
                 for k, v in s.get("max_chargers", {}).items()
             },
-            is_garage=bool(s.get("is_garage", False)),
+            is_garage=_boolean(s.get("is_garage", False), f"stations[{n}].is_garage"),
             agency=s.get("agency"),
         )
         for n, s in enumerate(data["stations"])
@@ -596,7 +603,7 @@ def instance_from_dict(data: dict) -> Instance:
         speed_kmh=_number(opts.get("speed_kmh", 30.0), "options.speed_kmh"),
         max_travel_minutes=None if max_travel is None else _number(max_travel, "options.max_travel_minutes"),
         epsilon=_number(opts.get("epsilon", 1e-6), "options.epsilon"),
-        enforce_proximity=bool(opts.get("enforce_proximity", False)),
+        enforce_proximity=_boolean(opts.get("enforce_proximity", False), "options.enforce_proximity"),
     )
 
 

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -121,7 +122,7 @@ def test_c05_proximity_relaxation(fixtures200, oracle200):
     for inst, ref in zip(fixtures200, oracle200):
         free = ref.upper_bound
         try:
-            prox = brute_force(inst, enforce_proximity=True).upper_bound
+            prox = brute_force(replace(inst, enforce_proximity=True)).upper_bound
         except InfeasibleError:
             infeasible_under_proximity += 1
             continue
@@ -146,12 +147,12 @@ def test_c06_metaheuristic_quality():
     for inst, opt in zip(small, optima):
         t_inst = time.perf_counter()
         sa = multi_run(
-            inst, "sa", SAParams(max_iterations=800, assignment_randomness=0.2),
-            n_runs=10, base_seed=11, time_limit=per_instance_budget / 10,
+            inst, "sa", SAParams(max_iterations=800, assignment_randomness=0.2, seed=11),
+            n_runs=10, time_limit=per_instance_budget / 10,
         )
         ga = multi_run(
-            inst, "ga", GAParams(max_iterations=800, assignment_randomness=0.2),
-            n_runs=10, base_seed=11, time_limit=per_instance_budget / 10,
+            inst, "ga", GAParams(max_iterations=800, assignment_randomness=0.2, seed=11),
+            n_runs=10, time_limit=per_instance_budget / 10,
         )
         worst_inst_time = max(worst_inst_time, time.perf_counter() - t_inst)
         sa_hits += sa.upper_bound <= opt + 1e-6
@@ -164,12 +165,12 @@ def test_c06_metaheuristic_quality():
     for i in range(20):
         inst = feasible_instance(9000 + i, n_demand=20, n_station=5, cap_range=(6, 14))
         sa = multi_run(
-            inst, "sa", SAParams(max_iterations=2000, assignment_randomness=0.2),
-            n_runs=3, base_seed=5, time_limit=120.0,
+            inst, "sa", SAParams(max_iterations=2000, assignment_randomness=0.2, seed=5),
+            n_runs=3, time_limit=120.0,
         )
         ga = multi_run(
-            inst, "ga", GAParams(max_iterations=2000, assignment_randomness=0.2),
-            n_runs=3, base_seed=5, time_limit=120.0,
+            inst, "ga", GAParams(max_iterations=2000, assignment_randomness=0.2, seed=5),
+            n_runs=3, time_limit=120.0,
         )
         wins += ga.upper_bound <= sa.upper_bound + 1e-9
     assert wins >= 12  # 60% of 20

@@ -275,6 +275,8 @@ class TestBadInput:
         (lambda d: d["options"].update(max_travel_minutes="ten"), "options.max_travel_minutes"),
         (lambda d: d["stations"][0]["max_chargers"].update({"0": "x"}), "stations[0].max_chargers.0"),
         (lambda d: d["stations"][0]["max_chargers"].update({"fast": 2}), "charger type id 'fast'"),
+        (lambda d: d["options"].update(enforce_proximity="false"), "options.enforce_proximity"),
+        (lambda d: d["stations"][0].update(is_garage=1), "stations[0].is_garage"),
     ])
     def test_malformed_instance_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
         report = tmp_path / "report.json"
@@ -304,6 +306,9 @@ class TestBadInput:
         ({"ga": {"pop_size": 4}}, "'ga.pop_size'"),
         ({"solver": {"gap": 0.1}}, "'solver.gap'"),
         ({"n_run": 2}, "'n_run'"),
+        ({"solver": {"max_chargers": 1}}, "'solver.max_chargers'"),
+        ({"sa": {"seed": 5}}, "'sa.seed'"),
+        ({"ga": {"seed": 5}}, "'ga.seed'"),
     ])
     def test_unknown_config_key_rejected(self, unit_instance_file, tmp_path, capsys, cfg, named):
         path = tmp_path / "cfg.json"
@@ -312,6 +317,33 @@ class TestBadInput:
                    "--out", str(tmp_path / "r.json")])
         assert rc == 3
         assert f"unknown config key {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("method, cfg, named", [
+        ("sa", {"sa": {"max_iterations": None}}, "sa.max_iterations: expected a number"),
+        ("bnb", {"solver": {"gap_threshold": "x"}}, "solver.gap_threshold: expected a number"),
+        ("ga", {"ga": {"population_size": 2.5}}, "ga.population_size: expected an integer"),
+        ("sa", {"n_runs": "3"}, "n_runs: expected a number"),
+        ("ga", {"n_runs": 0}, "n_runs must be >= 1"),
+    ])
+    def test_bad_config_number_named(self, unit_instance_file, tmp_path, capsys, method, cfg, named):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["solve", unit_instance_file, "--method", method, "--config", str(path),
+                   "--out", str(tmp_path / "r.json")])
+        assert rc == 3
+        assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"],
+        ["solve", "inst.json", "--method", "tabu", "--out", "r.json"],
+        ["validate", "inst.json", "report.json", "--seed", "1"],
+    ])
+    def test_usage_error_exits_3(self, argv, capsys):
+        # argparse's own exit code, 2, is this CLI's "infeasible"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 3
+        assert "error:" in capsys.readouterr().err
 
 
 class TestScenariosCommand:

@@ -1,5 +1,6 @@
 import itertools
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -202,7 +203,7 @@ class TestProximity:
         for inst in fixtures40:
             free = brute_force(inst).upper_bound
             try:
-                prox = brute_force(inst, enforce_proximity=True).upper_bound
+                prox = brute_force(replace(inst, enforce_proximity=True)).upper_bound
             except InfeasibleError:
                 continue
             assert free <= prox + 1e-12
@@ -212,11 +213,12 @@ class TestProximity:
 
     def test_bnb_honors_proximity(self, fixtures40):
         for inst in fixtures40[:15]:
+            prox = replace(inst, enforce_proximity=True)
             try:
-                bf = brute_force(inst, enforce_proximity=True)
+                bf = brute_force(prox)
             except InfeasibleError:
                 continue
-            bb = branch_and_bound(inst, SolverConfig(enforce_proximity=True))
+            bb = branch_and_bound(prox, SolverConfig())
             assert bb.upper_bound == pytest.approx(bf.upper_bound, abs=1e-6)
             # every assignment must use the closest active station
             sol = bb.best

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -113,23 +114,36 @@ class TestGeneticAlgorithm:
         assert check_feasibility(inst, rep.best) == []
 
 
+class TestProximity:
+    # seeds on which SA or GA once returned a deployment that sends some
+    # demand past a closer active station
+    @pytest.mark.parametrize("seed", [320, 322, 328, 334])
+    def test_deployments_use_the_closest_active_station(self, seed):
+        inst = replace(feasible_instance(seed, n_demand=6, n_station=5), enforce_proximity=True)
+        for rep in (
+            simulated_annealing(inst, SAParams(max_iterations=100)),
+            genetic_algorithm(inst, GAParams(max_iterations=100)),
+        ):
+            assert [v for v in check_feasibility(inst, rep.best) if v.code == "not_closest_active"] == []
+
+
 class TestMultiRun:
     def test_single_run_identical_to_direct(self):
         inst = small(7112)
         direct = simulated_annealing(inst, SAParams(max_iterations=300, seed=40))
-        wrapped = multi_run(inst, "sa", SAParams(max_iterations=300, seed=0), n_runs=1, base_seed=40)
+        wrapped = multi_run(inst, "sa", SAParams(max_iterations=300, seed=40), n_runs=1)
         assert wrapped.upper_bound == direct.upper_bound
         assert wrapped.stats["run_costs"] == [direct.upper_bound]
 
     def test_best_not_worse_than_any_run(self):
         inst = small(7113)
-        res = multi_run(inst, "ga", GAParams(max_iterations=250), n_runs=6, base_seed=3)
+        res = multi_run(inst, "ga", GAParams(max_iterations=250, seed=3), n_runs=6)
         assert all(res.upper_bound <= c + 1e-15 for c in res.stats["run_costs"])
         assert 1 <= res.stats["distinct_objectives"] <= 6
 
     def test_consistent_on_easy_instance(self):
         inst = small(7114)
-        res = multi_run(inst, "sa", SAParams(max_iterations=1500, assignment_randomness=0.2), n_runs=6, base_seed=1)
+        res = multi_run(inst, "sa", SAParams(max_iterations=1500, assignment_randomness=0.2, seed=1), n_runs=6)
         assert res.stats["distinct_objectives"] == 1
 
     def test_rejects_bad_args(self):
