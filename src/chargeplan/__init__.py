@@ -30,11 +30,9 @@ from .demand import (
 from .exact import (
     SolverConfig,
     SolverReport,
-    WaitFloorCut,
     branch_and_bound,
     brute_force,
     compute_gap,
-    make_cut,
 )
 from .metaheuristics import (
     GAParams,
@@ -82,7 +80,6 @@ __all__ = [
     "SweepSpec",
     "Trip",
     "Violation",
-    "WaitFloorCut",
     "aggregate_demand",
     "best_chargers",
     "branch_and_bound",
@@ -102,7 +99,6 @@ __all__ = [
     "expected_wait",
     "genetic_algorithm",
     "load_instance",
-    "make_cut",
     "make_instance",
     "min_stations",
     "multi_run",

@@ -151,10 +151,22 @@ def _meta_params(args, cfg: dict):
     )
 
 
+# the solver flags a method never reads; --seed is taken by every method
+_UNREAD_FLAGS = {
+    "brute": ("n_runs", "gap_threshold", "time_limit"),
+    "bnb": ("n_runs",),
+    "sa": ("gap_threshold",),
+    "ga": ("gap_threshold",),
+}
+
+
 def _run_method(instance: mdl.Instance, args, cfg: dict):
     """Solve ``instance`` with ``--method`` and the settings of the flags
     and the config."""
     method = args.method
+    for name in _UNREAD_FLAGS[method]:
+        if getattr(args, name) is not None:
+            raise ParseError(f"--{name.replace('_', '-')} is not read by --method {method}")
     if args.enforce_proximity:
         instance = replace(instance, enforce_proximity=True)
     config = _solver_config(args, cfg, instance)

@@ -33,40 +33,20 @@ class AssignmentSet:
             seen.add(i)
 
 
-def station_capacity_ok(instance: mdl.Instance, station_id: int) -> bool:
-    # Admission screen: the station could conceivably absorb every demand it
-    # serves, i.e. total service capacity strictly exceeds total served rate.
-    st = instance.station_by_id[station_id]
-    cap = sum(
-        kt.service_rate * st.max_chargers.get(kt.id, 0) for kt in instance.charger_types
-    )
-    served_rate = sum(instance.demand_by_id[i].rate for i in st.served)
-    return cap > served_rate
-
-
 def covers_all_demands(instance: mdl.Instance, active: Iterable[int]) -> bool:
     act = set(active)
-    return all(act.intersection(d.reachable) for d in instance.demand_points)
-
-
-def feasible_activation(instance: mdl.Instance, active: Iterable[int]) -> bool:
-    """Coverage screen used by the metaheuristics: every demand point can
-    reach an active station that also passes the capacity screen."""
-    act = {j for j in active if station_capacity_ok(instance, j)}
     return all(act.intersection(d.reachable) for d in instance.demand_points)
 
 
 def min_stations(instance: mdl.Instance) -> frozenset[int]:
     """Greedy small station set covering every demand point.
 
-    Repeatedly activates the admissible station covering the most still
-    uncovered demands (ties: lower fixed cost, then lower id). Stations
-    failing the capacity screen are never activated.
+    Repeatedly activates the station covering the most still uncovered
+    demands (ties: lower fixed cost, then lower id). Whether the stations
+    can be equipped is left to charger sizing.
     """
     uncovered = {d.id for d in instance.demand_points}
-    candidates = {
-        s.id for s in instance.stations if station_capacity_ok(instance, s.id)
-    }
+    candidates = {s.id for s in instance.stations}
     chosen: set[int] = set()
     while uncovered:
         best = None
@@ -80,7 +60,7 @@ def min_stations(instance: mdl.Instance) -> frozenset[int]:
                 best = (key, j)
         if best is None:
             raise InfeasibleError(
-                f"demands {sorted(uncovered)} cannot be covered by any admissible station"
+                f"demands {sorted(uncovered)} cannot be covered by any station"
             )
         j = best[1]
         chosen.add(j)

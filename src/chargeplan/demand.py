@@ -12,19 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import geo
-from .errors import (
-    InfeasibleDemandError,
-    InvalidKError,
-    ParseError,
-    RangeTooShortError,
-)
-from .model import CandidateStation, DemandPoint
+from .errors import InvalidKError, ParseError, RangeTooShortError
+from .model import MINUTES_PER_YEAR, CandidateStation, DemandPoint, make_instance
 
 DRIVING_KINDS = ("service", "deadhead")
 TRIP_KINDS = DRIVING_KINDS + ("layover",)
@@ -159,7 +153,8 @@ def build_coverage(
     max_travel_minutes: float,
     speed_kmh: float = 30.0,
 ) -> tuple[list[DemandPoint], list[CandidateStation], dict[tuple[int, int], float]]:
-    """Reachability sets and the sparse travel matrix for a travel cutoff.
+    """Reachability sets and the sparse travel matrix for a travel cutoff,
+    as :func:`~chargeplan.model.make_instance` derives them.
 
     A station is reachable when the haversine travel time at ``speed_kmh``
     does not exceed ``max_travel_minutes``. Served sets are the exact inverse
@@ -168,22 +163,11 @@ def build_coverage(
     """
     if max_travel_minutes <= 0:
         raise ValueError("max_travel_minutes must be positive")
-    travel: dict[tuple[int, int], float] = {}
-    reach: dict[int, list[int]] = {d.id: [] for d in demand_points}
-    served: dict[int, list[int]] = {s.id: [] for s in stations}
-    for d in demand_points:
-        for s in stations:
-            t = geo.travel_minutes(d.lat, d.lon, s.lat, s.lon, speed_kmh)
-            if t <= max_travel_minutes:
-                travel[(d.id, s.id)] = t
-                reach[d.id].append(s.id)
-                served[s.id].append(d.id)
-    uncovered = [i for i, js in reach.items() if not js]
-    if uncovered:
-        raise InfeasibleDemandError(uncovered)
-    new_dps = [replace(d, reachable=tuple(reach[d.id])) for d in demand_points]
-    new_sts = [replace(s, served=tuple(served[s.id])) for s in stations]
-    return new_dps, new_sts, travel
+    inst = make_instance(
+        demand_points, stations, (), travel_cost_rate=0.0, wait_cost_rate=0.0,
+        speed_kmh=speed_kmh, max_travel_minutes=max_travel_minutes,
+    )
+    return list(inst.demand_points), list(inst.stations), dict(inst.travel)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +340,7 @@ def read_blocks_csv(path) -> list[BlockSchedule]:
     return blocks
 
 
-def read_stations_csv(path, *, max_chargers: dict[int, int], minutes_per_year: float = 525_960.0) -> list[CandidateStation]:
+def read_stations_csv(path, *, max_chargers: dict[int, int]) -> list[CandidateStation]:
     """Parse the stations CSV, converting lifetime costs to currency/minute."""
     stations = []
     with open(path, newline="", encoding="utf-8") as fh:
@@ -374,7 +358,7 @@ def read_stations_csv(path, *, max_chargers: dict[int, int], minutes_per_year: f
                         id=len(stations),
                         lat=float(row["lat"]),
                         lon=float(row["lon"]),
-                        fixed_cost_rate=float(row["fixed_cost_usd"]) / (lifetime * minutes_per_year),
+                        fixed_cost_rate=float(row["fixed_cost_usd"]) / (lifetime * MINUTES_PER_YEAR),
                         max_chargers=dict(max_chargers),
                         is_garage=row["is_garage"].strip().lower() in ("1", "true", "yes"),
                         agency=(row.get("agency") or "").strip() or None,

@@ -54,10 +54,6 @@ class InvalidBoundsError(ChargePlanError):
     """Lower/upper bound pair is non-positive or inverted."""
 
 
-class CutUndefinedError(ChargePlanError):
-    """A delay cut was requested for a zero-server configuration."""
-
-
 class ParseError(ChargePlanError):
     """Malformed input file."""
 

@@ -21,13 +21,8 @@ from typing import Iterable, Mapping
 
 from . import model as mdl
 from . import queueing
-from .construction import AssignmentSet, best_chargers, build_solution, min_chargers, size_pair
-from .errors import (
-    CutUndefinedError,
-    InfeasibleError,
-    InstanceTooLargeError,
-    InvalidBoundsError,
-)
+from .construction import AssignmentSet, build_solution, min_chargers, size_pair
+from .errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError
 
 _PRUNE_MARGIN = 1e-9
 
@@ -66,65 +61,15 @@ def compute_gap(lower: float, upper: float) -> float:
     return 1.0 - lower / upper
 
 
-@dataclass(frozen=True)
-class WaitFloorCut:
-    """Affine lower bound on the expected wait of one pair, as a function of
-    the routed load, valid whenever exactly ``servers`` chargers are built.
-
-    value(load) = intercept/(mu s) + slope * load/(mu s)^2 + 1/mu
-    """
-
-    station_id: int
-    charger_type_id: int
-    servers: int
-    service_rate: float
-    intercept: float
-    slope: float
-    anchor_rho: float
-
-    def value(self, load: float) -> float:
-        ms = self.service_rate * self.servers
-        return self.intercept / ms + self.slope * load / (ms * ms) + 1.0 / self.service_rate
-
-
-def make_cut(
-    station_id: int,
-    charger_type: mdl.ChargerType,
-    servers: int,
-    anchor_rho: float,
-) -> WaitFloorCut:
-    """Wait floor for a pair from the delay-factor support line at
-    ``anchor_rho``. Undefined for zero servers."""
-    if servers < 1:
-        raise CutUndefinedError("wait floor undefined for zero chargers")
-    intercept, slope = queueing.tangent_cut(anchor_rho, servers)
-    return WaitFloorCut(
-        station_id=station_id,
-        charger_type_id=charger_type.id,
-        servers=servers,
-        service_rate=charger_type.service_rate,
-        intercept=intercept,
-        slope=slope,
-        anchor_rho=anchor_rho,
-    )
-
-
 def root_lower_bound(instance: mdl.Instance) -> float:
-    """Cheap valid bound: per-demand travel+service floors plus one station
-    and one charger somewhere."""
+    """Cheap valid bound: each demand's cheapest travel+service option (the
+    per-demand floor branch-and-bound uses) plus one station and one charger
+    somewhere."""
     if not instance.demand_points:
         return 0.0
     floor = 0.0
     for d in instance.demand_points:
-        floor += min(
-            d.rate
-            * (
-                instance.travel_cost_rate * instance.travel[(d.id, j)]
-                + instance.wait_cost_rate / k.service_rate
-            )
-            for j in d.reachable
-            for k in instance.charger_types
-        )
+        floor += _choices_for(instance, d)[0][2]
     floor += min(s.fixed_cost_rate for s in instance.stations)
     floor += min(k.unit_cost_rate for k in instance.charger_types)
     return floor
@@ -202,10 +147,11 @@ def brute_force(
     picked: list[tuple[int, int]] = [(-1, -1)] * n
     best_cost = math.inf
     best_picked: list[tuple[int, int]] | None = None
+    best_counts: dict[tuple[int, int], int] = {}
     station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
 
     def leaf(travel_acc: float) -> None:
-        nonlocal best_cost, best_picked
+        nonlocal best_cost, best_picked, best_counts
         cost = travel_acc
         stations_seen: set[int] = set()
         for (j, k), mask in masks.items():
@@ -223,6 +169,7 @@ def brute_force(
         if cost < best_cost:
             best_cost = cost
             best_picked = picked.copy()
+            best_counts = {key: sizer.best(*key, mask, loads[key])[0] for key, mask in masks.items()}
 
     def rec(d: int, travel_acc: float) -> None:
         if d == n:
@@ -253,8 +200,7 @@ def brute_force(
     assignment = AssignmentSet(
         frozenset((ids[d], best_picked[d][0], best_picked[d][1]) for d in range(n))
     )
-    chargers = best_chargers(instance, assignment)
-    solution = build_solution(instance, assignment, chargers)
+    solution = build_solution(instance, assignment, best_counts)
     total = solution.cost.total
     return SolverReport(
         best=solution,
@@ -541,7 +487,6 @@ class _TreeSearch:
             cuts_added=len(self.cut_keys),
             time_to_best=time_to_best,
             terminated_by=terminated,
-            stats={"cut_pool": len(self.cut_keys)},
         )
 
 

@@ -26,7 +26,6 @@ from .construction import (
     cover_sets,
     covers_all_demands,
     demand_assignment,
-    feasible_activation,
     min_stations,
 )
 from .errors import InfeasibleError
@@ -128,8 +127,8 @@ def simulated_annealing(
     """Station-toggling SA with Metropolis acceptance and linear cooling.
 
     Starts from the greedy minimum cover. Each iteration flips one random
-    station (re-flipping until the activation covers every demand through
-    admissible stations), samples an assignment, and sizes the chargers.
+    station (re-flipping until the activation covers every demand), samples
+    an assignment, and sizes the chargers.
     Improvements over the incumbent are always kept; otherwise the candidate
     replaces the current state with probability exp((current - new) / T).
     The temperature follows T *= (1 - C * T0 / L) clamped at a tiny floor.
@@ -140,7 +139,7 @@ def simulated_annealing(
 
     def walk_to_feasible(active: set[int]) -> frozenset[int]:
         """One random toggle, repeated until the activation covers every
-        demand through admissible stations (the first flip may be undone)."""
+        demand (the first flip may be undone)."""
         attempts = 0
         while True:
             j = station_ids[rng.randrange(len(station_ids))]
@@ -148,7 +147,7 @@ def simulated_annealing(
                 active.discard(j)
             else:
                 active.add(j)
-            if active and feasible_activation(instance, active):
+            if active and covers_all_demands(instance, active):
                 return frozenset(active)
             attempts += 1
             if attempts > _TOGGLE_LIMIT:

@@ -234,16 +234,14 @@ def make_instance(
 
 @dataclass(frozen=True)
 class CostBreakdown:
-    """Per-minute cost totals, the per-assignment ledger, and the exact
-    expected wait of every equipped (station, type) pair they were priced
-    with."""
+    """Per-minute cost totals and the exact expected wait of every equipped
+    (station, type) pair they were priced with."""
 
     station: float
     charger: float
     travel: float
     waiting: float
     total: float
-    per_assignment: Mapping[tuple[int, int, int], float]
     waits: Mapping[tuple[int, int], float]
 
 
@@ -331,16 +329,10 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
     )
     travel = 0.0
     waiting = 0.0
-    per_assignment: dict[tuple[int, int, int], float] = {}
     for (i, j, k) in sorted(solution.assignments):
         lam = instance.demand_by_id[i].rate
-        t = instance.travel[(i, j)]
-        w = waits[(j, k)]
-        travel += lam * instance.travel_cost_rate * t
-        waiting += lam * instance.wait_cost_rate * w
-        per_assignment[(i, j, k)] = lam * (
-            instance.travel_cost_rate * t + instance.wait_cost_rate * w
-        )
+        travel += lam * instance.travel_cost_rate * instance.travel[(i, j)]
+        waiting += lam * instance.wait_cost_rate * waits[(j, k)]
     total = station + charger + travel + waiting
     return CostBreakdown(
         station=station,
@@ -348,7 +340,6 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
         travel=travel,
         waiting=waiting,
         total=total,
-        per_assignment=per_assignment,
         waits=waits,
     )
 

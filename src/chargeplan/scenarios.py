@@ -23,13 +23,11 @@ SWEEP_PARAMETERS = ("wait_cost", "charger_power", "station_cost", "charger_cost"
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """One deployment scenario; ``agency`` is set when solving one side of a
-    separate deployment."""
+    """One deployment scenario."""
 
     joint: bool
     allow_garage: bool
     allow_other: bool
-    agency: str | None = None
 
     def __post_init__(self) -> None:
         if not (self.allow_garage or self.allow_other):

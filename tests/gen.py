@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import random
 
-from chargeplan.construction import min_stations
 from chargeplan.errors import InfeasibleError
 from chargeplan.exact import brute_force
 from chargeplan.model import CandidateStation, ChargerType, DemandPoint, Instance, make_instance
@@ -99,13 +98,26 @@ def random_instance(
     )
 
 
+def _capacity_screen(inst: Instance) -> None:
+    """The filter the fixture families were drawn with: every demand point
+    reaches a station whose total charger capacity exceeds the total rate
+    of the demands it serves. Raises InfeasibleError otherwise."""
+    def roomy(st: CandidateStation) -> bool:
+        cap = sum(k.service_rate * st.max_chargers.get(k.id, 0) for k in inst.charger_types)
+        return cap > sum(inst.demand_by_id[i].rate for i in st.served)
+
+    ok = {st.id for st in inst.stations if roomy(st)}
+    if not all(ok.intersection(d.reachable) for d in inst.demand_points):
+        raise InfeasibleError("some demand reaches no station with room for its served rate")
+
+
 def feasible_instance(seed: int, **kwargs) -> Instance:
     """Retry seeds until the instance admits a stable assignment."""
     offset = 0
     while True:
         inst = random_instance(seed + 100_000 * offset, **kwargs)
         try:
-            min_stations(inst)
+            _capacity_screen(inst)
             if _leaf_count(inst) <= 2e6:
                 brute_force(inst, leaf_cap=2e6)
             elif not _constructively_feasible(inst):
@@ -146,7 +158,7 @@ def fixture_instances(count: int = 200, base_seed: int = 20_240) -> list[Instanc
         inst = random_instance(seed)
         seed += 1
         try:
-            min_stations(inst)
+            _capacity_screen(inst)
             rep = brute_force(inst, leaf_cap=2e6)
         except InfeasibleError:
             continue

@@ -11,13 +11,14 @@ from dataclasses import replace
 import pytest
 
 from chargeplan.errors import InfeasibleError
-from chargeplan.exact import SolverConfig, branch_and_bound, brute_force, make_cut
+from chargeplan.exact import SolverConfig, branch_and_bound, brute_force
 from chargeplan.metaheuristics import GAParams, SAParams, multi_run
 from chargeplan.model import ChargerType
 from chargeplan.queueing import QueueModel, erlang_c, expected_wait
 from chargeplan.scenarios import run_scenarios, scale_instance
 
 from gen import feasible_instance, two_agency_instance
+from test_exact import wait_floor
 from test_queueing import naive_delay_probability
 
 
@@ -61,12 +62,12 @@ def test_c02_cut_validity():
         anchor = rng.uniform(0.05, 0.95)
         load = rng.uniform(0.01, 0.999) * mu * s
         kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0 / mu)
-        cut = make_cut(0, kt, s, anchor)
+        floor = wait_floor(kt, s, anchor)
         true = expected_wait(QueueModel(load, mu, s))
-        assert cut.value(load) <= true + 1e-6
+        assert floor(load) <= true + 1e-6
         anchor_load = anchor * mu * s
         true_anchor = expected_wait(QueueModel(anchor_load, mu, s))
-        assert cut.value(anchor_load) == pytest.approx(true_anchor, abs=1e-6)
+        assert floor(anchor_load) == pytest.approx(true_anchor, abs=1e-6)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     print(f"\n[criterion 02] PASS cut validity on 1000 tuples ({elapsed:.3f}s)")

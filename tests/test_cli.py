@@ -345,6 +345,22 @@ class TestBadInput:
         assert exc.value.code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("method,flag,value", [
+        ("brute", "--n-runs", "2"),
+        ("bnb", "--n-runs", "2"),
+        ("brute", "--gap-threshold", "0.1"),
+        ("sa", "--gap-threshold", "0.1"),
+        ("ga", "--gap-threshold", "0.1"),
+        ("brute", "--time-limit", "5"),
+    ])
+    def test_flag_the_method_does_not_read_rejected(self, unit_instance_file, tmp_path, capsys,
+                                                    method, flag, value):
+        out = tmp_path / "r.json"
+        rc = main(["solve", unit_instance_file, "--method", method, flag, value, "--out", str(out)])
+        assert rc == 3
+        assert f"{flag} is not read by --method {method}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestScenariosCommand:
     def test_six_rows_baseline_dominates(self, tmp_path):

@@ -14,6 +14,7 @@ from chargeplan.construction import (
     size_pair,
 )
 from chargeplan.errors import InfeasibleError, UncoveredDemandError
+from chargeplan.metaheuristics import GAParams, SAParams, genetic_algorithm, simulated_annealing
 from chargeplan.model import (
     CandidateStation,
     ChargerType,
@@ -54,22 +55,15 @@ class TestMinStations:
         inst = coverage_instance({1: [0, 1], 2: [0], 3: [1, 2]}, 3)
         assert min_stations(inst) == {0, 1}
 
-    def test_capacity_screen_skips_overloaded_station(self):
-        # station 0 covers both demands but cannot host enough service rate
-        inst = coverage_instance(
-            {0: [0, 1], 1: [0, 2]},
-            3,
-            rates={0: 1.0, 1: 1.0},
-            caps={0: 5, 1: 50, 2: 50},
-        )
-        # mu=0.1: station 0 capacity 0.5 < 2.0 served
-        chosen = min_stations(inst)
-        assert 0 not in chosen
-
     def test_infeasible_when_no_admissible_station(self):
+        # mu=0.1: two chargers serve 0.2 < 10.0; the cover is still found,
+        # and only charger sizing finds it cannot be equipped
         inst = coverage_instance({0: [0]}, 1, rates={0: 10.0}, caps={0: 2})
+        assert min_stations(inst) == {0}
         with pytest.raises(InfeasibleError):
-            min_stations(inst)
+            simulated_annealing(inst, SAParams(max_iterations=10))
+        with pytest.raises(InfeasibleError):
+            genetic_algorithm(inst, GAParams(population_size=2, max_iterations=10))
 
     def test_greedy_vs_exhaustive_minimum(self):
         # greedy is not guaranteed minimum; measure and record the gap

@@ -6,19 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargeplan.errors import (
-    CutUndefinedError,
-    InfeasibleError,
-    InstanceTooLargeError,
-    InvalidBoundsError,
-)
+from chargeplan.errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError
 from chargeplan.exact import (
     SolverConfig,
     _TreeSearch,
     branch_and_bound,
     brute_force,
     compute_gap,
-    make_cut,
     root_lower_bound,
 )
 from chargeplan.model import (
@@ -28,9 +22,20 @@ from chargeplan.model import (
     check_feasibility,
     make_instance,
 )
-from chargeplan.queueing import QueueModel, expected_wait
+from chargeplan.queueing import QueueModel, expected_wait, tangent_cut
 
 from gen import feasible_instance, random_instance
+
+
+def wait_floor(kt: ChargerType, servers: int, anchor_rho: float):
+    """The expected-wait floor of a pair with ``servers`` chargers of type
+    ``kt``, as a function of its load: the service time plus the term
+    ``_TreeSearch.pair_floor_extra`` takes from the delay-factor tangent at
+    ``anchor_rho``, a/(mu s) + b load/(mu s)^2."""
+    a, b = tangent_cut(anchor_rho, servers)
+    mu = kt.service_rate
+    ms = mu * servers
+    return lambda load: a / ms + b * load / (ms * ms) + 1.0 / mu
 
 
 def unit_instance():
@@ -62,23 +67,25 @@ class TestComputeGap:
 
 
 class TestMakeCut:
+    """The wait floor branch-and-bound applies, built from ``tangent_cut``."""
+
     def kt(self, mu=1.0):
         return ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0 / mu)
 
     def test_hand_example(self):
-        cut = make_cut(0, self.kt(), 1, 0.5)
+        floor = wait_floor(self.kt(), 1, 0.5)
         # intercept -1, slope 4: floor(load 0.75) = -1 + 3 + 1 = 3 <= true 4
-        assert cut.value(0.75) == pytest.approx(3.0, abs=1e-4)
+        assert floor(0.75) == pytest.approx(3.0, abs=1e-4)
         true = expected_wait(QueueModel(0.75, 1.0, 1))
-        assert cut.value(0.75) <= true
+        assert floor(0.75) <= true
         assert true == pytest.approx(4.0)
 
     def test_tangency_at_anchor_load(self):
         for s, mu, anchor in [(1, 1.0, 0.5), (3, 0.2, 0.7), (8, 2.5, 0.3)]:
-            cut = make_cut(0, self.kt(mu), s, anchor)
+            floor = wait_floor(self.kt(mu), s, anchor)
             load = anchor * mu * s
             true = expected_wait(QueueModel(load, mu, s))
-            assert cut.value(load) == pytest.approx(true, abs=1e-6)
+            assert floor(load) == pytest.approx(true, abs=1e-6)
 
     def test_floor_everywhere_random_sweep(self):
         rng = random.Random(23)
@@ -87,13 +94,13 @@ class TestMakeCut:
             mu = rng.uniform(0.02, 2.0)
             anchor = rng.uniform(0.05, 0.95)
             load = rng.uniform(0.01, 0.999) * mu * s
-            cut = make_cut(0, self.kt(mu), s, anchor)
+            floor = wait_floor(self.kt(mu), s, anchor)
             true = expected_wait(QueueModel(load, mu, s))
-            assert cut.value(load) <= true + 1e-6
+            assert floor(load) <= true + 1e-6
 
     def test_zero_servers_undefined(self):
-        with pytest.raises(CutUndefinedError):
-            make_cut(0, self.kt(), 0, 0.5)
+        with pytest.raises(ValueError):
+            tangent_cut(0.5, 0)
 
 
 class TestBruteForce:

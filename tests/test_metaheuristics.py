@@ -114,6 +114,33 @@ class TestGeneticAlgorithm:
         assert check_feasibility(inst, rep.best) == []
 
 
+class TestCoverageRule:
+    def test_stations_too_small_for_all_they_serve_still_used(self):
+        # both demands (rate 0.6) reach both stations, whose one charger
+        # (mu = 1) cannot take 1.2; one demand per station is stable, and SA
+        # must find it as brute force and GA do
+        from chargeplan.model import CandidateStation, ChargerType, DemandPoint, make_instance
+
+        kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0)
+        dps = [DemandPoint(id=i, lat=41.8, lon=-87.7, rate=0.6) for i in range(2)]
+        sts = [
+            CandidateStation(id=j, lat=41.8, lon=-87.7, fixed_cost_rate=1.0, max_chargers={0: 1})
+            for j in range(2)
+        ]
+        inst = make_instance(
+            dps, sts, [kt], travel_cost_rate=1.0, wait_cost_rate=1.0,
+            travel={(0, 0): 2.0, (0, 1): 4.0, (1, 0): 4.0, (1, 1): 2.0},
+        )
+        opt = brute_force(inst).upper_bound
+        assert opt == pytest.approx(9.4, abs=1e-12)
+        for rep in (
+            simulated_annealing(inst, SAParams(max_iterations=200)),
+            genetic_algorithm(inst, GAParams(max_iterations=50)),
+        ):
+            assert rep.upper_bound == pytest.approx(opt, abs=1e-12)
+            assert check_feasibility(inst, rep.best) == []
+
+
 class TestProximity:
     # seeds on which SA or GA once returned a deployment that sends some
     # demand past a closer active station
