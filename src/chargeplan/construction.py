@@ -192,6 +192,10 @@ def size_pair(
     marginal waiting-cost saving strictly exceeds the charger cost rate; the
     wait is convex in the count, so the first failing increment is the global
     stop. Returns None when even the minimum exceeds ``cap``.
+
+    The waits come from :func:`queueing.waits_upward`, which carries the
+    Erlang-B probability from one count to the next, so a pair that ends at
+    s chargers costs O(s) recurrence steps.
     """
     if load <= 0:
         return (0, 0.0)
@@ -199,14 +203,13 @@ def size_pair(
     s = min_chargers(load, mu, epsilon)
     if s > cap:
         return None
-    wait = queueing.expected_wait(queueing.QueueModel(load, mu, s))
-    while s + 1 <= cap:
-        nxt = queueing.expected_wait(queueing.QueueModel(load, mu, s + 1))
-        if load * wait_cost_rate * (wait - nxt) > charger_type.unit_cost_rate:
-            s += 1
-            wait = nxt
-        else:
+    waits = queueing.waits_upward(load, mu, s)
+    _, wait = next(waits)
+    while s < cap:
+        nxt_s, nxt = next(waits)
+        if load * wait_cost_rate * (wait - nxt) <= charger_type.unit_cost_rate:
             break
+        s, wait = nxt_s, nxt
     return (s, wait)
 
 

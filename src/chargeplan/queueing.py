@@ -11,12 +11,20 @@ The delay probability is evaluated through the Erlang-B recurrence
 followed by the conversion C = B / (1 - rho (1 - B)). This is algebraically
 identical to the textbook factorial expression but stays in [0, 1] at every
 step, so it is overflow-free for hundreds of servers.
+
+Charger sizing walks the server count upward from the stability minimum.
+:func:`waits_upward` runs the recurrence once to its starting count and then
+carries B(s) to B(s+1) with one more step of it, so sizing a pair that ends
+at s chargers costs O(s) steps, not O(s^2). The conversion to C and to the
+expected wait is written once (``_erlang_c``, ``_wait``) and shared by
+:func:`expected_wait` and the walk, so both give the same bits for a count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import UnstableQueueError
 
@@ -57,6 +65,22 @@ def _erlang_b(offered_load: float, servers: int) -> float:
     return b
 
 
+def _check_stable(rho: float, servers: int) -> None:
+    if rho >= 1.0:
+        raise UnstableQueueError(f"utilization {rho:.6g} >= 1 for servers={servers}")
+
+
+def _erlang_c(rho: float, b: float) -> float:
+    """Delay probability from the Erlang-B probability ``b`` at utilization ``rho``."""
+    return b / (1.0 - rho * (1.0 - b))
+
+
+def _wait(c: float, rho: float, service_rate: float, servers: int) -> float:
+    """Expected minutes in the system from the delay probability ``c``:
+    queueing delay plus one service."""
+    return c / (service_rate * servers * (1.0 - rho)) + 1.0 / service_rate
+
+
 def erlang_c(model: QueueModel) -> float:
     """Probability that every server is busy (an arrival must queue).
 
@@ -66,27 +90,37 @@ def erlang_c(model: QueueModel) -> float:
     if model.servers == 0:
         return 0.0
     rho = model.utilization
-    if rho >= 1.0:
-        raise UnstableQueueError(
-            f"utilization {rho:.6g} >= 1 for servers={model.servers}"
-        )
+    _check_stable(rho, model.servers)
     if model.arrival_rate == 0.0:
         return 0.0
-    b = _erlang_b(model.offered_load, model.servers)
-    return b / (1.0 - rho * (1.0 - b))
+    return _erlang_c(rho, _erlang_b(model.offered_load, model.servers))
 
 
 def expected_wait(model: QueueModel) -> float:
     """Expected minutes in the system: queueing delay plus one service."""
     if model.servers < 1:
         raise UnstableQueueError("expected_wait needs at least one server")
-    rho = model.utilization
-    if rho >= 1.0:
-        raise UnstableQueueError(
-            f"utilization {rho:.6g} >= 1 for servers={model.servers}"
-        )
-    p = erlang_c(model)
-    return p / (model.service_rate * model.servers * (1.0 - rho)) + 1.0 / model.service_rate
+    return _wait(erlang_c(model), model.utilization, model.service_rate, model.servers)
+
+
+def waits_upward(load: float, service_rate: float, servers: int) -> Iterator[tuple[int, float]]:
+    """Yield ``(s, expected wait)`` for s = ``servers``, ``servers + 1``, ...
+
+    Each wait equals ``expected_wait(QueueModel(load, service_rate, s))`` bit
+    for bit. B at the starting count comes from one Erlang-B pass; every later
+    count costs one step of the recurrence. Needs ``load > 0`` and a stable
+    starting count of at least one server.
+    """
+    a = load / service_rate
+    rho = load / (service_rate * servers)
+    _check_stable(rho, servers)
+    b = _erlang_b(a, servers)
+    while True:
+        yield servers, _wait(_erlang_c(rho, b), rho, service_rate, servers)
+        servers += 1
+        ab = a * b
+        b = ab / (servers + ab)
+        rho = load / (service_rate * servers)
 
 
 def _delay(rho: float, servers: int) -> tuple[float, float, float]:

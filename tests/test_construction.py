@@ -241,6 +241,43 @@ class TestBestChargers:
                     best_s, best_cost = s, cost
             assert got[0] == best_s
 
+    def test_carried_sizing_matches_per_count_scan(self):
+        # loads needing 100-400 chargers; the reference prices every count
+        # with its own expected_wait, so a drift in the carried Erlang-B
+        # probability shows as a different count or wait
+        def reference(load, kt, cap, c_wait, eps):
+            mu = kt.service_rate
+            s = min_chargers(load, mu, eps)
+            if s > cap:
+                return None
+            wait = expected_wait(QueueModel(load, mu, s))
+            while s < cap:
+                nxt = expected_wait(QueueModel(load, mu, s + 1))
+                if load * c_wait * (wait - nxt) <= kt.unit_cost_rate:
+                    break
+                s, wait = s + 1, nxt
+            return (s, wait)
+
+        rng = random.Random(2024)
+        seen = {"none": 0, "at_cap": 0, "above_min": 0}
+        for _ in range(60):
+            mu = rng.uniform(0.02, 0.5)
+            eps = rng.choice([1e-6, 0.05])
+            load = mu * (1.0 - eps) * rng.uniform(100.0, 400.0)
+            kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=rng.uniform(0.001, 1.0), recharge_time_min=1.0 / mu)
+            c_wait = rng.uniform(0.1, 5.0)
+            smin = min_chargers(load, mu, eps)
+            for cap in (10, 100, 800, smin - 1, smin, smin + 1):
+                got = size_pair(load, kt, cap, c_wait, eps)
+                assert got == reference(load, kt, cap, c_wait, eps), (load, mu, cap, eps)
+                if got is None:
+                    seen["none"] += 1
+                elif got[0] == cap:
+                    seen["at_cap"] += 1
+                elif got[0] > smin:
+                    seen["above_min"] += 1
+        assert min(seen.values()) > 0, seen
+
     def test_assignment_set_rejects_duplicates(self):
         with pytest.raises(ValueError):
             AssignmentSet(frozenset({(0, 0, 0), (0, 1, 0)}))

@@ -11,6 +11,7 @@ from chargeplan.queueing import (
     erlang_c,
     expected_wait,
     tangent_cut,
+    waits_upward,
 )
 
 
@@ -89,6 +90,21 @@ class TestExpectedWait:
         lam, mu = 45.0, 1.0
         waits = [expected_wait(QueueModel(lam, mu, s)) for s in range(46, 97)]
         assert all(b < a for a, b in zip(waits, waits[1:]))
+
+    def test_upward_walk_matches_per_count_waits(self):
+        # an off-by-one in the carried count shifts every value after the first
+        rng = random.Random(31)
+        for _ in range(40):
+            mu = rng.uniform(0.02, 2.0)
+            s0 = rng.randint(1, 300)
+            load = mu * s0 * rng.uniform(0.05, 0.999)
+            walk = waits_upward(load, mu, s0)
+            for s in range(s0, s0 + 60):
+                assert next(walk) == (s, expected_wait(QueueModel(load, mu, s)))
+
+    def test_upward_walk_rejects_unstable_start(self):
+        with pytest.raises(UnstableQueueError):
+            next(waits_upward(3.0, 1.0, 3))
 
     def test_marginal_improvement_shrinks_with_servers(self):
         lam, mu = 45.0, 1.0
