@@ -56,7 +56,7 @@ from .model import (
     make_instance,
     save_instance,
 )
-from .queueing import QueueModel, delay_factor, erlang_c, expected_wait, tangent_cut
+from .queueing import delay_factor, erlang_c, expected_wait, tangent_cut
 from .scenarios import ScenarioSpec, SweepSpec, run_scenarios, run_sweep, scale_instance
 
 __version__ = "0.1.0"
@@ -71,7 +71,6 @@ __all__ = [
     "DemandPoint",
     "GAParams",
     "Instance",
-    "QueueModel",
     "SAParams",
     "ScenarioSpec",
     "Solution",

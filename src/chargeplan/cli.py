@@ -33,6 +33,7 @@ from .errors import (
 from .exact import SolverConfig, branch_and_bound, brute_force, save_report, solution_from_dict
 from .metaheuristics import GAParams, SAParams, genetic_algorithm, multi_run, simulated_annealing
 from .scenarios import (
+    SWEEP_PARAMETERS,
     SweepSpec,
     charger_count_labels,
     run_scenarios,
@@ -329,8 +330,10 @@ def cmd_scenarios(args) -> int:
 def cmd_sensitivity(args) -> int:
     cfg = _load_config(args.config)
     instance = mdl.load_instance(args.instance)
-    multipliers = tuple(float(m) for m in args.multipliers.split(","))
-    sweep = SweepSpec(parameter=args.parameter, multipliers=multipliers)
+    try:
+        sweep = SweepSpec(args.parameter, tuple(float(m) for m in args.multipliers.split(",")))
+    except ValueError as exc:
+        raise ParseError(f"bad --multipliers {args.multipliers!r}: {exc}") from exc
     rows = run_sweep(instance, sweep, partial(_run_method, args=args, cfg=cfg))
     _write_csv(
         args.out,
@@ -349,7 +352,7 @@ def cmd_validate(args) -> int:
             payload = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read report: {exc}", path=args.report) from exc
-    if payload.get("solution") is None:
+    if not isinstance(payload, dict) or payload.get("solution") is None:
         raise ParseError("report carries no solution", path=args.report)
     solution = solution_from_dict(payload["solution"])
     violations = mdl.check_feasibility(instance, solution)
@@ -421,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sensitivity", help="one-at-a-time parameter sweep")
-    p.add_argument("--parameter", required=True, choices=["wait_cost", "charger_power", "station_cost", "charger_cost"])
+    p.add_argument("--parameter", required=True, choices=SWEEP_PARAMETERS)
     p.add_argument("--multipliers", required=True, help="comma-separated, e.g. 2,4,6,8,10")
     _add_solver_flags(p, "ga", cmd_sensitivity)
 

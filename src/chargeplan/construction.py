@@ -168,17 +168,6 @@ def demand_assignment(
     return AssignmentSet(frozenset(triplets))
 
 
-def min_chargers(load: float, service_rate: float, epsilon: float) -> int:
-    """Smallest integer server count keeping the queue inside the stability
-    margin: mu * s * (1 - epsilon) >= load."""
-    if load <= 0:
-        return 0
-    s = math.ceil(load / (service_rate * (1.0 - epsilon)))
-    if service_rate * s * (1.0 - epsilon) < load:  # float guard
-        s += 1
-    return s
-
-
 def size_pair(
     load: float,
     charger_type: mdl.ChargerType,
@@ -188,7 +177,7 @@ def size_pair(
 ) -> tuple[int, float] | None:
     """Best charger count for one (station, type) pair and its wait value.
 
-    Starts at the stability minimum and keeps adding a charger while the
+    Starts at :func:`queueing.min_chargers` and keeps adding a charger while the
     marginal waiting-cost saving strictly exceeds the charger cost rate; the
     wait is convex in the count, so the first failing increment is the global
     stop. Returns None when even the minimum exceeds ``cap``.
@@ -200,7 +189,7 @@ def size_pair(
     if load <= 0:
         return (0, 0.0)
     mu = charger_type.service_rate
-    s = min_chargers(load, mu, epsilon)
+    s = queueing.min_chargers(load, mu, epsilon)
     if s > cap:
         return None
     waits = queueing.waits_upward(load, mu, s)

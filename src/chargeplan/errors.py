@@ -8,7 +8,7 @@ class ChargePlanError(Exception):
 
 
 class UnstableQueueError(ChargePlanError):
-    """Offered load meets or exceeds the service capacity of a charger pool."""
+    """Routed load breaks the stability rule of :mod:`chargeplan.queueing`."""
 
 
 class UnassignedDemandError(ChargePlanError):

@@ -21,8 +21,8 @@ from typing import Iterable, Mapping
 
 from . import model as mdl
 from . import queueing
-from .construction import AssignmentSet, build_solution, min_chargers, size_pair
-from .errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError
+from .construction import AssignmentSet, build_solution, size_pair
+from .errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError, ParseError
 
 _PRUNE_MARGIN = 1e-9
 
@@ -57,8 +57,16 @@ class SolverReport:
 def compute_gap(lower: float, upper: float) -> float:
     """Relative optimality gap 1 - lower/upper for positive, ordered bounds."""
     if lower <= 0 or upper <= 0 or lower > upper:
-        raise InvalidBoundsError(f"need 0 < lower <= upper, got {lower} > {upper}")
+        raise InvalidBoundsError(f"need 0 < lower <= upper, got lower={lower}, upper={upper}")
     return 1.0 - lower / upper
+
+
+def report_gap(lower: float, upper: float) -> float:
+    """The gap of a report's nonnegative bounds: 1 - lower/upper when both
+    are positive, else 0 when they are equal and 1 (nothing proven) if not."""
+    if lower > 0 and upper > 0:
+        return max(0.0, 1.0 - lower / upper)
+    return 0.0 if lower == upper else 1.0
 
 
 def root_lower_bound(instance: mdl.Instance) -> float:
@@ -254,6 +262,12 @@ class _TreeSearch:
         self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
         self.cut_keys: set[tuple[int, int, int, float]] = set()
         self.station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
+        # the largest stable load of each (station, type) pair at its cap
+        self.capacity = {
+            (s.id, k.id): queueing.capacity(k.service_rate, instance.station_cap(s.id, k.id), instance.epsilon)
+            for s in instance.stations
+            for k in instance.charger_types
+        }
 
     # -- cut plumbing ------------------------------------------------------
 
@@ -305,7 +319,7 @@ class _TreeSearch:
         kt = self.instance.type_by_id[k]
         mu = kt.service_rate
         cap = self.instance.station_cap(j, k)
-        smin = min_chargers(load, mu, self.instance.epsilon)
+        smin = queueing.min_chargers(load, mu, self.instance.epsilon)
         if smin > cap:
             return None
         c_wait = load * self.instance.wait_cost_rate
@@ -371,10 +385,7 @@ class _TreeSearch:
         d = self.demands[depth]
         out = []
         for (j, k, myopic) in self.choices[depth]:
-            kt = self.instance.type_by_id[k]
-            new_load = node.loads.get((j, k), 0.0) + d.rate
-            cap = self.instance.station_cap(j, k)
-            if kt.service_rate * cap * (1.0 - self.instance.epsilon) < new_load:
+            if self.capacity[(j, k)] < node.loads.get((j, k), 0.0) + d.rate:
                 continue
             if self.instance.enforce_proximity:
                 new_active = node.stations | {j}
@@ -474,15 +485,11 @@ class _TreeSearch:
             lower = total  # search tree exhausted: the incumbent is proven optimal
         else:
             lower = min(lower, total)
-        if lower > 0 and total > 0:
-            gap = max(0.0, 1.0 - lower / total)
-        else:
-            gap = 0.0 if lower == total else 1.0
         return SolverReport(
             best=solution,
             lower_bound=lower,
             upper_bound=total,
-            gap=gap,
+            gap=report_gap(lower, total),
             nodes_explored=nodes,
             cuts_added=len(self.cut_keys),
             time_to_best=time_to_best,
@@ -530,14 +537,44 @@ def solution_to_dict(solution: mdl.Solution) -> dict:
     }
 
 
+def _entries(data, key: str, default=None) -> list:
+    """The list at ``data[key]`` of a report solution, or ``default``."""
+    value = data.get(key, default) if isinstance(data, dict) else None
+    if not isinstance(value, list):
+        raise ParseError(f"solution.{key}: expected a list, got {value!r}")
+    return value
+
+
+def _fields(record, name: str, **kinds: type) -> tuple:
+    """The number fields of the report entry ``name``, each as its kind."""
+    for key in kinds:
+        if not isinstance(record, dict) or key not in record:
+            raise ParseError(f"{name}.{key}: missing required field")
+    return tuple(mdl._number(record[key], f"{name}.{key}", kind) for key, kind in kinds.items())
+
+
 def solution_from_dict(data: dict) -> mdl.Solution:
+    """The solution of a report; a missing or malformed field is a
+    ParseError that names it (``solution.chargers[0].count``)."""
+    chargers = [
+        _fields(c, f"solution.chargers[{n}]", station=int, charger_type=int, count=int)
+        for n, c in enumerate(_entries(data, "chargers"))
+    ]
+    waits = [
+        _fields(w, f"solution.waits[{n}]", station=int, charger_type=int, minutes=float)
+        for n, w in enumerate(_entries(data, "waits", []))
+    ]
     return mdl.Solution(
-        active=frozenset(data["active_stations"]),
-        assignments=frozenset(
-            (a["demand"], a["station"], a["charger_type"]) for a in data["assignments"]
+        active=frozenset(
+            mdl._number(j, f"solution.active_stations[{n}]", int)
+            for n, j in enumerate(_entries(data, "active_stations"))
         ),
-        chargers={(c["station"], c["charger_type"]): c["count"] for c in data["chargers"]},
-        waits={(w["station"], w["charger_type"]): w["minutes"] for w in data.get("waits", [])},
+        assignments=frozenset(
+            _fields(a, f"solution.assignments[{n}]", demand=int, station=int, charger_type=int)
+            for n, a in enumerate(_entries(data, "assignments"))
+        ),
+        chargers={(j, k): count for j, k, count in chargers},
+        waits={(j, k): minutes for j, k, minutes in waits},
     )
 
 

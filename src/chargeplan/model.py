@@ -276,9 +276,9 @@ def compute_waits(
 ) -> dict[tuple[int, int], float]:
     """Exact expected waits for every equipped pair.
 
-    Raises :class:`UnstableQueueError` whenever routed load reaches the
-    stability margin ``mu * s * (1 - epsilon)`` of a pair, including pairs
-    that received traffic but no chargers.
+    Raises :class:`UnstableQueueError` whenever routed load is above the
+    capacity of a pair (the stability rule of :mod:`chargeplan.queueing`),
+    including pairs that received traffic but no chargers.
     """
     loads = pair_loads(instance, assignments)
     waits: dict[tuple[int, int], float] = {}
@@ -287,14 +287,12 @@ def compute_waits(
         s = chargers.get((j, k), 0)
         lam = loads.get((j, k), 0.0)
         mu = instance.type_by_id[k].service_rate
-        if lam > mu * s * (1.0 - instance.epsilon):
+        if lam > queueing.capacity(mu, s, instance.epsilon):
             raise UnstableQueueError(
                 f"station {j} type {k}: load {lam:.6g} exceeds capacity of {s} chargers"
             )
         if s > 0:
-            waits[(j, k)] = queueing.expected_wait(
-                queueing.QueueModel(arrival_rate=lam, service_rate=mu, servers=s)
-            )
+            waits[(j, k)] = queueing.expected_wait(lam, mu, s)
     return waits
 
 
@@ -371,7 +369,8 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
     Codes: ``unknown_id``, ``unreachable_station``, ``inactive_station``,
     ``not_single_sourced``, ``unstable_queue``, ``wait_too_low``,
     ``charger_limit``, ``chargers_at_inactive_station`` and, when the
-    instance enforces proximity, ``not_closest_active``.
+    instance enforces proximity, ``not_closest_active``. A queue is unstable
+    by the rule stated in :mod:`chargeplan.queueing`.
     """
     out: list[Violation] = []
     lam_of = instance.demand_by_id
@@ -421,14 +420,11 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
             )
         lam = loads.get((j, k), 0.0)
         mu = instance.type_by_id[k].service_rate
-        if mu * s * (1.0 - instance.epsilon) < lam:
-            out.append(
-                Violation("unstable_queue", (j, k), f"load {lam:.6g} > capacity {mu * s * (1.0 - instance.epsilon):.6g}")
-            )
+        limit = queueing.capacity(mu, s, instance.epsilon)
+        if limit < lam:
+            out.append(Violation("unstable_queue", (j, k), f"load {lam:.6g} > capacity {limit:.6g}"))
         elif s > 0:
-            true_wait = queueing.expected_wait(
-                queueing.QueueModel(arrival_rate=lam, service_rate=mu, servers=s)
-            )
+            true_wait = queueing.expected_wait(lam, mu, s)
             stored = solution.waits.get((j, k))
             if stored is not None and stored < true_wait - _WAIT_TOL:
                 out.append(

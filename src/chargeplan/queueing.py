@@ -1,60 +1,54 @@
 """Steady-state M/M/s delay computations and affine underestimators.
 
-Everything here is a pure function of (arrival rate, service rate, server
-count). Rates are per minute and waits are minutes to match the rest of the
-package, although the math itself is unit-agnostic.
+The one place that knows how a charger queue is priced and when it is
+stable. Everything here is a pure function of (load, service rate, server
+count); the load is the Poisson arrival rate routed to the pool. Rates are
+per minute and waits are minutes, although the math is unit-agnostic.
 
-The delay probability is evaluated through the Erlang-B recurrence
+Stability: s chargers at service rate mu carry a load when
 
-    B(0) = 1,    B(n) = a B(n-1) / (n + a B(n-1)),    a = arrival/service,
+    load <= capacity(mu, s, epsilon) = mu * s * (1 - epsilon),
 
-followed by the conversion C = B / (1 - rho (1 - B)). This is algebraically
-identical to the textbook factorial expression but stays in [0, 1] at every
-step, so it is overflow-free for hundreds of servers.
+so a load exactly at the capacity is stable and any load above it is not.
+:func:`min_chargers` is the smallest such s. Every module that decides
+stability compares against :func:`capacity`.
 
-Charger sizing walks the server count upward from the stability minimum.
-:func:`waits_upward` runs the recurrence once to its starting count and then
-carries B(s) to B(s+1) with one more step of it, so sizing a pair that ends
-at s chargers costs O(s) steps, not O(s^2). The conversion to C and to the
-expected wait is written once (``_erlang_c``, ``_wait``) and shared by
-:func:`expected_wait` and the walk, so both give the same bits for a count.
+The delay probability comes from the Erlang-B recurrence
+
+    B(0) = 1,    B(n) = a B(n-1) / (n + a B(n-1)),    a = load/service,
+
+and C = B / (1 - rho (1 - B)): the textbook factorial expression, but in
+[0, 1] at every step, so overflow-free for hundreds of servers. A wait is
+reached one way: :func:`waits_upward` runs the recurrence once and then
+carries B(s) to B(s+1) in one step, so sizing a pair that ends at s chargers
+costs O(s) steps; :func:`expected_wait` is the first value of that walk.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import UnstableQueueError
 
 
-@dataclass(frozen=True)
-class QueueModel:
-    """One charger pool: Poisson arrivals into ``servers`` identical
-    exponential servers drawing from a single FIFO queue."""
+def capacity(service_rate: float, servers: int, epsilon: float) -> float:
+    """Largest load ``servers`` chargers carry inside the stability margin:
+    mu * s * (1 - epsilon). A load equal to it is stable."""
+    return service_rate * servers * (1.0 - epsilon)
 
-    arrival_rate: float
-    service_rate: float
-    servers: int
 
-    def __post_init__(self) -> None:
-        if self.servers < 0:
-            raise ValueError("servers must be nonnegative")
-        if self.arrival_rate < 0:
-            raise ValueError("arrival_rate must be nonnegative")
-        if self.servers > 0 and self.service_rate <= 0:
-            raise ValueError("service_rate must be positive when servers > 0")
-
-    @property
-    def offered_load(self) -> float:
-        return self.arrival_rate / self.service_rate
-
-    @property
-    def utilization(self) -> float:
-        if self.servers == 0:
-            return math.inf if self.arrival_rate > 0 else 0.0
-        return self.arrival_rate / (self.service_rate * self.servers)
+def min_chargers(load: float, service_rate: float, epsilon: float) -> int:
+    """Smallest server count whose :func:`capacity` is at least ``load``."""
+    if load <= 0:
+        return 0
+    s = math.ceil(load / (service_rate * (1.0 - epsilon)))
+    # float guards: the rounded quotient can land one count off either way
+    if capacity(service_rate, s, epsilon) < load:
+        s += 1
+    elif capacity(service_rate, s - 1, epsilon) >= load:
+        s -= 1
+    return s
 
 
 def _erlang_b(offered_load: float, servers: int) -> float:
@@ -75,48 +69,40 @@ def _erlang_c(rho: float, b: float) -> float:
     return b / (1.0 - rho * (1.0 - b))
 
 
-def _wait(c: float, rho: float, service_rate: float, servers: int) -> float:
-    """Expected minutes in the system from the delay probability ``c``:
-    queueing delay plus one service."""
-    return c / (service_rate * servers * (1.0 - rho)) + 1.0 / service_rate
-
-
-def erlang_c(model: QueueModel) -> float:
+def erlang_c(load: float, service_rate: float, servers: int) -> float:
     """Probability that every server is busy (an arrival must queue).
 
     A pool with zero servers is treated as carrying no delay mass, so the
     probability is defined to be 0 for ``servers == 0``.
     """
-    if model.servers == 0:
+    if servers == 0:
         return 0.0
-    rho = model.utilization
-    _check_stable(rho, model.servers)
-    if model.arrival_rate == 0.0:
-        return 0.0
-    return _erlang_c(rho, _erlang_b(model.offered_load, model.servers))
+    rho = load / (service_rate * servers)
+    _check_stable(rho, servers)
+    return _erlang_c(rho, _erlang_b(load / service_rate, servers))
 
 
-def expected_wait(model: QueueModel) -> float:
+def expected_wait(load: float, service_rate: float, servers: int) -> float:
     """Expected minutes in the system: queueing delay plus one service."""
-    if model.servers < 1:
-        raise UnstableQueueError("expected_wait needs at least one server")
-    return _wait(erlang_c(model), model.utilization, model.service_rate, model.servers)
+    return next(waits_upward(load, service_rate, servers))[1]
 
 
 def waits_upward(load: float, service_rate: float, servers: int) -> Iterator[tuple[int, float]]:
     """Yield ``(s, expected wait)`` for s = ``servers``, ``servers + 1``, ...
 
-    Each wait equals ``expected_wait(QueueModel(load, service_rate, s))`` bit
-    for bit. B at the starting count comes from one Erlang-B pass; every later
-    count costs one step of the recurrence. Needs ``load > 0`` and a stable
+    B at the starting count comes from one Erlang-B pass; every later count
+    costs one step of the recurrence, so each wait equals
+    ``expected_wait(load, service_rate, s)`` bit for bit. Needs a stable
     starting count of at least one server.
     """
+    if servers < 1:
+        raise UnstableQueueError("a charger queue needs at least one server")
     a = load / service_rate
     rho = load / (service_rate * servers)
     _check_stable(rho, servers)
     b = _erlang_b(a, servers)
     while True:
-        yield servers, _wait(_erlang_c(rho, b), rho, service_rate, servers)
+        yield servers, _erlang_c(rho, b) / (service_rate * servers * (1.0 - rho)) + 1.0 / service_rate
         servers += 1
         ab = a * b
         b = ab / (servers + ab)

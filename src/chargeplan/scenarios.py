@@ -9,10 +9,13 @@ scenario is the baseline every row is compared against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 from . import model as mdl
+from .construction import AssignmentSet, build_solution
 from .errors import ChargePlanError, InfeasibleDemandError, InfeasibleError
 from .exact import SolverReport
 
@@ -134,46 +137,27 @@ def _solution_stats(instance: mdl.Instance, sol: mdl.Solution):
     }
 
 
-def _merge_solutions(parts: list[mdl.Solution]) -> mdl.Solution:
-    active: set[int] = set()
-    assignments: set[tuple[int, int, int]] = set()
-    chargers: dict[tuple[int, int], int] = {}
-    for sol in parts:
-        active |= sol.active
-        assignments |= sol.assignments
-        chargers.update(sol.chargers)
-    return mdl.Solution(
-        active=frozenset(active), assignments=frozenset(assignments), chargers=chargers
-    )
-
-
 def run_scenario(instance: mdl.Instance, spec: ScenarioSpec, solve: SolveFn) -> ScenarioRow:
     """Solve one scenario.
 
     Separate mode solves one sub-instance per agency; the per-agency
     solutions are then merged (agency station pools are disjoint) and priced
-    by the same evaluator on the pool-restricted instance the joint scenario
-    uses, so joint and separate totals are directly comparable.
+    by ``construction.build_solution`` on the pool-restricted instance the
+    joint scenario uses, so joint and separate totals are directly comparable.
     """
     try:
-        pool = restrict_instance(
-            instance, allow_garage=spec.allow_garage, allow_other=spec.allow_other
-        )
+        restrict = partial(restrict_instance, instance, allow_garage=spec.allow_garage, allow_other=spec.allow_other)
+        pool = restrict()
         if spec.joint:
             sol = solve(pool).best
         else:
-            parts = []
-            for agency in _agencies(instance):
-                sub = restrict_instance(
-                    instance,
-                    allow_garage=spec.allow_garage,
-                    allow_other=spec.allow_other,
-                    agency=agency,
-                )
-                parts.append(solve(sub).best)
-            merged = _merge_solutions(parts)
-            cost = mdl.evaluate(pool, merged)
-            sol = replace(merged, waits=cost.waits, cost=cost)
+            parts = [solve(restrict(agency=agency)).best for agency in _agencies(instance)]
+            sol = build_solution(
+                pool,
+                AssignmentSet(frozenset().union(*(p.assignments for p in parts))),
+                {pair: s for p in parts for pair, s in p.chargers.items()},
+                active=frozenset().union(*(p.active for p in parts)),
+            )
     except (InfeasibleDemandError, InfeasibleError):
         return ScenarioRow(spec, False, None, None, None, None, None)
 
@@ -207,8 +191,9 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if self.parameter not in SWEEP_PARAMETERS:
             raise ValueError(f"parameter must be one of {SWEEP_PARAMETERS}")
-        if not self.multipliers or any(m <= 0 for m in self.multipliers):
-            raise ValueError("multipliers must be positive")
+        # comparisons against inf also reject NaN, which fails every comparison
+        if not self.multipliers or not all(0 < m < math.inf for m in self.multipliers):
+            raise ValueError("multipliers must be positive and finite")
 
 
 def scale_instance(instance: mdl.Instance, parameter: str, multiplier: float) -> mdl.Instance:

@@ -14,7 +14,7 @@ from chargeplan.errors import InfeasibleError
 from chargeplan.exact import SolverConfig, branch_and_bound, brute_force
 from chargeplan.metaheuristics import GAParams, SAParams, multi_run
 from chargeplan.model import ChargerType
-from chargeplan.queueing import QueueModel, erlang_c, expected_wait
+from chargeplan.queueing import erlang_c, expected_wait
 from chargeplan.scenarios import run_scenarios, scale_instance
 
 from gen import feasible_instance, two_agency_instance
@@ -33,19 +33,19 @@ def test_c01_queueing_exactness():
     for k in range(1, 20):
         rho = 0.05 * k
         mu = 1.3
-        one = QueueModel(rho * mu, mu, 1)
-        assert erlang_c(one) == pytest.approx(rho, abs=1e-9)
-        assert expected_wait(one) == pytest.approx(1.0 / (mu - rho * mu), abs=1e-9)
-        two = QueueModel(2 * rho * mu, mu, 2)
-        assert erlang_c(two) == pytest.approx(2 * rho**2 / (1 + rho), abs=1e-9)
+        one = (rho * mu, mu, 1)
+        assert erlang_c(*one) == pytest.approx(rho, abs=1e-9)
+        assert expected_wait(*one) == pytest.approx(1.0 / (mu - rho * mu), abs=1e-9)
+        two = (2 * rho * mu, mu, 2)
+        assert erlang_c(*two) == pytest.approx(2 * rho**2 / (1 + rho), abs=1e-9)
         p2 = 2 * rho**2 / (1 + rho)
-        assert expected_wait(two) == pytest.approx(
+        assert expected_wait(*two) == pytest.approx(
             p2 / (mu * 2 * (1 - rho)) + 1 / mu, abs=1e-9
         )
     for s in range(1, 21):
         for k in range(1, 10):
             rho = 0.1 * k
-            assert erlang_c(QueueModel(rho * s * 2.0, 2.0, s)) == pytest.approx(
+            assert erlang_c(rho * s * 2.0, 2.0, s) == pytest.approx(
                 naive_delay_probability(rho, s), abs=1e-12
             )
     elapsed = time.perf_counter() - t0
@@ -63,10 +63,10 @@ def test_c02_cut_validity():
         load = rng.uniform(0.01, 0.999) * mu * s
         kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0 / mu)
         floor = wait_floor(kt, s, anchor)
-        true = expected_wait(QueueModel(load, mu, s))
+        true = expected_wait(load, mu, s)
         assert floor(load) <= true + 1e-6
         anchor_load = anchor * mu * s
-        true_anchor = expected_wait(QueueModel(anchor_load, mu, s))
+        true_anchor = expected_wait(anchor_load, mu, s)
         assert floor(anchor_load) == pytest.approx(true_anchor, abs=1e-6)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -90,7 +90,8 @@ def test_c03_oracle_equivalence(fixtures200, oracle200):
 
 
 def test_c04_charger_sizing_optimality():
-    from chargeplan.construction import min_chargers, size_pair
+    from chargeplan.construction import size_pair
+    from chargeplan.queueing import min_chargers
 
     t0 = time.perf_counter()
     rng = random.Random(20_4)
@@ -107,7 +108,7 @@ def test_c04_charger_sizing_optimality():
         greedy = size_pair(lam, kt, 50, c_wait, 1e-6)
         best_s, best_cost = None, math.inf
         for s in range(smin, 51):
-            cost = c_unit * s + lam * c_wait * expected_wait(QueueModel(lam, mu, s))
+            cost = c_unit * s + lam * c_wait * expected_wait(lam, mu, s)
             if cost < best_cost - 1e-15:
                 best_s, best_cost = s, cost
         assert greedy[0] == best_s

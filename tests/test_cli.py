@@ -285,6 +285,39 @@ class TestBadInput:
         assert main(["validate", src, str(report)]) == 3
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, named", [
+        (lambda s: s.pop("chargers"), "solution.chargers"),
+        (lambda s: s["assignments"][0].pop("station"), "solution.assignments[0].station"),
+        (lambda s: s["chargers"][0].update(count=None), "solution.chargers[0].count"),
+        (lambda s: s["chargers"][0].update(count="1"), "solution.chargers[0].count"),
+        (lambda s: s["chargers"][0].update(count=1.5), "solution.chargers[0].count"),
+        (lambda s: s["waits"][0].update(minutes="2"), "solution.waits[0].minutes"),
+        (lambda s: s.update(active_stations=None), "solution.active_stations"),
+    ])
+    def test_malformed_report_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
+        report = tmp_path / "report.json"
+        assert main(["solve", unit_instance_file, "--method", "brute", "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        edit(payload["solution"])
+        report.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["validate", unit_instance_file, str(report)]) == 3
+        assert named in capsys.readouterr().err
+
+    def test_report_that_is_not_an_object(self, unit_instance_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        report.write_text("[]")
+        assert main(["validate", unit_instance_file, str(report)]) == 3
+        assert "report carries no solution" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["x", "2,nan", "inf", "0", "2,-1"])
+    def test_multipliers_must_be_positive_and_finite(self, unit_instance_file, tmp_path, capsys, value):
+        rc = main(["sensitivity", unit_instance_file, "--parameter", "wait_cost", "--multipliers", value,
+                   "--method", "bnb", "--out", str(tmp_path / "sweep.csv")])
+        assert rc == 3
+        assert f"bad --multipliers {value!r}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep.csv").exists()
+
     @pytest.mark.parametrize("value", ["nan", "-5", "0", "x"])
     def test_time_limit_flag_must_be_positive_and_finite(self, unit_instance_file, tmp_path, capsys, value):
         rc = main(["solve", unit_instance_file, "--method", "bnb", "--time-limit", value,

@@ -9,7 +9,6 @@ from chargeplan.construction import (
     best_chargers,
     cover_sets,
     demand_assignment,
-    min_chargers,
     min_stations,
     size_pair,
 )
@@ -21,7 +20,7 @@ from chargeplan.model import (
     DemandPoint,
     make_instance,
 )
-from chargeplan.queueing import QueueModel, expected_wait
+from chargeplan.queueing import expected_wait, min_chargers
 
 from gen import random_instance
 
@@ -235,7 +234,7 @@ class TestBestChargers:
                 continue
             best_s, best_cost = None, math.inf
             for s in range(smin, cap + 1):
-                w = expected_wait(QueueModel(lam, mu, s))
+                w = expected_wait(lam, mu, s)
                 cost = c_unit * s + lam * c_wait * w
                 if cost < best_cost - 1e-15:
                     best_s, best_cost = s, cost
@@ -250,9 +249,9 @@ class TestBestChargers:
             s = min_chargers(load, mu, eps)
             if s > cap:
                 return None
-            wait = expected_wait(QueueModel(load, mu, s))
+            wait = expected_wait(load, mu, s)
             while s < cap:
-                nxt = expected_wait(QueueModel(load, mu, s + 1))
+                nxt = expected_wait(load, mu, s + 1)
                 if load * c_wait * (wait - nxt) <= kt.unit_cost_rate:
                     break
                 s, wait = s + 1, nxt

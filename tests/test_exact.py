@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from dataclasses import replace
 
@@ -6,23 +7,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chargeplan.errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError
+from chargeplan.construction import size_pair
+from chargeplan.errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError, UnstableQueueError
 from chargeplan.exact import (
     SolverConfig,
+    _Node,
     _TreeSearch,
     branch_and_bound,
     brute_force,
     compute_gap,
+    report_gap,
     root_lower_bound,
 )
 from chargeplan.model import (
     CandidateStation,
     ChargerType,
     DemandPoint,
+    Solution,
     check_feasibility,
+    compute_waits,
     make_instance,
 )
-from chargeplan.queueing import QueueModel, expected_wait, tangent_cut
+from chargeplan.queueing import capacity, expected_wait, min_chargers, tangent_cut
 
 from gen import feasible_instance, random_instance
 
@@ -65,6 +71,15 @@ class TestComputeGap:
         with pytest.raises(InvalidBoundsError):
             compute_gap(-1.0, 1.0)
 
+    def test_message_states_both_bounds(self):
+        with pytest.raises(InvalidBoundsError, match=r"got lower=0\.0, upper=5\.0$"):
+            compute_gap(0.0, 5.0)
+
+    def test_report_gap_covers_a_zero_floor(self):
+        assert report_gap(0.0, 5.0) == 1.0
+        assert report_gap(0.0, 0.0) == 0.0
+        assert report_gap(50.0, 100.0) == compute_gap(50.0, 100.0)
+
 
 class TestMakeCut:
     """The wait floor branch-and-bound applies, built from ``tangent_cut``."""
@@ -76,7 +91,7 @@ class TestMakeCut:
         floor = wait_floor(self.kt(), 1, 0.5)
         # intercept -1, slope 4: floor(load 0.75) = -1 + 3 + 1 = 3 <= true 4
         assert floor(0.75) == pytest.approx(3.0, abs=1e-4)
-        true = expected_wait(QueueModel(0.75, 1.0, 1))
+        true = expected_wait(0.75, 1.0, 1)
         assert floor(0.75) <= true
         assert true == pytest.approx(4.0)
 
@@ -84,7 +99,7 @@ class TestMakeCut:
         for s, mu, anchor in [(1, 1.0, 0.5), (3, 0.2, 0.7), (8, 2.5, 0.3)]:
             floor = wait_floor(self.kt(mu), s, anchor)
             load = anchor * mu * s
-            true = expected_wait(QueueModel(load, mu, s))
+            true = expected_wait(load, mu, s)
             assert floor(load) == pytest.approx(true, abs=1e-6)
 
     def test_floor_everywhere_random_sweep(self):
@@ -95,7 +110,7 @@ class TestMakeCut:
             anchor = rng.uniform(0.05, 0.95)
             load = rng.uniform(0.01, 0.999) * mu * s
             floor = wait_floor(self.kt(mu), s, anchor)
-            true = expected_wait(QueueModel(load, mu, s))
+            true = expected_wait(load, mu, s)
             assert floor(load) <= true + 1e-6
 
     def test_zero_servers_undefined(self):
@@ -257,6 +272,46 @@ class TestBounds:
         for inst in fixtures40:
             opt = brute_force(inst).upper_bound
             assert root_lower_bound(inst) <= opt + 1e-12
+
+
+class TestStabilityBoundary:
+    """A load exactly at a pair's capacity is stable and the next float above
+    it is not, whichever module decides."""
+
+    @staticmethod
+    def pair(load, recharge, servers, eps):
+        kt = ChargerType(id=0, power_kw=50.0, unit_cost_rate=1.0, recharge_time_min=recharge)
+        dp = DemandPoint(id=0, lat=0.0, lon=0.0, rate=load)
+        st = CandidateStation(id=0, lat=0.0, lon=0.0, fixed_cost_rate=1.0, max_chargers={0: servers})
+        inst = make_instance(
+            [dp], [st], [kt], travel_cost_rate=1.0, wait_cost_rate=1.0, travel={(0, 0): 1.0}, epsilon=eps
+        )
+        return inst, kt
+
+    # (0.2, 229, 1e-3): the rounded quotient of min_chargers lands one above
+    @pytest.mark.parametrize("recharge, servers, eps", [(5.0, 229, 1e-3), (1.0, 1, 1e-6), (7.0, 12, 0.05)])
+    def test_every_module_agrees_at_the_capacity(self, recharge, servers, eps):
+        at = capacity(1.0 / recharge, servers, eps)
+        for load, stable in ((at, True), (math.nextafter(at, math.inf), False)):
+            inst, kt = self.pair(load, recharge, servers, eps)
+            mu = kt.service_rate
+            assignments = frozenset({(0, 0, 0)})
+            chargers = {(0, 0): servers}
+            try:
+                compute_waits(inst, assignments, chargers)
+                waits_stable = True
+            except UnstableQueueError:
+                waits_stable = False
+            sol = Solution(active=frozenset({0}), assignments=assignments, chargers=chargers)
+            feasible = not any(v.code == "unstable_queue" for v in check_feasibility(inst, sol))
+            verdicts = {
+                "compute_waits": waits_stable,
+                "check_feasibility": feasible,
+                "min_chargers": min_chargers(load, mu, eps) <= servers,
+                "size_pair": size_pair(load, kt, servers, 1.0, eps) is not None,
+                "children": _TreeSearch(inst, SolverConfig())._children(_Node()) == [(0, 0)],
+            }
+            assert verdicts == dict.fromkeys(verdicts, stable), (load, verdicts)
 
 
 

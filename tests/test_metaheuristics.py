@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from chargeplan.exact import brute_force
+from chargeplan.exact import brute_force, root_lower_bound
 from chargeplan.metaheuristics import (
     GAParams,
     SAParams,
@@ -11,7 +11,7 @@ from chargeplan.metaheuristics import (
     multi_run,
     simulated_annealing,
 )
-from chargeplan.model import check_feasibility
+from chargeplan.model import CandidateStation, ChargerType, DemandPoint, check_feasibility, make_instance
 from chargeplan.construction import cover_sets
 
 from gen import feasible_instance
@@ -111,6 +111,34 @@ class TestGeneticAlgorithm:
         assert cover_sets(inst, 10) == [frozenset({0})]
         rep = genetic_algorithm(inst, GAParams(max_iterations=100, seed=0))
         assert rep.best.active == {0}
+        assert check_feasibility(inst, rep.best) == []
+
+
+def zero_floor_instance():
+    """A free station for demand 0 and a priced one for demand 1, with free
+    chargers, travel and waiting: the travel-and-service floor is 0 and the
+    optimum costs 5."""
+    kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=0.0, recharge_time_min=10.0)
+    dps = [DemandPoint(id=i, lat=41.8, lon=-87.7, rate=0.01) for i in range(2)]
+    sts = [
+        CandidateStation(id=j, lat=41.8, lon=-87.7, fixed_cost_rate=5.0 * j, max_chargers={0: 2})
+        for j in range(2)
+    ]
+    return make_instance(
+        dps, sts, [kt], travel_cost_rate=0.0, wait_cost_rate=0.0, travel={(0, 0): 1.0, (1, 1): 1.0}
+    )
+
+
+class TestZeroFloor:
+    @pytest.mark.parametrize("solve, params", [
+        (simulated_annealing, SAParams(max_iterations=50)),
+        (genetic_algorithm, GAParams(max_iterations=50)),
+    ])
+    def test_zero_floor_reports_a_full_gap(self, solve, params):
+        inst = zero_floor_instance()
+        assert root_lower_bound(inst) == 0.0
+        rep = solve(inst, params)
+        assert (rep.lower_bound, rep.upper_bound, rep.gap) == (0.0, 5.0, 1.0)
         assert check_feasibility(inst, rep.best) == []
 
 

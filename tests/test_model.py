@@ -219,7 +219,7 @@ class TestCheckFeasibility:
         # feasibility == conjunction of separately coded constraint predicates
         from chargeplan.exact import brute_force
         from chargeplan.model import pair_loads
-        from chargeplan.queueing import QueueModel, expected_wait
+        from chargeplan.queueing import expected_wait
 
         for seed in range(8):
             inst = random_instance(seed)
@@ -248,7 +248,7 @@ class TestCheckFeasibility:
                 for (j, k), s in sol.chargers.items():
                     if s > 0:
                         true = expected_wait(
-                            QueueModel(loads.get((j, k), 0.0), inst.type_by_id[k].service_rate, s)
+                            loads.get((j, k), 0.0), inst.type_by_id[k].service_rate, s
                         )
                         if sol.waits[(j, k)] < true - 1e-9:
                             return False

@@ -6,7 +6,6 @@ import pytest
 
 from chargeplan.errors import UnstableQueueError
 from chargeplan.queueing import (
-    QueueModel,
     delay_factor,
     erlang_c,
     expected_wait,
@@ -26,53 +25,48 @@ def naive_delay_probability(rho: float, s: int) -> float:
 class TestErlangC:
     def test_single_server_equals_utilization(self):
         for rho in [0.05 * k for k in range(1, 20)]:
-            m = QueueModel(rho, 1.0, 1)
-            assert erlang_c(m) == pytest.approx(rho, abs=1e-12)
+            assert erlang_c(rho, 1.0, 1) == pytest.approx(rho, abs=1e-12)
 
     def test_two_servers_closed_form(self):
         # M/M/2: P = 2 rho^2 / (1 + rho)
         for rho in [0.05 * k for k in range(1, 20)]:
-            m = QueueModel(2.0 * rho * 0.7, 0.7, 2)
-            assert erlang_c(m) == pytest.approx(2 * rho**2 / (1 + rho), abs=1e-9)
+            assert erlang_c(2.0 * rho * 0.7, 0.7, 2) == pytest.approx(2 * rho**2 / (1 + rho), abs=1e-9)
 
     def test_matches_factorial_form(self):
         for s in range(1, 21):
             for rho in [0.1 * k for k in range(1, 10)]:
-                m = QueueModel(rho * s * 2.0, 2.0, s)
-                assert erlang_c(m) == pytest.approx(naive_delay_probability(rho, s), abs=1e-12)
+                assert erlang_c(rho * s * 2.0, 2.0, s) == pytest.approx(naive_delay_probability(rho, s), abs=1e-12)
 
     def test_zero_servers_convention(self):
-        assert erlang_c(QueueModel(5.0, 0.0, 0)) == 0.0
+        assert erlang_c(5.0, 0.0, 0) == 0.0
 
     def test_unstable_raises(self):
         with pytest.raises(UnstableQueueError):
-            erlang_c(QueueModel(1.0, 1.0, 1))
+            erlang_c(1.0, 1.0, 1)
         with pytest.raises(UnstableQueueError):
-            erlang_c(QueueModel(2.5, 1.0, 2))
+            erlang_c(2.5, 1.0, 2)
 
     def test_stable_at_large_server_counts(self):
         # recurrence must not overflow or lose the plot at s >= 500
-        m = QueueModel(450.0, 1.0, 500)
-        p = erlang_c(m)
+        p = erlang_c(450.0, 1.0, 500)
         assert 0.0 < p < 1.0
-        assert expected_wait(m) >= 1.0
+        assert expected_wait(450.0, 1.0, 500) >= 1.0
 
 
 class TestExpectedWait:
     def test_mm1_closed_form(self):
-        m = QueueModel(0.5, 1.0, 1)
-        assert expected_wait(m) == pytest.approx(2.0, abs=1e-12)
+        assert expected_wait(0.5, 1.0, 1) == pytest.approx(2.0, abs=1e-12)
         for lam, mu in [(0.3, 1.0), (1.2, 2.0), (0.04, 0.05)]:
-            assert expected_wait(QueueModel(lam, mu, 1)) == pytest.approx(
+            assert expected_wait(lam, mu, 1) == pytest.approx(
                 1.0 / (mu - lam), rel=1e-12
             )
 
     def test_mm2_example(self):
-        assert expected_wait(QueueModel(1.0, 1.0, 2)) == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert expected_wait(1.0, 1.0, 2) == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_light_traffic_limit_is_service_time(self):
         for s in (1, 3, 7):
-            w = expected_wait(QueueModel(1e-12, 0.25, s))
+            w = expected_wait(1e-12, 0.25, s)
             assert w == pytest.approx(4.0, abs=1e-9)
 
     def test_increasing_and_convex_in_utilization(self):
@@ -80,7 +74,7 @@ class TestExpectedWait:
         # where the queueing term is above float noise
         for s in (1, 2, 5, 17):
             rhos = [0.30 + 0.68 * k / 60 for k in range(61)]
-            vals = [expected_wait(QueueModel(r * s * 1.3, 1.3, s)) for r in rhos]
+            vals = [expected_wait(r * s * 1.3, 1.3, s) for r in rhos]
             diffs = [b - a for a, b in zip(vals, vals[1:])]
             assert all(d > 0 for d in diffs)
             assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
@@ -88,7 +82,7 @@ class TestExpectedWait:
     def test_decreasing_in_server_count(self):
         # 50 consecutive counts above the stability minimum
         lam, mu = 45.0, 1.0
-        waits = [expected_wait(QueueModel(lam, mu, s)) for s in range(46, 97)]
+        waits = [expected_wait(lam, mu, s) for s in range(46, 97)]
         assert all(b < a for a, b in zip(waits, waits[1:]))
 
     def test_upward_walk_matches_per_count_waits(self):
@@ -100,7 +94,7 @@ class TestExpectedWait:
             load = mu * s0 * rng.uniform(0.05, 0.999)
             walk = waits_upward(load, mu, s0)
             for s in range(s0, s0 + 60):
-                assert next(walk) == (s, expected_wait(QueueModel(load, mu, s)))
+                assert next(walk) == (s, expected_wait(load, mu, s))
 
     def test_upward_walk_rejects_unstable_start(self):
         with pytest.raises(UnstableQueueError):
@@ -108,7 +102,7 @@ class TestExpectedWait:
 
     def test_marginal_improvement_shrinks_with_servers(self):
         lam, mu = 45.0, 1.0
-        waits = [expected_wait(QueueModel(lam, mu, s)) for s in range(46, 98)]
+        waits = [expected_wait(lam, mu, s) for s in range(46, 98)]
         gains = [a - b for a, b in zip(waits, waits[1:])]
         assert all(g2 < g1 for g1, g2 in zip(gains, gains[1:]))
 
@@ -128,7 +122,7 @@ class TestDelayFactor:
             s = rng.randint(1, 12)
             mu = rng.uniform(0.01, 2.0)
             rho = rng.uniform(0.05, 0.95)
-            w = expected_wait(QueueModel(rho * s * mu, mu, s))
+            w = expected_wait(rho * s * mu, mu, s)
             assert w == pytest.approx(delay_factor(rho, s) / (mu * s) + 1.0 / mu, rel=1e-12)
 
     def test_rejects_unstable(self):
