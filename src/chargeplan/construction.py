@@ -8,8 +8,8 @@ fixed assignment. All of them are pure given an explicit RNG.
 
 from __future__ import annotations
 
-import math
 import random
+import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
@@ -69,29 +69,53 @@ def min_stations(instance: mdl.Instance) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def _min_cover_size(all_demands: frozenset[int], served: Mapping[int, frozenset[int]], covering: Mapping[int, list[int]]) -> int:
+def _packing_bound(remaining: Iterable[int], covering: Mapping[int, list[int]]) -> int:
+    """Lower bound on the stations any cover of ``remaining`` needs.
+
+    Packs demands greedily, fewest reaching stations first (ties: lower id),
+    keeping those whose station sets are disjoint from every demand packed so
+    far. A cover needs a distinct station for each packed demand.
+    """
+    used: set[int] = set()
+    packed = 0
+    for i in sorted(remaining, key=lambda i: (len(covering[i]), i)):
+        if used.isdisjoint(covering[i]):
+            used.update(covering[i])
+            packed += 1
+    return packed
+
+
+def _min_cover_size(all_demands: frozenset[int], served: Mapping[int, frozenset[int]], covering: Mapping[int, list[int]],
+                    greedy: int, deadline: float | None = None) -> int:
     """Exact minimum-cardinality cover size, by branching on the stations
-    that can serve the most constrained uncovered demand."""
-    best = math.inf
+    that can serve the most constrained uncovered demand.
+
+    The search starts from ``greedy``, the size of a known cover, and drops a
+    branch once its size plus the :func:`_packing_bound` of what it leaves
+    uncovered reaches the best size so far. Past ``deadline`` (a
+    ``time.perf_counter()`` value) it returns the best size found, which is
+    still the size of some cover.
+    """
+    best = greedy
 
     def dfs(remaining: frozenset[int], size: int) -> None:
         nonlocal best
         if not remaining:
             best = min(best, size)
             return
-        if size + 1 >= best:
+        if size + _packing_bound(remaining, covering) >= best:
+            return
+        if deadline is not None and time.perf_counter() > deadline:
             return
         pivot = min(remaining, key=lambda i: (len(covering[i]), i))
         for j in covering[pivot]:
             dfs(remaining - served[j], size + 1)
 
     dfs(all_demands, 0)
-    if math.isinf(best):
-        raise InfeasibleError("no station subset covers every demand point")
-    return int(best)
+    return best
 
 
-def cover_sets(instance: mdl.Instance, population_size: int) -> list[frozenset[int]]:
+def cover_sets(instance: mdl.Instance, population_size: int, deadline: float | None = None) -> list[frozenset[int]]:
     """Up to ``population_size`` station subsets covering all demands, each of
     the minimum cardinality S or S + 1.
 
@@ -101,6 +125,17 @@ def cover_sets(instance: mdl.Instance, population_size: int) -> list[frozenset[i
     a fixed station ordering the output is deterministic. (A single pass that
     resets its collection whenever a strictly smaller cover appears would
     silently drop qualifying supersets explored before the last reset.)
+
+    The subtree below a node depends only on its active set: the uncovered
+    demands and the remaining station pool both follow from it. A first
+    visit runs to completion unless the population fills, which ends the
+    whole search, so a repeated active set is skipped without changing the
+    output or its order. A node is also dropped when its size plus the
+    :func:`_packing_bound` of its uncovered demands exceeds S + 1.
+
+    Past ``deadline`` (a ``time.perf_counter()`` value) both searches stop
+    and the covers found so far are returned, or the greedy
+    :func:`min_stations` cover when there are none.
     """
     if population_size < 1:
         raise ValueError("population_size must be >= 1")
@@ -112,18 +147,23 @@ def cover_sets(instance: mdl.Instance, population_size: int) -> list[frozenset[i
     covering = {
         d.id: [j for j in station_ids if d.id in served[j]] for d in instance.demand_points
     }
-    best_size = _min_cover_size(all_demands, served, covering)
+    greedy = min_stations(instance)
+    best_size = _min_cover_size(all_demands, served, covering, len(greedy), deadline)
 
     found: dict[frozenset[int], None] = {}
+    seen: set[frozenset[int]] = set()
 
     def backtrack(remaining: frozenset[int], active: frozenset[int], pool: tuple[int, ...]) -> None:
-        if len(found) >= population_size:
+        if len(found) >= population_size or active in seen:
             return
+        seen.add(active)
         if not remaining:
             if len(active) in (best_size, best_size + 1):
                 found.setdefault(active, None)
             return
-        if len(active) >= best_size + 1:
+        if len(active) + _packing_bound(remaining, covering) > best_size + 1:
+            return
+        if deadline is not None and time.perf_counter() > deadline:
             return
         for idx, j in enumerate(pool):
             if len(found) >= population_size:
@@ -131,7 +171,7 @@ def cover_sets(instance: mdl.Instance, population_size: int) -> list[frozenset[i
             backtrack(remaining - served[j], active | {j}, pool[:idx] + pool[idx + 1:])
 
     backtrack(all_demands, frozenset(), tuple(station_ids))
-    return list(found)
+    return list(found) or [greedy]
 
 
 def demand_assignment(

@@ -230,13 +230,19 @@ def genetic_algorithm(
     charger type wherever the parent routed the same demand to the same
     station. An offspring replaces the worst chromosome unless it is strictly
     worse, in which case it still does so with probability worst/new.
+
+    ``time_limit`` also bounds the cover search; when it runs out there, the
+    report's stats carry ``cover_search_cut`` and the run stops before its
+    first generation.
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
     station_order = [s.id for s in instance.stations]
     first_half = set(station_order[: len(station_order) // 2])
 
-    covers = cover_sets(instance, params.population_size)
+    deadline = None if time_limit is None else t0 + time_limit
+    covers = cover_sets(instance, params.population_size, deadline)
+    stats = {"cover_search_cut": True} if deadline is not None and time.perf_counter() > deadline else {}
     population: list[_Chromosome] = []
     idx = 0
     while len(population) < params.population_size:
@@ -257,7 +263,7 @@ def genetic_algorithm(
     terminated = "optimality"
 
     for it in range(1, params.max_iterations + 1):
-        if time_limit is not None and time.perf_counter() - t0 > time_limit:
+        if deadline is not None and time.perf_counter() > deadline:
             terminated = "time"
             break
         iterations = it
@@ -312,7 +318,7 @@ def genetic_algorithm(
         raise InfeasibleError("no cover admits a stable charger sizing")
     return _report(
         instance, best_sol, iterations, time_to_best, terminated,
-        {"population_size": len(population)},
+        {"population_size": len(population), **stats},
     )
 
 

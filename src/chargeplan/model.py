@@ -123,6 +123,14 @@ class CandidateStation:
                 raise ValueError(f"station {self.id}: negative cap for type {k}")
 
 
+def _check_epsilon(epsilon: float, name: str) -> None:
+    """The stability margin must lie in (0, 1) and be large enough that
+    ``1 - epsilon`` rounds below 1; a smaller one would let a pair's capacity
+    reach mu * s, where the queue has no steady state."""
+    if not 0.0 < 1.0 - epsilon < 1.0:
+        raise ValueError(f"{name} must lie in (0, 1) with 1 - {name} < 1, got {epsilon!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """Immutable problem data. Build through :func:`make_instance` so the
@@ -140,8 +148,7 @@ class Instance:
     max_travel_minutes: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        _check_epsilon(self.epsilon, "epsilon")
         for name in ("travel_cost_rate", "wait_cost_rate"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -580,6 +587,8 @@ def instance_from_dict(data: dict) -> Instance:
                 raise ParseError(f"travel[{n}]: unknown station id {j}")
             travel[(i, j)] = _number(t, f"travel[{n}][2]")
     max_travel = opts.get("max_travel_minutes")
+    epsilon = _number(opts.get("epsilon", 1e-6), "options.epsilon")
+    _check_epsilon(epsilon, "options.epsilon")
     return make_instance(
         dps,
         sts,
@@ -589,7 +598,7 @@ def instance_from_dict(data: dict) -> Instance:
         travel=travel,
         speed_kmh=_number(opts.get("speed_kmh", 30.0), "options.speed_kmh"),
         max_travel_minutes=None if max_travel is None else _number(max_travel, "options.max_travel_minutes"),
-        epsilon=_number(opts.get("epsilon", 1e-6), "options.epsilon"),
+        epsilon=epsilon,
         enforce_proximity=_boolean(opts.get("enforce_proximity", False), "options.enforce_proximity"),
     )
 

@@ -277,6 +277,8 @@ class TestBadInput:
         (lambda d: d["stations"][0]["max_chargers"].update({"fast": 2}), "charger type id 'fast'"),
         (lambda d: d["options"].update(enforce_proximity="false"), "options.enforce_proximity"),
         (lambda d: d["stations"][0].update(is_garage=1), "stations[0].is_garage"),
+        # 1 - 1e-17 rounds to 1, so the margin would vanish
+        (lambda d: d["options"].update(epsilon=1e-17), "options.epsilon"),
     ])
     def test_malformed_instance_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
         report = tmp_path / "report.json"

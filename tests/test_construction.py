@@ -1,9 +1,11 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
 
+from chargeplan import construction
 from chargeplan.construction import (
     AssignmentSet,
     best_chargers,
@@ -18,6 +20,7 @@ from chargeplan.model import (
     CandidateStation,
     ChargerType,
     DemandPoint,
+    check_feasibility,
     make_instance,
 )
 from chargeplan.queueing import expected_wait, min_chargers
@@ -155,6 +158,176 @@ class TestCoverSets:
     def test_deterministic(self):
         inst = coverage_instance({0: [0, 1], 1: [1, 2]}, 3)
         assert cover_sets(inst, 8) == cover_sets(inst, 8)
+
+
+def reference_min_cover_size(all_demands, served, covering) -> int:
+    """The minimum-cover search as it stood before the packing bound."""
+    best = math.inf
+
+    def dfs(remaining: frozenset[int], size: int) -> None:
+        nonlocal best
+        if not remaining:
+            best = min(best, size)
+            return
+        if size + 1 >= best:
+            return
+        pivot = min(remaining, key=lambda i: (len(covering[i]), i))
+        for j in covering[pivot]:
+            dfs(remaining - served[j], size + 1)
+
+    dfs(all_demands, 0)
+    if math.isinf(best):
+        raise InfeasibleError("no station subset covers every demand point")
+    return int(best)
+
+
+def reference_cover_sets(instance, population_size: int) -> list[frozenset[int]]:
+    """The cover enumeration as it stood before the visited set and the
+    packing bound: it walks every ordering of every subset. Kept as the
+    referee for the order and content of :func:`cover_sets`."""
+    if population_size < 1:
+        raise ValueError("population_size must be >= 1")
+    all_demands = frozenset(d.id for d in instance.demand_points)
+    if not all_demands:
+        return [frozenset()]
+    station_ids = sorted(s.id for s in instance.stations)
+    served = {j: frozenset(instance.station_by_id[j].served) for j in station_ids}
+    covering = {
+        d.id: [j for j in station_ids if d.id in served[j]] for d in instance.demand_points
+    }
+    best_size = reference_min_cover_size(all_demands, served, covering)
+
+    found: dict[frozenset[int], None] = {}
+
+    def backtrack(remaining: frozenset[int], active: frozenset[int], pool: tuple[int, ...]) -> None:
+        if len(found) >= population_size:
+            return
+        if not remaining:
+            if len(active) in (best_size, best_size + 1):
+                found.setdefault(active, None)
+            return
+        if len(active) >= best_size + 1:
+            return
+        for idx, j in enumerate(pool):
+            if len(found) >= population_size:
+                return
+            backtrack(remaining - served[j], active | {j}, pool[:idx] + pool[idx + 1:])
+
+    backtrack(all_demands, frozenset(), tuple(station_ids))
+    return list(found)
+
+
+def random_reach(rng: random.Random, n_stations: int) -> dict[int, list[int]]:
+    """A reach map of 1-9 demands, each reaching a random nonempty subset of
+    the stations, some narrow and some wide."""
+    return {
+        i: sorted(rng.sample(range(n_stations), rng.randint(1, max(1, n_stations // rng.choice([1, 2, 3])))))
+        for i in range(rng.randint(1, 9))
+    }
+
+
+def search_maps(instance):
+    """The ``served`` and ``covering`` maps that the cover searches build."""
+    served = {s.id: frozenset(s.served) for s in instance.stations}
+    covering = {d.id: [j for j in sorted(served) if d.id in served[j]] for d in instance.demand_points}
+    return served, covering
+
+
+def min_cover_by_scan(reach: dict[int, list[int]], demands, n_stations: int) -> int:
+    """Smallest number of stations that cover ``demands``, by trying every
+    station combination in order of size."""
+    for r in range(n_stations + 1):
+        for combo in itertools.combinations(range(n_stations), r):
+            if all(set(reach[i]) & set(combo) for i in demands):
+                return r
+    raise AssertionError("uncoverable")
+
+
+def geometric_reach(seed: int, n_demands=96, n_stations=60, radius=0.17) -> dict[int, list[int]]:
+    """Stations and demands drawn in the unit square; a demand reaches the
+    stations within ``radius``, and demands that reach none are redrawn."""
+    rng = random.Random(seed)
+    stations = [(rng.random(), rng.random()) for _ in range(n_stations)]
+    reach: dict[int, list[int]] = {}
+    while len(reach) < n_demands:
+        x, y = rng.random(), rng.random()
+        near = [j for j, (sx, sy) in enumerate(stations) if (x - sx) ** 2 + (y - sy) ** 2 <= radius ** 2]
+        if near:
+            reach[len(reach)] = near
+    return reach
+
+
+class TestCoverSearch:
+    """The visited set and the packing bound change neither the covers nor
+    their order; the deadline bounds the search."""
+
+    @pytest.mark.parametrize("n_stations", [2, 5, 8])
+    def test_same_covers_in_same_order_as_reference(self, n_stations):
+        rng = random.Random(100 + n_stations)
+        for _ in range(40):
+            inst = coverage_instance(random_reach(rng, n_stations), n_stations)
+            for population in (1, 5, 30, 10_000):
+                assert cover_sets(inst, population) == reference_cover_sets(inst, population)
+
+    def test_min_cover_size_matches_combination_scan(self):
+        rng = random.Random(21)
+        for _ in range(120):
+            n_stations = rng.choice([2, 5, 8])
+            reach = random_reach(rng, n_stations)
+            inst = coverage_instance(reach, n_stations)
+            served, covering = search_maps(inst)
+            size = construction._min_cover_size(frozenset(reach), served, covering, len(min_stations(inst)))
+            assert size == min_cover_by_scan(reach, reach, n_stations)
+
+    def test_packing_bound_never_exceeds_minimum_cover(self):
+        rng = random.Random(34)
+        for _ in range(300):
+            n_stations = rng.choice([2, 5, 8])
+            reach = random_reach(rng, n_stations)
+            _, covering = search_maps(coverage_instance(reach, n_stations))
+            remaining = rng.sample(sorted(reach), rng.randint(1, len(reach)))
+            packed = construction._packing_bound(remaining, covering)
+            assert 1 <= packed <= min_cover_by_scan(reach, remaining, n_stations)
+
+    def test_each_station_subset_searched_once(self, monkeypatch):
+        # demand i reaches only station i: the one cover is every station, and
+        # no bound prunes, so the search meets all 2^n subsets; walking every
+        # ordering instead would bound about e * n! times. The minimum-cover
+        # search on this map is one chain of at most n calls.
+        n = 10
+        inst = coverage_instance({i: [i] for i in range(n)}, n)
+        bound = construction._packing_bound
+        calls = 0
+
+        def counted(remaining, covering):
+            nonlocal calls
+            calls += 1
+            assert calls <= 2 ** n + n, "a station subset was searched twice"
+            return bound(remaining, covering)
+
+        monkeypatch.setattr(construction, "_packing_bound", counted)
+        assert cover_sets(inst, 2) == [frozenset(range(n))]
+
+    def test_passed_deadline_falls_back_to_greedy_cover(self):
+        inst = coverage_instance(geometric_reach(0), 60)
+        assert cover_sets(inst, 30, deadline=0.0) == [min_stations(inst)]
+
+    def test_ga_time_limit_holds_through_cover_search(self):
+        # the cover search alone runs past 15 s here; with a 1 s limit the GA
+        # must stop inside the search and still report a feasible plan
+        inst = coverage_instance(geometric_reach(0), 60)
+        t0 = time.perf_counter()
+        report = genetic_algorithm(inst, GAParams(population_size=30, seed=0), time_limit=1.0)
+        elapsed = time.perf_counter() - t0
+        assert elapsed < 1.0 + 0.5
+        assert report.terminated_by == "time"
+        assert report.stats["cover_search_cut"] is True
+        assert check_feasibility(inst, report.best) == []
+
+    def test_untimed_report_has_no_cut_key(self):
+        inst = coverage_instance({0: [0, 1], 1: [1, 2], 2: [2]}, 3)
+        report = genetic_algorithm(inst, GAParams(population_size=4, max_iterations=20))
+        assert "cover_search_cut" not in report.stats
 
 
 class TestDemandAssignment:

@@ -353,6 +353,23 @@ class TestInputValidation:
             with pytest.raises(ValueError, match=name):
                 self.build(**{name: bad})
 
+    def test_epsilon_must_leave_a_margin_after_rounding(self):
+        p = self.parts()
+        build = lambda eps: make_instance(
+            p["demand_points"], p["stations"], p["charger_types"], travel_cost_rate=1.0,
+            wait_cost_rate=1.0, travel={(d.id, s.id): 2.0 for d in p["demand_points"] for s in p["stations"]},
+            epsilon=eps,
+        )
+        for eps in (1e-17, 5.5e-17, 0.0, 1.0, -0.1, math.nan):
+            with pytest.raises(ValueError, match="epsilon"):
+                build(eps)
+        for eps in (5.6e-17, 1e-16, 0.5):
+            assert 1.0 - build(eps).epsilon < 1.0
+        data = instance_to_dict(self.build())
+        data["options"]["epsilon"] = 1e-17
+        with pytest.raises(ValueError, match="options.epsilon"):
+            instance_from_dict(data)
+
     @pytest.mark.parametrize("entry, message", [
         ([7, 0, 2.0], "travel\\[1\\]: unknown demand id 7"),
         ([0, 7, 2.0], "travel\\[1\\]: unknown station id 7"),
