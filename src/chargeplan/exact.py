@@ -21,7 +21,7 @@ from typing import Iterable, Mapping
 
 from . import model as mdl
 from . import queueing
-from .construction import AssignmentSet, build_solution, size_pair
+from .construction import AssignmentSet, best_chargers, build_solution, size_pair
 from .errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError, ParseError
 
 _PRUNE_MARGIN = 1e-9
@@ -84,16 +84,18 @@ def root_lower_bound(instance: mdl.Instance) -> float:
 
 
 class _PairSizer:
-    """Memoized exact sizing of one (station, type, demand-subset) pair."""
+    """Memoized exact sizing of (station, type) pairs, keyed by the pair and
+    its load. A load is summed in ``instance.demand_order`` wherever it is
+    formed, so one assignment's pair always meets the same key."""
 
     def __init__(self, instance: mdl.Instance):
         self.instance = instance
-        self._memo: dict[tuple[int, int, int], tuple[int, float] | None] = {}
+        self._memo: dict[tuple[int, int, float], tuple[int, float] | None] = {}
 
-    def best(self, j: int, k: int, mask: int, load: float) -> tuple[int, float] | None:
+    def best(self, j: int, k: int, load: float) -> tuple[int, float] | None:
         """(charger count, charger+wait cost) for the pair, or None if the
         load cannot be stabilized within the capacity."""
-        key = (j, k, mask)
+        key = (j, k, load)
         if key in self._memo:
             return self._memo[key]
         inst, kt = self.instance, self.instance.type_by_id[k]
@@ -105,10 +107,6 @@ class _PairSizer:
         cost = kt.unit_cost_rate * s + load * inst.wait_cost_rate * wait
         self._memo[key] = (s, cost)
         return self._memo[key]
-
-
-def _order_demands(instance: mdl.Instance) -> list[mdl.DemandPoint]:
-    return sorted(instance.demand_points, key=lambda d: (-d.rate, d.id))
 
 
 def _choices_for(instance: mdl.Instance, d: mdl.DemandPoint) -> list[tuple[int, int, float]]:
@@ -125,6 +123,15 @@ def _choices_for(instance: mdl.Instance, d: mdl.DemandPoint) -> list[tuple[int, 
     return opts
 
 
+def _solution(
+    instance: mdl.Instance, demands: Iterable[mdl.DemandPoint], path: Iterable[tuple[int, int]]
+) -> mdl.Solution:
+    """The deployment that sends ``demands[d]`` to the pair ``path[d]``,
+    sized and priced as SA and GA price theirs."""
+    assignment = AssignmentSet(frozenset((d.id, j, k) for d, (j, k) in zip(demands, path)))
+    return build_solution(instance, assignment, best_chargers(instance, assignment))
+
+
 def brute_force(
     instance: mdl.Instance,
     *,
@@ -133,11 +140,7 @@ def brute_force(
     """Exhaustive enumeration of every assignment vector; the reference
     oracle for everything else. Gap is exactly zero on success."""
     t0 = time.perf_counter()
-    demands = _order_demands(instance)
-    if not demands:
-        sol = mdl.Solution(frozenset(), frozenset(), {}, {}, None)
-        return SolverReport(best=sol, lower_bound=0.0, upper_bound=0.0, gap=0.0)
-
+    demands = instance.demand_order
     choices = [_choices_for(instance, d) for d in demands]
     n_leaves = 1.0
     for c in choices:
@@ -150,20 +153,18 @@ def brute_force(
     rates = [d.rate for d in demands]
     ids = [d.id for d in demands]
 
-    masks: dict[tuple[int, int], int] = {}
     loads: dict[tuple[int, int], float] = {}
     picked: list[tuple[int, int]] = [(-1, -1)] * n
     best_cost = math.inf
     best_picked: list[tuple[int, int]] | None = None
-    best_counts: dict[tuple[int, int], int] = {}
     station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
 
     def leaf(travel_acc: float) -> None:
-        nonlocal best_cost, best_picked, best_counts
+        nonlocal best_cost, best_picked
         cost = travel_acc
         stations_seen: set[int] = set()
-        for (j, k), mask in masks.items():
-            sized = sizer.best(j, k, mask, loads[(j, k)])
+        for (j, k), load in loads.items():
+            sized = sizer.best(j, k, load)
             if sized is None:
                 return
             cost += sized[1]
@@ -177,38 +178,29 @@ def brute_force(
         if cost < best_cost:
             best_cost = cost
             best_picked = picked.copy()
-            best_counts = {key: sizer.best(*key, mask, loads[key])[0] for key, mask in masks.items()}
 
     def rec(d: int, travel_acc: float) -> None:
         if d == n:
             leaf(travel_acc)
             return
-        bit = 1 << d
         lam = rates[d]
         i = ids[d]
         for (j, k, _) in choices[d]:
             key = (j, k)
-            old_mask = masks.get(key)
-            old_load = loads.get(key, 0.0)
-            masks[key] = (old_mask or 0) | bit
-            loads[key] = old_load + lam
+            old_load = loads.get(key)
+            loads[key] = (old_load or 0.0) + lam
             picked[d] = (j, k)
             rec(d + 1, travel_acc + lam * instance.travel_cost_rate * instance.travel[(i, j)])
-            if old_mask is None:
-                del masks[key]
+            if old_load is None:
                 del loads[key]
             else:
-                masks[key] = old_mask
                 loads[key] = old_load
 
     rec(0, 0.0)
     if best_picked is None:
         raise InfeasibleError("no assignment vector admits stable queues within capacity")
 
-    assignment = AssignmentSet(
-        frozenset((ids[d], best_picked[d][0], best_picked[d][1]) for d in range(n))
-    )
-    solution = build_solution(instance, assignment, best_counts)
+    solution = _solution(instance, demands, best_picked)
     total = solution.cost.total
     return SolverReport(
         best=solution,
@@ -225,14 +217,14 @@ class _Node:
     """One partial assignment: the (station, type) pair of each demand in
     search order, and the sums that bounding and leaf pricing read from it,
     accumulated in path order so bounds do not depend on how a node was
-    reached."""
+    reached. The path follows ``instance.demand_order``, so a full path's
+    loads equal :func:`model.pair_loads` of its assignment bit for bit."""
 
-    __slots__ = ("path", "loads", "masks", "stations", "committed", "travel")
+    __slots__ = ("path", "loads", "stations", "committed", "travel")
 
     def __init__(self) -> None:
         self.path: tuple[tuple[int, int], ...] = ()
         self.loads: dict[tuple[int, int], float] = {}
-        self.masks: dict[tuple[int, int], int] = {}  # bits: positions of the pair's demands
         self.stations: set[int] = set()
         self.committed = 0.0  # travel + service-time cost of the assigned demands
         self.travel = 0.0  # travel cost of the assigned demands
@@ -240,7 +232,7 @@ class _Node:
     def copy(self) -> "_Node":
         node = _Node.__new__(_Node)
         node.path, node.committed, node.travel = self.path, self.committed, self.travel
-        node.loads, node.masks, node.stations = dict(self.loads), dict(self.masks), set(self.stations)
+        node.loads, node.stations = dict(self.loads), set(self.stations)
         return node
 
 
@@ -250,7 +242,7 @@ class _TreeSearch:
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
         self.config = config
-        self.demands = _order_demands(instance)
+        self.demands = instance.demand_order
         self.n = len(self.demands)
         self.choices = [_choices_for(instance, d) for d in self.demands]
         self.future_floor = [min((c[2] for c in ch), default=0.0) for ch in self.choices]
@@ -296,7 +288,6 @@ class _TreeSearch:
         t = self.instance.travel[(d.id, j)]
         node.path += (pair,)
         node.loads[pair] = node.loads.get(pair, 0.0) + d.rate
-        node.masks[pair] = node.masks.get(pair, 0) | (1 << depth)
         node.stations.add(j)
         node.committed += d.rate * (
             self.instance.travel_cost_rate * t
@@ -357,25 +348,13 @@ class _TreeSearch:
     def leaf_cost(self, node: _Node) -> tuple[float, dict[tuple[int, int], int]] | None:
         cost = node.travel + sum(self.station_cost[j] for j in sorted(node.stations))
         chargers: dict[tuple[int, int], int] = {}
-        for (j, k), mask in sorted(node.masks.items()):
-            sized = self.sizer.best(j, k, mask, node.loads[(j, k)])
+        for (j, k), load in sorted(node.loads.items()):
+            sized = self.sizer.best(j, k, load)
             if sized is None:
                 return None
             chargers[(j, k)] = sized[0]
             cost += sized[1]
         return cost, chargers
-
-    def _solution_from(
-        self, path: tuple[tuple[int, int], ...], chargers: Mapping[tuple[int, int], int]
-    ) -> mdl.Solution:
-        """The incumbent of ``path`` with the charger counts its leaf was
-        priced with."""
-        assignment = AssignmentSet(
-            frozenset(
-                (self.demands[d].id, j, k) for d, (j, k) in enumerate(path)
-            )
-        )
-        return build_solution(self.instance, assignment, chargers)
 
     # -- search ------------------------------------------------------------
 
@@ -404,21 +383,16 @@ class _TreeSearch:
     def solve(self) -> SolverReport:
         t0 = time.perf_counter()
         best_path: tuple[tuple[int, int], ...] | None = None
-        best_counts: dict[tuple[int, int], int] = {}
         upper = math.inf
         time_to_best = 0.0
         nodes = 0
         terminated = "optimality"
 
-        if self.n == 0:
-            sol = mdl.Solution(frozenset(), frozenset(), {}, {}, None)
-            return SolverReport(best=sol, lower_bound=0.0, upper_bound=0.0, gap=0.0)
-
         def register(leaf: _Node) -> None:
-            nonlocal best_path, best_counts, upper, time_to_best
+            nonlocal best_path, upper, time_to_best
             res = self.leaf_cost(leaf)
             if res is not None and res[0] < upper:
-                best_path, best_counts, upper = leaf.path, res[1], res[0]
+                best_path, upper = leaf.path, res[0]
                 time_to_best = time.perf_counter() - t0
                 self._cuts_at_incumbent(leaf.loads, res[1])
 
@@ -479,7 +453,7 @@ class _TreeSearch:
         if best_path is None:
             raise InfeasibleError("no stable assignment exists within charger capacities")
 
-        solution = self._solution_from(best_path, best_counts)
+        solution = _solution(self.instance, self.demands, best_path)
         total = solution.cost.total
         if terminated == "optimality" and not heap:
             lower = total  # search tree exhausted: the incumbent is proven optimal

@@ -233,7 +233,9 @@ def genetic_algorithm(
 
     ``time_limit`` also bounds the cover search; when it runs out there, the
     report's stats carry ``cover_search_cut`` and the run stops before its
-    first generation.
+    first generation. It bounds the pricing of the initial population too:
+    past the deadline, pricing stops once one chromosome has a finite cost,
+    and ``population_size`` in the stats counts the chromosomes priced.
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
@@ -245,13 +247,17 @@ def genetic_algorithm(
     stats = {"cover_search_cut": True} if deadline is not None and time.perf_counter() > deadline else {}
     population: list[_Chromosome] = []
     idx = 0
+    priced = False  # some chromosome has a finite cost
     while len(population) < params.population_size:
+        if priced and deadline is not None and time.perf_counter() > deadline:
+            break
         # fewer distinct covers than N: cycle them with fresh assignment
         # draws so the initial charger-type patterns stay diverse
         active = covers[idx % len(covers)]
         idx += 1
         cost, sol = _try_candidate(instance, frozenset(active), params.assignment_randomness, rng)
         population.append(_Chromosome(frozenset(active), cost, sol))
+        priced = priced or sol is not None
 
     def fittest(chroms: list[_Chromosome]) -> _Chromosome:
         return min(chroms, key=lambda c: (c.cost, sorted(c.active)))

@@ -158,11 +158,18 @@ class Instance:
         object.__setattr__(self, "demand_by_id", _by_id("demand", self.demand_points))
         object.__setattr__(self, "station_by_id", _by_id("station", self.stations))
         object.__setattr__(self, "type_by_id", _by_id("charger type", self.charger_types))
+        order = tuple(sorted(self.demand_points, key=lambda d: (-d.rate, d.id)))
+        object.__setattr__(self, "demand_order", order)
+        object.__setattr__(self, "demand_rank", {d.id: r for r, d in enumerate(order)})
 
     # filled in __post_init__
     demand_by_id: Mapping[int, DemandPoint] = field(init=False, repr=False, compare=False)
     station_by_id: Mapping[int, CandidateStation] = field(init=False, repr=False, compare=False)
     type_by_id: Mapping[int, ChargerType] = field(init=False, repr=False, compare=False)
+    # demand points by descending rate, then id: the order in which the exact
+    # searches assign demands and pair_loads sums a load
+    demand_order: tuple[DemandPoint, ...] = field(init=False, repr=False, compare=False)
+    demand_rank: Mapping[int, int] = field(init=False, repr=False, compare=False)  # id -> position
 
     def station_cap(self, station_id: int, type_id: int) -> int:
         return self.station_by_id[station_id].max_chargers.get(type_id, 0)
@@ -268,11 +275,14 @@ class Solution:
 
 
 def pair_loads(instance: Instance, assignments: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], float]:
-    """Arrival rate routed to each (station, type) pair, summed in id order."""
-    lam = instance.demand_by_id
+    """Arrival rate routed to each (station, type) pair, its rates summed in
+    ``instance.demand_order``. Float addition is not associative, so one
+    order is what lets every solver, :func:`evaluate` and
+    :func:`check_feasibility` see the same load for the same assignment."""
+    rank, order = instance.demand_rank, instance.demand_order
     loads: dict[tuple[int, int], float] = {}
-    for (i, j, k) in sorted(assignments):
-        loads[(j, k)] = loads.get((j, k), 0.0) + lam[i].rate
+    for (r, j, k) in sorted([(rank[i], j, k) for (i, j, k) in assignments]):
+        loads[(j, k)] = loads.get((j, k), 0.0) + order[r].rate
     return loads
 
 

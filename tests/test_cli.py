@@ -66,6 +66,22 @@ class TestGenDemand:
         assert "warning" in err
         assert strip_meta(out)["demand_points"] == []
 
+    @pytest.mark.parametrize("method", ["brute", "bnb", "sa", "ga"])
+    def test_instance_without_demand_solves_at_zero_cost(self, data_dir, tmp_path, method):
+        blocks = tmp_path / "empty.csv"
+        with open(data_dir / "sample_blocks.csv") as fh:
+            blocks.write_text(fh.readline())
+        inst = tmp_path / "instance.json"
+        assert main([
+            "gen-demand", "--blocks", str(blocks),
+            "--stations", str(data_dir / "sample_stations.csv"),
+            "--range-min", "360", "--out", str(inst),
+        ]) == 0
+        out = tmp_path / "report.json"
+        assert main(["solve", str(inst), "--method", method, "--out", str(out)]) == 0
+        assert strip_meta(out)["solution"]["cost"]["total"] == 0.0
+        assert main(["validate", str(inst), str(out)]) == 0
+
     def test_event_count_matches_hand_walk(self, data_dir, tmp_path):
         # ten copies of the reference block, shifted: 2 events each
         src = (data_dir / "sample_blocks.csv").read_text().strip().splitlines()

@@ -19,6 +19,7 @@ from chargeplan.exact import (
     report_gap,
     root_lower_bound,
 )
+from chargeplan.metaheuristics import GAParams, SAParams, genetic_algorithm, simulated_annealing
 from chargeplan.model import (
     CandidateStation,
     ChargerType,
@@ -27,6 +28,7 @@ from chargeplan.model import (
     check_feasibility,
     compute_waits,
     make_instance,
+    pair_loads,
 )
 from chargeplan.queueing import capacity, expected_wait, min_chargers, tangent_cut
 
@@ -313,6 +315,44 @@ class TestStabilityBoundary:
             }
             assert verdicts == dict.fromkeys(verdicts, stable), (load, verdicts)
 
+
+class TestLoadOrder:
+    """A pair's load is one float, however a solver forms it."""
+
+    @staticmethod
+    def full_capacity_instance():
+        """Rates 0.1, 0.2 and 0.3 (in id order) on one charger of capacity
+        0.6: summed in id order they come to 0.6000000000000001, in
+        descending-rate order to exactly 0.6. The optimum costs 1 (station)
+        + 1 (charger) + 0.6 (travel) + 1.5 (waiting) = 4.1."""
+        kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0)
+        dps = [DemandPoint(id=i, lat=0.0, lon=0.0, rate=r) for i, r in enumerate((0.1, 0.2, 0.3))]
+        st = CandidateStation(id=0, lat=0.0, lon=0.0, fixed_cost_rate=1.0, max_chargers={0: 1})
+        return make_instance(
+            dps, [st], [kt], travel_cost_rate=1.0, wait_cost_rate=1.0,
+            travel={(i, 0): 1.0 for i in range(3)}, epsilon=0.4,
+        )
+
+    @pytest.mark.parametrize("solve", [
+        brute_force,
+        branch_and_bound,
+        lambda inst: simulated_annealing(inst, SAParams(max_iterations=20)),
+        lambda inst: genetic_algorithm(inst, GAParams(max_iterations=20)),
+    ], ids=["brute", "bnb", "sa", "ga"])
+    def test_every_solver_prices_a_load_at_the_capacity_alike(self, solve):
+        inst = self.full_capacity_instance()
+        rep = solve(inst)
+        assert rep.best.cost.total == pytest.approx(4.1, abs=1e-12)
+        assert check_feasibility(inst, rep.best) == []
+
+    def test_search_loads_equal_pair_loads(self):
+        for seed in (3, 11, 19, 27):
+            inst = feasible_instance(seed, n_demand=5, n_station=2)
+            search = _TreeSearch(inst, SolverConfig())
+            choice_lists = [[(j, k) for (j, k, _) in ch] for ch in search.choices]
+            for path in itertools.product(*choice_lists):
+                assignment = [(d.id, j, k) for d, (j, k) in zip(search.demands, path)]
+                assert search.state(path).loads == pair_loads(inst, assignment)
 
 
 EPS = 1e-6

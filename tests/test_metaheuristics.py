@@ -89,6 +89,14 @@ class TestGeneticAlgorithm:
         rep = genetic_algorithm(inst, GAParams(population_size=12, max_iterations=200, seed=3))
         assert rep.stats["population_size"] == 12
 
+    def test_passed_deadline_stops_initial_pricing(self):
+        # the first chromosome has a finite cost, so pricing stops there
+        inst = small()
+        rep = genetic_algorithm(inst, GAParams(seed=1), time_limit=1e-9)
+        assert rep.stats["population_size"] == 1
+        assert rep.terminated_by == "time"
+        assert check_feasibility(inst, rep.best) == []
+
     def test_result_feasible(self):
         for seed in (7110, 7111):
             inst = small(seed)
