@@ -7,7 +7,9 @@ per-pair sizing rule, and waits sit at their steady-state values. The
 branch-and-bound assigns demands in descending-rate order, bounds partial
 assignments with travel and service-time floors, and tightens the waiting
 floors with exact tangent lines of the convex delay factor taken at
-every incumbent.
+every incumbent. Each pair's waiting floor depends only on its load and on
+the cuts of that pair, so the search memoizes it per pair by load and drops
+a pair's memo whenever a cut is added to that pair.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .construction import AssignmentSet, best_chargers, build_solution, size_pai
 from .errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError, ParseError
 
 _PRUNE_MARGIN = 1e-9
+_UNSEEN = object()  # a load whose floor is not memoized; None means "beyond capacity"
 
 
 @dataclass(frozen=True)
@@ -237,7 +240,12 @@ class _Node:
 
 
 class _TreeSearch:
-    """Best-first branch-and-bound over per-demand assignment choices."""
+    """Best-first branch-and-bound over per-demand assignment choices.
+
+    ``floors[(j, k)]`` memoizes :meth:`pair_floor_extra` of the pair by load,
+    ``None`` included. A pair's floor reads only the cuts keyed by that pair,
+    so :meth:`_cuts_at_incumbent` drops the pair's memo when it adds one, and
+    a memoized floor always equals a fresh call."""
 
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
@@ -249,32 +257,46 @@ class _TreeSearch:
         self.suffix = [0.0] * (self.n + 1)
         for d in range(self.n - 1, -1, -1):
             self.suffix[d] = self.suffix[d + 1] + self.future_floor[d]
+        # per depth, each reachable pair -> (rate, committed increment, travel
+        # increment); a choice's myopic cost is its committed increment
+        tcr = instance.travel_cost_rate
+        self.steps = [
+            {(j, k): (d.rate, myopic, d.rate * tcr * instance.travel[(d.id, j)]) for (j, k, myopic) in ch}
+            for d, ch in zip(self.demands, self.choices)
+        ]
         self.sizer = _PairSizer(instance)
         # cut pool: (station, type, servers) -> list of (intercept, slope)
         self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
         self.cut_keys: set[tuple[int, int, int, float]] = set()
+        self.floors: dict[tuple[int, int], dict[float, float | None]] = {}
         self.station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
-        # the largest stable load of each (station, type) pair at its cap
-        self.capacity = {
-            (s.id, k.id): queueing.capacity(k.service_rate, instance.station_cap(s.id, k.id), instance.epsilon)
+        # each (station, type) pair: (service rate, charger cap, unit cost), and
+        # the largest stable load at its cap
+        self.pair_params = {
+            (s.id, k.id): (k.service_rate, instance.station_cap(s.id, k.id), k.unit_cost_rate)
             for s in instance.stations
             for k in instance.charger_types
+        }
+        self.capacity = {
+            pair: queueing.capacity(mu, cap, instance.epsilon) for pair, (mu, cap, _) in self.pair_params.items()
         }
 
     # -- cut plumbing ------------------------------------------------------
 
     def _cuts_at_incumbent(self, loads: Mapping[tuple[int, int], float], chargers: Mapping[tuple[int, int], int]) -> None:
         """Add the tangent line of each equipped pair's delay factor at the
-        incumbent's utilization, once per (pair, servers, anchor)."""
+        incumbent's utilization, once per (pair, servers, anchor), and drop
+        the floor memo of each pair that gains a cut."""
         for (j, k), s in sorted(chargers.items()):
             load = loads.get((j, k), 0.0)
             if s < 1 or load <= 0:
                 continue
-            rho = load / (self.instance.type_by_id[k].service_rate * s)
+            rho = load / (self.pair_params[(j, k)][0] * s)
             key = (j, k, s, round(rho, 9))
             if 0.0 < rho < 1.0 and key not in self.cut_keys:
                 self.cut_keys.add(key)
                 self.cuts.setdefault((j, k, s), []).append(queueing.tangent_cut(rho, s))
+                self.floors.pop((j, k), None)
 
     # -- node state --------------------------------------------------------
 
@@ -282,46 +304,49 @@ class _TreeSearch:
         """Extend a node in place: its next demand goes to ``pair``, a
         (station, type) tuple that the new path holds itself, so that paths
         in the heap share their pairs."""
-        depth = len(node.path)
-        d = self.demands[depth]
-        j, k = pair
-        t = self.instance.travel[(d.id, j)]
+        rate, committed, travel = self.steps[len(node.path)][pair]
         node.path += (pair,)
-        node.loads[pair] = node.loads.get(pair, 0.0) + d.rate
-        node.stations.add(j)
-        node.committed += d.rate * (
-            self.instance.travel_cost_rate * t
-            + self.instance.wait_cost_rate / self.instance.type_by_id[k].service_rate
-        )
-        node.travel += d.rate * self.instance.travel_cost_rate * t
+        node.loads[pair] = node.loads.get(pair, 0.0) + rate
+        node.stations.add(pair[0])
+        node.committed += committed
+        node.travel += travel
 
     def state(self, path: Iterable[tuple[int, int]]) -> _Node:
-        """The node of a path, accumulated in path order."""
+        """The node of a path, accumulated in path order as :meth:`_assign`
+        accumulates it."""
         node = _Node()
-        for pair in path:
-            self._assign(node, pair)
+        node.path = tuple(path)
+        loads, stations = node.loads, node.stations
+        committed = travel = 0.0
+        for step, pair in zip(self.steps, node.path):
+            rate, c, t = step[pair]
+            loads[pair] = loads.get(pair, 0.0) + rate
+            stations.add(pair[0])
+            committed += c
+            travel += t
+        node.committed, node.travel = committed, travel
         return node
 
     # -- bounding ----------------------------------------------------------
 
     def pair_floor_extra(self, j: int, k: int, load: float) -> float | None:
         """Lower bound on charger cost plus committed waiting cost beyond the
-        service-time floor, minimized over every admissible charger count."""
-        kt = self.instance.type_by_id[k]
-        mu = kt.service_rate
-        cap = self.instance.station_cap(j, k)
+        service-time floor, minimized over every admissible charger count.
+        It reads the pair's cuts, so :meth:`node_bound` memoizes it per pair
+        only until the pair's next cut."""
+        mu, cap, unit = self.pair_params[(j, k)]
         smin = queueing.min_chargers(load, mu, self.instance.epsilon)
         if smin > cap:
             return None
         c_wait = load * self.instance.wait_cost_rate
         best = math.inf
         for s in range(smin, cap + 1):
-            base = kt.unit_cost_rate * s
+            base = unit * s
             if base >= best:
                 break
             extra = 0.0
+            ms = mu * s
             for (a, b) in self.cuts.get((j, k, s), ()):
-                ms = mu * s
                 extra = max(extra, a / ms + b * load / (ms * ms))
             best = min(best, base + c_wait * extra)
         return best
@@ -332,12 +357,18 @@ class _TreeSearch:
         travel+service cost, and per-demand floors for the rest. None when
         some committed pair is already beyond capacity."""
         bound = (
-            sum(self.station_cost[j] for j in sorted(node.stations))
+            sum(map(self.station_cost.__getitem__, sorted(node.stations)))
             + node.committed
             + self.suffix[len(node.path)]
         )
-        for (j, k), load in sorted(node.loads.items()):
-            floor = self.pair_floor_extra(j, k, load)
+        floors = self.floors
+        for pair, load in sorted(node.loads.items()):
+            memo = floors.get(pair)
+            if memo is None:
+                memo = floors[pair] = {}
+            floor = memo.get(load, _UNSEEN)
+            if floor is _UNSEEN:
+                floor = memo[load] = self.pair_floor_extra(*pair, load)
             if floor is None:
                 return None
             bound += floor
@@ -346,7 +377,7 @@ class _TreeSearch:
     # -- leaf evaluation ---------------------------------------------------
 
     def leaf_cost(self, node: _Node) -> tuple[float, dict[tuple[int, int], int]] | None:
-        cost = node.travel + sum(self.station_cost[j] for j in sorted(node.stations))
+        cost = node.travel + sum(map(self.station_cost.__getitem__, sorted(node.stations)))
         chargers: dict[tuple[int, int], int] = {}
         for (j, k), load in sorted(node.loads.items()):
             sized = self.sizer.best(j, k, load)

@@ -337,10 +337,10 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
 
     waits = compute_waits(instance, solution.assignments, solution.chargers)
 
-    station = sum(instance.station_by_id[j].fixed_cost_rate for j in sorted(solution.active))
+    station = sum((instance.station_by_id[j].fixed_cost_rate for j in sorted(solution.active)), 0.0)
     charger = sum(
-        instance.type_by_id[k].unit_cost_rate * s
-        for (j, k), s in sorted(solution.chargers.items())
+        (instance.type_by_id[k].unit_cost_rate * s for (j, k), s in sorted(solution.chargers.items())),
+        0.0,
     )
     travel = 0.0
     waiting = 0.0

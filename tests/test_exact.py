@@ -355,6 +355,66 @@ class TestLoadOrder:
                 assert search.state(path).loads == pair_loads(inst, assignment)
 
 
+class _Unmemoized(_TreeSearch):
+    """The referee for the floor memo: every node bound calls
+    ``pair_floor_extra`` afresh for each of its pairs."""
+
+    def node_bound(self, node):
+        bound = (
+            sum(self.station_cost[j] for j in sorted(node.stations))
+            + node.committed
+            + self.suffix[len(node.path)]
+        )
+        for (j, k), load in sorted(node.loads.items()):
+            floor = self.pair_floor_extra(j, k, load)
+            if floor is None:
+                return None
+            bound += floor
+        return bound
+
+
+class TestFloorMemo:
+    @staticmethod
+    def dive(search):
+        """The greedy leaf the search starts from."""
+        node = _Node()
+        while len(node.path) < search.n:
+            search._assign(node, search._children(node)[0])
+        return node
+
+    def test_a_cut_drops_the_memo_of_its_pair(self):
+        inst = feasible_instance(5, n_demand=8, n_station=3)
+        search = _TreeSearch(inst, SolverConfig())
+        node = self.dive(search)
+        before = search.node_bound(node)
+        assert all(load in search.floors[pair] for pair, load in node.loads.items())
+        _, chargers = search.leaf_cost(node)
+        pair = min(chargers)
+        search._cuts_at_incumbent(node.loads, {pair: chargers[pair]})
+        assert len(search.cut_keys) == 1
+        after = search.node_bound(node)
+        assert after == _Unmemoized.node_bound(search, node)
+        assert after > before  # the cut moved this node's bound
+
+    @pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
+    def test_search_equals_the_unmemoized_referee(self, proximity):
+        solved = 0
+        for seed in range(12):
+            inst = replace(feasible_instance(seed, n_demand=9, n_station=4), enforce_proximity=proximity)
+            try:
+                want = _Unmemoized(inst, SolverConfig()).solve()
+            except InfeasibleError:
+                with pytest.raises(InfeasibleError):
+                    branch_and_bound(inst)
+                continue
+            got = branch_and_bound(inst)
+            assert (got.nodes_explored, got.cuts_added, got.lower_bound, got.upper_bound, got.best.assignments) == (
+                want.nodes_explored, want.cuts_added, want.lower_bound, want.upper_bound, want.best.assignments
+            )
+            solved += 1
+        assert solved >= 10
+
+
 EPS = 1e-6
 
 
