@@ -291,6 +291,8 @@ def cmd_scenarios(args) -> int:
     if not baseline.feasible:
         print("baseline scenario infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
+    if baseline.total_cost <= 0:
+        raise ChargePlanError("baseline objective must be positive to compare scenarios against it")
 
     header = (
         ["scenario", "joint", "garage", "other", "status", "total_cost", "pct_increase_vs_baseline", "stations"]
@@ -441,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, InvalidKError, ValueError) as exc:
+    except (ParseError, InvalidKError, ValueError, OSError) as exc:  # OSError: an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (InfeasibleError, InfeasibleDemandError, UncoveredDemandError, InstanceTooLargeError) as exc:

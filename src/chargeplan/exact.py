@@ -9,7 +9,9 @@ assignments with travel and service-time floors, and tightens the waiting
 floors with exact tangent lines of the convex delay factor taken at
 every incumbent. Each pair's waiting floor depends only on its load and on
 the cuts of that pair, so the search memoizes it per pair by load and drops
-a pair's memo whenever a cut is added to that pair.
+a pair's memo whenever a cut is added to that pair. An open node is stored
+as (parent node, pair) and rebuilt from its parent when popped, and a bound
+of ``inf`` means the node has no stable completion.
 """
 
 from __future__ import annotations
@@ -24,10 +26,9 @@ from typing import Iterable, Mapping
 from . import model as mdl
 from . import queueing
 from .construction import AssignmentSet, best_chargers, build_solution, size_pair
-from .errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError, ParseError
+from .errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError
 
 _PRUNE_MARGIN = 1e-9
-_UNSEEN = object()  # a load whose floor is not memoized; None means "beyond capacity"
 
 
 @dataclass(frozen=True)
@@ -49,12 +50,16 @@ class SolverReport:
     best: mdl.Solution | None
     lower_bound: float
     upper_bound: float
-    gap: float
     nodes_explored: int = 0
     cuts_added: int = 0
     time_to_best: float = 0.0
     terminated_by: str = "optimality"  # optimality | gap | time
     stats: Mapping[str, object] = field(default_factory=dict)
+
+    @property
+    def gap(self) -> float:
+        """:func:`report_gap` of the bounds, so no solver stores its own."""
+        return report_gap(self.lower_bound, self.upper_bound)
 
 
 def compute_gap(lower: float, upper: float) -> float:
@@ -209,7 +214,6 @@ def brute_force(
         best=solution,
         lower_bound=total,
         upper_bound=total,
-        gap=0.0,
         nodes_explored=int(n_leaves),
         time_to_best=time.perf_counter() - t0,
         terminated_by="optimality",
@@ -218,32 +222,30 @@ def brute_force(
 
 class _Node:
     """One partial assignment: the (station, type) pair of each demand in
-    search order, and the sums that bounding and leaf pricing read from it,
-    accumulated in path order so bounds do not depend on how a node was
-    reached. The path follows ``instance.demand_order``, so a full path's
-    loads equal :func:`model.pair_loads` of its assignment bit for bit."""
+    search order, and the sums that bounding and leaf pricing read from it.
+    A node is the root or :meth:`_TreeSearch._child` of its parent, so its
+    sums are accumulated in path order however it was reached. The path
+    follows ``instance.demand_order``, so a full path's loads equal
+    :func:`model.pair_loads` of its assignment bit for bit."""
 
     __slots__ = ("path", "loads", "stations", "committed", "travel")
 
     def __init__(self) -> None:
         self.path: tuple[tuple[int, int], ...] = ()
         self.loads: dict[tuple[int, int], float] = {}
-        self.stations: set[int] = set()
+        self.stations: frozenset[int] = frozenset()
         self.committed = 0.0  # travel + service-time cost of the assigned demands
         self.travel = 0.0  # travel cost of the assigned demands
-
-    def copy(self) -> "_Node":
-        node = _Node.__new__(_Node)
-        node.path, node.committed, node.travel = self.path, self.committed, self.travel
-        node.loads, node.stations = dict(self.loads), set(self.stations)
-        return node
 
 
 class _TreeSearch:
     """Best-first branch-and-bound over per-demand assignment choices.
 
+    A heap entry is (bound, sequence number, parent node, pair): the open
+    node is the parent's :meth:`_child` by that pair, rebuilt when popped,
+    so a parent stays alive until its last child is popped.
     ``floors[(j, k)]`` memoizes :meth:`pair_floor_extra` of the pair by load,
-    ``None`` included. A pair's floor reads only the cuts keyed by that pair,
+    ``inf`` included. A pair's floor reads only the cuts keyed by that pair,
     so :meth:`_cuts_at_incumbent` drops the pair's memo when it adds one, and
     a memoized floor always equals a fresh call."""
 
@@ -252,18 +254,21 @@ class _TreeSearch:
         self.config = config
         self.demands = instance.demand_order
         self.n = len(self.demands)
-        self.choices = [_choices_for(instance, d) for d in self.demands]
-        self.future_floor = [min((c[2] for c in ch), default=0.0) for ch in self.choices]
-        self.suffix = [0.0] * (self.n + 1)
-        for d in range(self.n - 1, -1, -1):
-            self.suffix[d] = self.suffix[d + 1] + self.future_floor[d]
-        # per depth, each reachable pair -> (rate, committed increment, travel
-        # increment); a choice's myopic cost is its committed increment
+        # per depth, each reachable pair, cheapest first -> (rate, committed
+        # increment, travel increment); a choice's myopic cost is its
+        # committed increment
         tcr = instance.travel_cost_rate
         self.steps = [
-            {(j, k): (d.rate, myopic, d.rate * tcr * instance.travel[(d.id, j)]) for (j, k, myopic) in ch}
-            for d, ch in zip(self.demands, self.choices)
+            {
+                (j, k): (d.rate, myopic, d.rate * tcr * instance.travel[(d.id, j)])
+                for (j, k, myopic) in _choices_for(instance, d)
+            }
+            for d in self.demands
         ]
+        # cheapest committed cost of the demands from each depth on
+        self.suffix = [0.0] * (self.n + 1)
+        for d in range(self.n - 1, -1, -1):
+            self.suffix[d] = self.suffix[d + 1] + min((c for (_, c, _) in self.steps[d].values()), default=0.0)
         self.sizer = _PairSizer(instance)
         # cut pool: (station, type, servers) -> list of (intercept, slope)
         self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
@@ -300,44 +305,29 @@ class _TreeSearch:
 
     # -- node state --------------------------------------------------------
 
-    def _assign(self, node: _Node, pair: tuple[int, int]) -> None:
-        """Extend a node in place: its next demand goes to ``pair``, a
-        (station, type) tuple that the new path holds itself, so that paths
-        in the heap share their pairs."""
-        rate, committed, travel = self.steps[len(node.path)][pair]
-        node.path += (pair,)
+    def _child(self, parent: _Node, pair: tuple[int, int]) -> _Node:
+        """A new node that extends ``parent``: its next demand goes to
+        ``pair``, a (station, type) tuple the child's path holds itself."""
+        rate, committed, travel = self.steps[len(parent.path)][pair]
+        node = _Node.__new__(_Node)
+        node.path = parent.path + (pair,)
+        node.loads = dict(parent.loads)
         node.loads[pair] = node.loads.get(pair, 0.0) + rate
-        node.stations.add(pair[0])
-        node.committed += committed
-        node.travel += travel
-
-    def state(self, path: Iterable[tuple[int, int]]) -> _Node:
-        """The node of a path, accumulated in path order as :meth:`_assign`
-        accumulates it."""
-        node = _Node()
-        node.path = tuple(path)
-        loads, stations = node.loads, node.stations
-        committed = travel = 0.0
-        for step, pair in zip(self.steps, node.path):
-            rate, c, t = step[pair]
-            loads[pair] = loads.get(pair, 0.0) + rate
-            stations.add(pair[0])
-            committed += c
-            travel += t
-        node.committed, node.travel = committed, travel
+        node.stations = parent.stations | {pair[0]}
+        node.committed = parent.committed + committed
+        node.travel = parent.travel + travel
         return node
 
     # -- bounding ----------------------------------------------------------
 
-    def pair_floor_extra(self, j: int, k: int, load: float) -> float | None:
+    def pair_floor_extra(self, j: int, k: int, load: float) -> float:
         """Lower bound on charger cost plus committed waiting cost beyond the
-        service-time floor, minimized over every admissible charger count.
-        It reads the pair's cuts, so :meth:`node_bound` memoizes it per pair
-        only until the pair's next cut."""
+        service-time floor, minimized over every admissible charger count:
+        ``inf`` when no count up to the cap is admissible. It reads the
+        pair's cuts, so :meth:`node_bound` memoizes it per pair only until
+        the pair's next cut."""
         mu, cap, unit = self.pair_params[(j, k)]
         smin = queueing.min_chargers(load, mu, self.instance.epsilon)
-        if smin > cap:
-            return None
         c_wait = load * self.instance.wait_cost_rate
         best = math.inf
         for s in range(smin, cap + 1):
@@ -351,11 +341,12 @@ class _TreeSearch:
             best = min(best, base + c_wait * extra)
         return best
 
-    def node_bound(self, node: _Node) -> float | None:
+    def node_bound(self, node: _Node) -> float:
         """Valid lower bound on every completion of a partial assignment:
         committed station costs, per-pair charger/wait floors, committed
-        travel+service cost, and per-demand floors for the rest. None when
-        some committed pair is already beyond capacity."""
+        travel+service cost, and per-demand floors for the rest. ``inf``
+        when some committed pair is already beyond capacity, so that no
+        completion exists."""
         bound = (
             sum(map(self.station_cost.__getitem__, sorted(node.stations)))
             + node.committed
@@ -366,11 +357,9 @@ class _TreeSearch:
             memo = floors.get(pair)
             if memo is None:
                 memo = floors[pair] = {}
-            floor = memo.get(load, _UNSEEN)
-            if floor is _UNSEEN:
-                floor = memo[load] = self.pair_floor_extra(*pair, load)
+            floor = memo.get(load)
             if floor is None:
-                return None
+                floor = memo[load] = self.pair_floor_extra(*pair, load)
             bound += floor
         return bound
 
@@ -394,8 +383,8 @@ class _TreeSearch:
         depth = len(node.path)
         d = self.demands[depth]
         out = []
-        for (j, k, myopic) in self.choices[depth]:
-            if self.capacity[(j, k)] < node.loads.get((j, k), 0.0) + d.rate:
+        for (j, k), (rate, myopic, _) in self.steps[depth].items():
+            if self.capacity[(j, k)] < node.loads.get((j, k), 0.0) + rate:
                 continue
             if self.instance.enforce_proximity:
                 new_active = node.stations | {j}
@@ -433,16 +422,15 @@ class _TreeSearch:
             kids = self._children(node)
             if not kids:
                 break
-            self._assign(node, kids[0])
+            node = self._child(node, kids[0])
         if len(node.path) == self.n:
             register(node)
 
         lower = 0.0
-        heap: list[tuple[float, int, tuple[tuple[int, int], ...]]] = []
-        seq = itertools.count()
-        root_bound = self.node_bound(_Node())
-        if root_bound is not None:
-            heapq.heappush(heap, (root_bound, next(seq), ()))
+        root = _Node()
+        # (bound, seq, parent, pair); the root is the one entry without a pair
+        heap: list[tuple[float, int, _Node, tuple[int, int] | None]] = [(self.node_bound(root), 0, root, None)]
+        seq = itertools.count(1)
 
         while heap:
             if self.config.time_limit is not None and time.perf_counter() - t0 > self.config.time_limit:
@@ -450,26 +438,21 @@ class _TreeSearch:
                 if heap:
                     lower = max(lower, min(heap[0][0], upper))
                 break
-            key, _, path = heapq.heappop(heap)
+            key, _, parent, pair = heapq.heappop(heap)
             lower = max(lower, min(key, upper))
             if key >= upper - _PRUNE_MARGIN:
                 continue  # drain; monotone bounds make everything left prunable
-            # heap entries hold only the path, so open nodes stay small
-            node = self.state(path)
-            bound = self.node_bound(node)  # re-tightened by cuts added since push
-            if bound is None or bound >= upper - _PRUNE_MARGIN:
+            node = parent if pair is None else self._child(parent, pair)
+            if self.node_bound(node) >= upper - _PRUNE_MARGIN:  # re-tightened by cuts added since push
                 continue
             nodes += 1
-            if len(path) == self.n:
+            if len(node.path) == self.n:
                 register(node)
                 continue
             for pair in self._children(node):
-                kid = node.copy()
-                self._assign(kid, pair)
-                child_bound = self.node_bound(kid)
-                if child_bound is None or child_bound >= upper - _PRUNE_MARGIN:
-                    continue
-                heapq.heappush(heap, (child_bound, next(seq), kid.path))
+                child_bound = self.node_bound(self._child(node, pair))
+                if child_bound < upper - _PRUNE_MARGIN:
+                    heapq.heappush(heap, (child_bound, next(seq), node, pair))
 
             if (
                 self.config.gap_threshold > 0.0
@@ -494,7 +477,6 @@ class _TreeSearch:
             best=solution,
             lower_bound=lower,
             upper_bound=total,
-            gap=report_gap(lower, total),
             nodes_explored=nodes,
             cuts_added=len(self.cut_keys),
             time_to_best=time_to_best,
@@ -542,41 +524,25 @@ def solution_to_dict(solution: mdl.Solution) -> dict:
     }
 
 
-def _entries(data, key: str, default=None) -> list:
-    """The list at ``data[key]`` of a report solution, or ``default``."""
-    value = data.get(key, default) if isinstance(data, dict) else None
-    if not isinstance(value, list):
-        raise ParseError(f"solution.{key}: expected a list, got {value!r}")
-    return value
-
-
-def _fields(record, name: str, **kinds: type) -> tuple:
-    """The number fields of the report entry ``name``, each as its kind."""
-    for key in kinds:
-        if not isinstance(record, dict) or key not in record:
-            raise ParseError(f"{name}.{key}: missing required field")
-    return tuple(mdl._number(record[key], f"{name}.{key}", kind) for key, kind in kinds.items())
-
-
 def solution_from_dict(data: dict) -> mdl.Solution:
     """The solution of a report; a missing or malformed field is a
     ParseError that names it (``solution.chargers[0].count``)."""
     chargers = [
-        _fields(c, f"solution.chargers[{n}]", station=int, charger_type=int, count=int)
-        for n, c in enumerate(_entries(data, "chargers"))
+        mdl._fields(c, f"solution.chargers[{n}]", station=int, charger_type=int, count=int)
+        for n, c in enumerate(mdl._entries(data, "solution.chargers"))
     ]
     waits = [
-        _fields(w, f"solution.waits[{n}]", station=int, charger_type=int, minutes=float)
-        for n, w in enumerate(_entries(data, "waits", []))
+        mdl._fields(w, f"solution.waits[{n}]", station=int, charger_type=int, minutes=float)
+        for n, w in enumerate(mdl._entries(data, "solution.waits", []))
     ]
     return mdl.Solution(
         active=frozenset(
             mdl._number(j, f"solution.active_stations[{n}]", int)
-            for n, j in enumerate(_entries(data, "active_stations"))
+            for n, j in enumerate(mdl._entries(data, "solution.active_stations"))
         ),
         assignments=frozenset(
-            _fields(a, f"solution.assignments[{n}]", demand=int, station=int, charger_type=int)
-            for n, a in enumerate(_entries(data, "assignments"))
+            mdl._fields(a, f"solution.assignments[{n}]", demand=int, station=int, charger_type=int)
+            for n, a in enumerate(mdl._entries(data, "solution.assignments"))
         ),
         chargers={(j, k): count for j, k, count in chargers},
         waits={(j, k): minutes for j, k, minutes in waits},

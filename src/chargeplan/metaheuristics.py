@@ -29,7 +29,7 @@ from .construction import (
     min_stations,
 )
 from .errors import InfeasibleError
-from .exact import SolverReport, report_gap, root_lower_bound
+from .exact import SolverReport, root_lower_bound
 
 _TEMP_FLOOR = 1e-12
 _TOGGLE_LIMIT = 200_000
@@ -110,7 +110,6 @@ def _report(
         best=best,
         lower_bound=lower,
         upper_bound=total,
-        gap=report_gap(lower, total),
         nodes_explored=iterations,
         cuts_added=0,
         time_to_best=time_to_best,

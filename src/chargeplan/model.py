@@ -532,6 +532,30 @@ def _number(value, name: str, kind: type = float):
     return kind(value)
 
 
+def _entries(data, name: str, default=None, kind: type = list):
+    """The list (or, with ``kind=dict``, the object) that the object ``data``
+    holds at the last part of the dotted ``name``, or ``default`` when the
+    key is absent. A missing or null value, or one of another kind, is a
+    ParseError naming the field."""
+    value = data.get(name.rpartition(".")[2], default) if isinstance(data, dict) else None
+    if value is None:
+        raise ParseError(f"missing required field {name!r}")
+    if not isinstance(value, kind):
+        raise ParseError(f"{name}: expected {'a list' if kind is list else 'an object'}, got {value!r}")
+    return value
+
+
+def _fields(record, name: str, **kinds: type) -> tuple:
+    """The number fields of the object ``record``, named ``name`` in
+    messages, each as its kind."""
+    if not isinstance(record, dict):
+        raise ParseError(f"{name}: expected an object, got {record!r}")
+    for key in kinds:
+        if key not in record:
+            raise ParseError(f"missing required field '{name}.{key}'")
+    return tuple(_number(record[key], f"{name}.{key}", kind) for key, kind in kinds.items())
+
+
 def _boolean(value, name: str) -> bool:
     """A JSON true or false; a string such as "false" is a ParseError."""
     if not isinstance(value, bool):
@@ -548,48 +572,44 @@ def _type_key(key: str, name: str) -> int:
 
 
 def instance_from_dict(data: dict) -> Instance:
-    opts = data.get("options", {})
+    """The instance of a JSON object; a missing or malformed field is a
+    ParseError that names it (``stations[0].max_chargers``)."""
+    if not isinstance(data, dict):
+        raise ParseError(f"an instance must be a JSON object, got {type(data).__name__}")
+    opts = _entries(data, "options", {}, dict)
     kinds = [
-        ChargerType(
-            id=_number(k["id"], f"charger_types[{n}].id", int),
-            power_kw=_number(k["power_kw"], f"charger_types[{n}].power_kw"),
-            unit_cost_rate=_number(k["unit_cost_rate"], f"charger_types[{n}].unit_cost_rate"),
-            recharge_time_min=_number(k["recharge_time_min"], f"charger_types[{n}].recharge_time_min"),
-        )
-        for n, k in enumerate(data["charger_types"])
+        ChargerType(*_fields(k, f"charger_types[{n}]", id=int, power_kw=float, unit_cost_rate=float,
+                             recharge_time_min=float))
+        for n, k in enumerate(_entries(data, "charger_types"))
     ]
     dps = [
-        DemandPoint(
-            id=_number(d["id"], f"demand_points[{n}].id", int),
-            lat=_number(d["lat"], f"demand_points[{n}].lat"),
-            lon=_number(d["lon"], f"demand_points[{n}].lon"),
-            rate=_number(d["rate"], f"demand_points[{n}].rate"),
-            agency=d.get("agency"),
-        )
-        for n, d in enumerate(data["demand_points"])
+        DemandPoint(*_fields(d, f"demand_points[{n}]", id=int, lat=float, lon=float, rate=float),
+                    agency=d.get("agency"))
+        for n, d in enumerate(_entries(data, "demand_points"))
     ]
     sts = [
         CandidateStation(
-            id=_number(s["id"], f"stations[{n}].id", int),
-            lat=_number(s["lat"], f"stations[{n}].lat"),
-            lon=_number(s["lon"], f"stations[{n}].lon"),
-            fixed_cost_rate=_number(s["fixed_cost_rate"], f"stations[{n}].fixed_cost_rate"),
+            *_fields(s, f"stations[{n}]", id=int, lat=float, lon=float, fixed_cost_rate=float),
             max_chargers={
                 _type_key(k, f"stations[{n}].max_chargers"):
                     _number(v, f"stations[{n}].max_chargers.{k}", int)
-                for k, v in s.get("max_chargers", {}).items()
+                for k, v in _entries(s, f"stations[{n}].max_chargers", {}, dict).items()
             },
             is_garage=_boolean(s.get("is_garage", False), f"stations[{n}].is_garage"),
             agency=s.get("agency"),
         )
-        for n, s in enumerate(data["stations"])
+        for n, s in enumerate(_entries(data, "stations"))
     ]
     travel = None
-    if data.get("travel"):
+    rows = _entries(data, "travel", [])
+    if rows:
         demand_ids = {d.id for d in dps}
         station_ids = {s.id for s in sts}
         travel = {}
-        for n, (i, j, t) in enumerate(data["travel"]):
+        for n, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != 3:
+                raise ParseError(f"travel[{n}]: expected [demand, station, minutes], got {row!r}")
+            i, j, t = row
             i, j = _number(i, f"travel[{n}][0]", int), _number(j, f"travel[{n}][1]", int)
             if i not in demand_ids:
                 raise ParseError(f"travel[{n}]: unknown demand id {i}")
@@ -599,12 +619,15 @@ def instance_from_dict(data: dict) -> Instance:
     max_travel = opts.get("max_travel_minutes")
     epsilon = _number(opts.get("epsilon", 1e-6), "options.epsilon")
     _check_epsilon(epsilon, "options.epsilon")
+    travel_cost_rate, wait_cost_rate = _fields(
+        _entries(data, "costs", kind=dict), "costs", travel_cost_rate=float, wait_cost_rate=float
+    )
     return make_instance(
         dps,
         sts,
         kinds,
-        travel_cost_rate=_number(data["costs"]["travel_cost_rate"], "costs.travel_cost_rate"),
-        wait_cost_rate=_number(data["costs"]["wait_cost_rate"], "costs.wait_cost_rate"),
+        travel_cost_rate=travel_cost_rate,
+        wait_cost_rate=wait_cost_rate,
         travel=travel,
         speed_kmh=_number(opts.get("speed_kmh", 30.0), "options.speed_kmh"),
         max_travel_minutes=None if max_travel is None else _number(max_travel, "options.max_travel_minutes"),
@@ -626,9 +649,14 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
+    """The instance in a JSON file; a file that is not JSON, or a missing or
+    malformed field, is a ParseError that names the file."""
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"not a JSON file: {exc}", path=path) from exc
     try:
         return instance_from_dict(data)
-    except KeyError as exc:
-        raise ParseError(f"missing required field {exc.args[0]!r}", path=path) from exc
+    except ParseError as exc:
+        raise ParseError(str(exc), path=path) from exc

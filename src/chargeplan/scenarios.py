@@ -246,12 +246,11 @@ def run_sweep(instance: mdl.Instance, sweep: SweepSpec, solve: SolveFn) -> list[
     """Baseline solve followed by one solve per multiplier; reports the
     percent change of the objective against the baseline."""
     base = solve(instance).best.cost.total
+    if base <= 0:
+        raise ChargePlanError("baseline objective must be positive for a sweep")
     rows = [SweepRow(sweep.parameter, 1.0, base, 0.0)]
     for m in sweep.multipliers:
-        scaled = scale_instance(instance, sweep.parameter, m)
-        cost = solve(scaled).best.cost.total
-        if base <= 0:
-            raise ChargePlanError("baseline objective must be positive for a sweep")
+        cost = solve(scale_instance(instance, sweep.parameter, m)).best.cost.total
         rows.append(SweepRow(sweep.parameter, m, cost, 100.0 * (cost - base) / base))
     return rows
 

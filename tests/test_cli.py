@@ -66,8 +66,10 @@ class TestGenDemand:
         assert "warning" in err
         assert strip_meta(out)["demand_points"] == []
 
-    @pytest.mark.parametrize("method", ["brute", "bnb", "sa", "ga"])
-    def test_instance_without_demand_solves_at_zero_cost(self, data_dir, tmp_path, method):
+    @staticmethod
+    def no_demand_instance(data_dir, tmp_path):
+        """An instance from a block file with a header only: its stations,
+        and no demand point."""
         blocks = tmp_path / "empty.csv"
         with open(data_dir / "sample_blocks.csv") as fh:
             blocks.write_text(fh.readline())
@@ -77,6 +79,11 @@ class TestGenDemand:
             "--stations", str(data_dir / "sample_stations.csv"),
             "--range-min", "360", "--out", str(inst),
         ]) == 0
+        return inst
+
+    @pytest.mark.parametrize("method", ["brute", "bnb", "sa", "ga"])
+    def test_instance_without_demand_solves_at_zero_cost(self, data_dir, tmp_path, method):
+        inst = self.no_demand_instance(data_dir, tmp_path)
         out = tmp_path / "report.json"
         assert main(["solve", str(inst), "--method", method, "--out", str(out)]) == 0
         cost = strip_meta(out)["solution"]["cost"]
@@ -84,6 +91,13 @@ class TestGenDemand:
         # no active station or charger still writes float sums, not 0
         assert all(type(v) is float for v in cost.values()), cost
         assert main(["validate", str(inst), str(out)]) == 0
+
+    def test_scenarios_against_a_zero_cost_baseline_rejected(self, data_dir, tmp_path, capsys):
+        inst = self.no_demand_instance(data_dir, tmp_path)
+        out = tmp_path / "scenarios.csv"
+        assert main(["scenarios", str(inst), "--method", "ga", "--out", str(out)]) == 3
+        assert "baseline objective must be positive" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_event_count_matches_hand_walk(self, data_dir, tmp_path):
         # ten copies of the reference block, shifted: 2 events each
@@ -298,6 +312,14 @@ class TestBadInput:
         (lambda d: d["stations"][0].update(is_garage=1), "stations[0].is_garage"),
         # 1 - 1e-17 rounds to 1, so the margin would vanish
         (lambda d: d["options"].update(epsilon=1e-17), "options.epsilon"),
+        (lambda d: d["charger_types"].__setitem__(0, 1), "charger_types[0]: expected an object, got 1"),
+        (lambda d: d.update(demand_points="abc"), "demand_points: expected a list, got 'abc'"),
+        (lambda d: d["stations"].__setitem__(0, None), "stations[0]: expected an object, got None"),
+        (lambda d: d.update(costs=[1.0, 1.0]), "costs: expected an object"),
+        (lambda d: d.update(options=[]), "options: expected an object"),
+        (lambda d: d["stations"][0].update(max_chargers=[5]), "stations[0].max_chargers: expected an object"),
+        (lambda d: d["charger_types"][0].pop("id"), "missing required field 'charger_types[0].id'"),
+        (lambda d: d["travel"].__setitem__(0, 5), "travel[0]: expected [demand, station, minutes]"),
     ])
     def test_malformed_instance_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
         report = tmp_path / "report.json"
@@ -324,6 +346,31 @@ class TestBadInput:
         capsys.readouterr()
         assert main(["validate", unit_instance_file, str(report)]) == 3
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, named", [
+        ("[]", "an instance must be a JSON object, got list"),
+        ("{bad", "not a JSON file"),
+    ])
+    def test_instance_file_that_is_not_an_object_is_named(self, unit_instance_file, tmp_path, capsys, text, named):
+        report = tmp_path / "report.json"
+        assert main(["solve", unit_instance_file, "--method", "brute", "--out", str(report)]) == 0
+        src = tmp_path / "bad.json"
+        src.write_text(text)
+        assert main(["validate", str(src), str(report)]) == 3
+        err = capsys.readouterr().err
+        assert named in err and str(src) in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{missing}", "--out", "{tmp}/r.json"],
+        ["cluster", "{missing}", "--k-demand", "1", "--k-station", "1", "--out", "{tmp}/c.json"],
+        ["validate", "{missing}", "{tmp}/r.json"],
+        ["gen-demand", "--blocks", "{missing}", "--stations", "{missing}", "--range-min", "360",
+         "--out", "{tmp}/i.json"],
+    ], ids=["solve", "cluster", "validate", "gen-demand"])
+    def test_missing_input_file_exits_3(self, tmp_path, capsys, argv):
+        missing = str(tmp_path / "absent.json")
+        assert main([a.format(missing=missing, tmp=tmp_path) for a in argv]) == 3
+        assert missing in capsys.readouterr().err
 
     def test_report_that_is_not_an_object(self, unit_instance_file, tmp_path, capsys):
         report = tmp_path / "report.json"

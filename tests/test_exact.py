@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 import random
@@ -44,6 +45,11 @@ def wait_floor(kt: ChargerType, servers: int, anchor_rho: float):
     mu = kt.service_rate
     ms = mu * servers
     return lambda load: a / ms + b * load / (ms * ms) + 1.0 / mu
+
+
+def node_of(search, path):
+    """The node of a path: the fold of ``_child`` from the root."""
+    return functools.reduce(search._child, path, _Node())
 
 
 def unit_instance():
@@ -175,22 +181,19 @@ class TestBranchAndBound:
         for seed in (3, 11, 19):
             inst = feasible_instance(seed, n_demand=3, n_station=3)
             search = _TreeSearch(inst, SolverConfig())
-            choice_lists = [
-                [(j, k) for (j, k, _) in search.choices[d]] for d in range(search.n)
-            ]
 
             def leaves_below(path):
                 depth = len(path)
-                for tail in itertools.product(*choice_lists[depth:]):
-                    res = search.leaf_cost(search.state(path + tuple(tail)))
+                for tail in itertools.product(*search.steps[depth:]):
+                    res = search.leaf_cost(node_of(search, path + tuple(tail)))
                     if res is not None:
                         yield res[0]
 
             for depth in range(search.n):
-                for prefix in itertools.product(*choice_lists[:depth]):
-                    bound = search.node_bound(search.state(prefix))
+                for prefix in itertools.product(*search.steps[:depth]):
+                    bound = search.node_bound(node_of(search, prefix))
                     descendants = list(leaves_below(tuple(prefix)))
-                    if bound is None:
+                    if bound == math.inf:
                         assert not descendants
                         continue
                     for leaf in descendants:
@@ -349,15 +352,15 @@ class TestLoadOrder:
         for seed in (3, 11, 19, 27):
             inst = feasible_instance(seed, n_demand=5, n_station=2)
             search = _TreeSearch(inst, SolverConfig())
-            choice_lists = [[(j, k) for (j, k, _) in ch] for ch in search.choices]
-            for path in itertools.product(*choice_lists):
+            for path in itertools.product(*search.steps):
                 assignment = [(d.id, j, k) for d, (j, k) in zip(search.demands, path)]
-                assert search.state(path).loads == pair_loads(inst, assignment)
+                assert node_of(search, path).loads == pair_loads(inst, assignment)
 
 
 class _Unmemoized(_TreeSearch):
     """The referee for the floor memo: every node bound calls
-    ``pair_floor_extra`` afresh for each of its pairs."""
+    ``pair_floor_extra`` afresh for each of its pairs, and is ``inf`` when
+    one of them is."""
 
     def node_bound(self, node):
         bound = (
@@ -366,10 +369,7 @@ class _Unmemoized(_TreeSearch):
             + self.suffix[len(node.path)]
         )
         for (j, k), load in sorted(node.loads.items()):
-            floor = self.pair_floor_extra(j, k, load)
-            if floor is None:
-                return None
-            bound += floor
+            bound += self.pair_floor_extra(j, k, load)
         return bound
 
 
@@ -379,7 +379,7 @@ class TestFloorMemo:
         """The greedy leaf the search starts from."""
         node = _Node()
         while len(node.path) < search.n:
-            search._assign(node, search._children(node)[0])
+            node = search._child(node, search._children(node)[0])
         return node
 
     def test_a_cut_drops_the_memo_of_its_pair(self):
@@ -413,6 +413,38 @@ class TestFloorMemo:
             )
             solved += 1
         assert solved >= 10
+
+
+# (seed, proximity) -> (nodes_explored, cuts_added, lower_bound.hex(),
+# upper_bound.hex()) of branch-and-bound on feasible_instance(seed, 9, 4)
+PINNED_SEARCH = {
+    (0, False): (65, 8, '0x1.51f20790c7c70p+6', '0x1.51f20790c7c70p+6'),
+    (1, False): (5573, 13, '0x1.e9e9497587a7cp+5', '0x1.e9e9497587a7cp+5'),
+    (2, False): (46, 5, '0x1.47b294d49c0d9p+5', '0x1.47b294d49c0d9p+5'),
+    (3, False): (9915, 8, '0x1.b51459457f1e4p+5', '0x1.b51459457f1e4p+5'),
+    (4, False): (6181, 18, '0x1.213f676e5a7e4p+6', '0x1.213f676e5a7e4p+6'),
+    (5, False): (572, 13, '0x1.0c5c6d10fb8cap+6', '0x1.0c5c6d10fb8cap+6'),
+    (6, False): (737, 14, '0x1.271f93dcb56e4p+6', '0x1.271f93dcb56e4p+6'),
+    (7, False): (3831, 12, '0x1.8d042b91667a0p+5', '0x1.8d042b91667a0p+5'),
+    (0, True): (65, 8, '0x1.51f20790c7c70p+6', '0x1.51f20790c7c70p+6'),
+    (1, True): (386, 15, '0x1.e9e9497587a7cp+5', '0x1.e9e9497587a7cp+5'),
+    (2, True): (18, 3, '0x1.47b294d49c0d9p+5', '0x1.47b294d49c0d9p+5'),
+    (3, True): (906, 4, '0x1.bb19cdb7a05f6p+5', '0x1.bb19cdb7a05f6p+5'),
+    (4, True): (572, 22, '0x1.23c2035bdc990p+6', '0x1.23c2035bdc990p+6'),
+    (5, True): (160, 11, '0x1.24fae4f9148b5p+6', '0x1.24fae4f9148b5p+6'),
+    (6, True): (133, 8, '0x1.2f88b997d9144p+6', '0x1.2f88b997d9144p+6'),
+    (7, True): (501, 10, '0x1.94136715f296fp+5', '0x1.94136715f296fp+5'),
+}
+
+
+@pytest.mark.parametrize("seed, proximity", sorted(PINNED_SEARCH, key=lambda k: (k[1], k[0])))
+def test_search_course_is_pinned(seed, proximity):
+    """A refactor that reorders the search, or moves a bound by one bit,
+    changes these."""
+    inst = replace(feasible_instance(seed, n_demand=9, n_station=4), enforce_proximity=proximity)
+    rep = branch_and_bound(inst)
+    got = (rep.nodes_explored, rep.cuts_added, rep.lower_bound.hex(), rep.upper_bound.hex())
+    assert got == PINNED_SEARCH[(seed, proximity)]
 
 
 EPS = 1e-6

@@ -389,3 +389,22 @@ class TestInputValidation:
         path.write_text(json.dumps(data))
         with pytest.raises(ParseError, match=f"missing required field '{field}'"):
             load_instance(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda d: d["charger_types"].__setitem__(0, 1), "charger_types[0]: expected an object, got 1"),
+        (lambda d: d.update(demand_points="abc"), "demand_points: expected a list, got 'abc'"),
+        (lambda d: d["stations"].__setitem__(0, None), "stations[0]: expected an object, got None"),
+        (lambda d: d.update(costs=[1.0, 1.0]), "costs: expected an object, got [1.0, 1.0]"),
+        (lambda d: d.update(options=[]), "options: expected an object, got []"),
+        (lambda d: d["stations"][0].update(max_chargers=[5]), "stations[0].max_chargers: expected an object"),
+        (lambda d: d["demand_points"][0].pop("rate"), "missing required field 'demand_points[0].rate'"),
+        (lambda d: d["travel"].__setitem__(0, [0, 0]), "travel[0]: expected [demand, station, minutes]"),
+    ])
+    def test_wrongly_shaped_record_is_a_parse_error(self, tmp_path, edit, message):
+        data = instance_to_dict(self.build())
+        edit(data)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ParseError) as exc:
+            load_instance(path)
+        assert message in str(exc.value) and str(path) in str(exc.value)

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
+from chargeplan.errors import ChargePlanError
 from chargeplan.exact import SolverConfig, branch_and_bound
 from chargeplan.scenarios import (
     ScenarioSpec,
@@ -111,6 +114,18 @@ class TestSweep:
             a.unit_cost_rate == pytest.approx(0.5 * b.unit_cost_rate)
             for a, b in zip(ch.charger_types, inst.charger_types)
         )
+
+    def test_zero_cost_baseline_rejected_before_any_scaled_solve(self):
+        calls = []
+
+        def free(instance):
+            calls.append(instance)
+            rep = exact(instance)
+            return replace(rep, best=replace(rep.best, cost=replace(rep.best.cost, total=0.0)))
+
+        with pytest.raises(ChargePlanError, match="baseline objective must be positive"):
+            run_sweep(two_agency_instance(3), SweepSpec("wait_cost", (2.0, 4.0)), free)
+        assert len(calls) == 1
 
     def test_bad_sweep_rejected(self):
         with pytest.raises(ValueError):
