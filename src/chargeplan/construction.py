@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import model as mdl
 from . import queueing
@@ -194,15 +194,14 @@ def demand_assignment(
     type_ids = [k.id for k in instance.charger_types]
     triplets = []
     for d in instance.demand_points:
-        options = [j for j in d.reachable if j in act]
-        if not options:
+        j = next((jj for jj in instance.nearest[d.id] if jj in act), None)
+        if j is None:
             raise UncoveredDemandError(
                 f"demand {d.id} has no active reachable station"
             )
         if rng.random() < randomization and not instance.enforce_proximity:
+            options = [jj for jj in d.reachable if jj in act]
             j = options[rng.randrange(len(options))]
-        else:
-            j = min(options, key=lambda jj: (instance.travel[(d.id, jj)], jj))
         k = type_ids[rng.randrange(len(type_ids))]
         triplets.append((d.id, j, k))
     return AssignmentSet(frozenset(triplets))
@@ -242,23 +241,50 @@ def size_pair(
     return (s, wait)
 
 
-def best_chargers(instance: mdl.Instance, assignment: AssignmentSet) -> dict[tuple[int, int], int]:
-    """Optimal charger counts per (station, type) for a fixed assignment.
+def pair_sizer(instance: mdl.Instance) -> Callable[[int, int, float], tuple[int, float] | None]:
+    """:func:`size_pair` for the pairs of ``instance``, memoized by (station,
+    type, load): ``sized(j, k, load)`` is size_pair's (count, wait), or None
+    when the pair cannot be sized within its cap.
 
-    Raises :class:`InfeasibleError` when some pair cannot reach stability
-    within its capacity.
+    SA and GA make one per run and drop it with the run, so no cache
+    outlives the run or hangs off the shared instance.
     """
-    loads = mdl.pair_loads(instance, assignment.triplets)
-    out: dict[tuple[int, int], int] = {}
-    for (j, k), load in sorted(loads.items()):
-        cap = instance.station_cap(j, k)
-        sized = size_pair(load, instance.type_by_id[k], cap, instance.wait_cost_rate, instance.epsilon)
-        if sized is None:
-            raise InfeasibleError(
-                f"station {j} type {k}: load {load:.6g} needs more than {cap} chargers"
-            )
-        out[(j, k)] = sized[0]
-    return out
+    memo: dict[tuple[int, int, float], tuple[int, float] | None] = {}
+
+    def sized(j: int, k: int, load: float) -> tuple[int, float] | None:
+        key = (j, k, load)
+        if key not in memo:
+            memo[key] = size_pair(load, instance.type_by_id[k], instance.station_cap(j, k),
+                                  instance.wait_cost_rate, instance.epsilon)
+        return memo[key]
+
+    return sized
+
+
+def best_chargers(
+    instance: mdl.Instance,
+    assignment: AssignmentSet,
+    sized: Callable[[int, int, float], tuple[int, float] | None] | None = None,
+) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], float]]:
+    """Optimal charger counts per (station, type) for a fixed assignment, and
+    each pair's expected wait at its count, which equals
+    :func:`model.compute_waits`' bit for bit.
+
+    ``sized`` is a :func:`pair_sizer` of the instance; without one every pair
+    is sized afresh. Raises :class:`InfeasibleError` when some pair cannot
+    reach stability within its capacity.
+    """
+    if sized is None:
+        sized = pair_sizer(instance)
+    chargers: dict[tuple[int, int], int] = {}
+    waits: dict[tuple[int, int], float] = {}
+    for (j, k), load in sorted(mdl.pair_loads(instance, assignment.triplets).items()):
+        pair = sized(j, k, load)
+        if pair is None:
+            cap = instance.station_cap(j, k)
+            raise InfeasibleError(f"station {j} type {k}: load {load:.6g} needs more than {cap} chargers")
+        chargers[(j, k)], waits[(j, k)] = pair
+    return chargers, waits
 
 
 def build_solution(

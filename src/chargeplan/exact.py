@@ -135,9 +135,9 @@ def _solution(
     instance: mdl.Instance, demands: Iterable[mdl.DemandPoint], path: Iterable[tuple[int, int]]
 ) -> mdl.Solution:
     """The deployment that sends ``demands[d]`` to the pair ``path[d]``,
-    sized and priced as SA and GA price theirs."""
+    sized as SA and GA size theirs and priced by ``model.evaluate``."""
     assignment = AssignmentSet(frozenset((d.id, j, k) for d, (j, k) in zip(demands, path)))
-    return build_solution(instance, assignment, best_chargers(instance, assignment))
+    return build_solution(instance, assignment, best_chargers(instance, assignment)[0])
 
 
 def brute_force(

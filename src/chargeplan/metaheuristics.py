@@ -3,9 +3,12 @@
 Both methods move through subsets of active stations; for each candidate
 subset the demand assignment is sampled (closest station, with an exploration
 probability of a random one unless the instance enforces proximity), charger
-counts are sized optimally for that assignment, and the exact objective is
-evaluated. Candidates whose sizing is infeasible cost infinity and are never
-recorded as incumbents.
+counts are sized optimally for that assignment, and the candidate is priced
+at the waits that sizing produced. Sizing goes through a per-run
+:func:`~chargeplan.construction.pair_sizer`, so each (station, type, load)
+is sized once per run. Candidates whose sizing is infeasible cost infinity
+and are never recorded as incumbents. The reported incumbent is re-priced
+from scratch by ``model.evaluate``.
 
 A multi-run driver launches independently seeded runs and reports the best,
 plus how many distinct final objective values the runs produced.
@@ -27,6 +30,7 @@ from .construction import (
     covers_all_demands,
     demand_assignment,
     min_stations,
+    pair_sizer,
 )
 from .errors import InfeasibleError
 from .exact import SolverReport, root_lower_bound
@@ -78,19 +82,24 @@ class GAParams:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _price(instance: mdl.Instance, assignment: AssignmentSet, active: frozenset[int]):
-    """Size the chargers of an assignment and price it with ``active`` open;
-    returns (cost, solution) with cost = inf when sizing is infeasible."""
+def _price(instance: mdl.Instance, assignment: AssignmentSet, active: frozenset[int], sized):
+    """Size the chargers of an assignment through the run's ``sized`` and
+    price it with ``active`` open; returns (cost, solution) with cost = inf
+    when sizing is infeasible. The sizing waits equal ``evaluate``'s bit for
+    bit, so the cost is the one ``build_solution`` would give."""
     try:
-        sol = build_solution(instance, assignment, best_chargers(instance, assignment), active=active)
+        chargers, waits = best_chargers(instance, assignment, sized)
     except InfeasibleError:
         return math.inf, None
-    return sol.cost.total, sol
+    cost = mdl.cost_totals(instance, active, assignment.triplets, chargers, waits)
+    return cost.total, mdl.Solution(active, assignment.triplets, chargers, waits, cost)
 
 
-def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: float, rng: random.Random):
-    """Sample an assignment for an activation set and price it."""
-    return _price(instance, demand_assignment(instance, active, randomness, rng), active)
+def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: float, rng: random.Random,
+                   sized):
+    """Sample an assignment for an activation set and price it with the run's
+    ``sized``."""
+    return _price(instance, demand_assignment(instance, active, randomness, rng), active, sized)
 
 
 def _report(
@@ -134,6 +143,7 @@ def simulated_annealing(
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
+    sized = pair_sizer(instance)
     station_ids = [s.id for s in instance.stations]
 
     def walk_to_feasible(active: set[int]) -> frozenset[int]:
@@ -153,7 +163,7 @@ def simulated_annealing(
                 raise InfeasibleError("random walk could not reach a feasible activation")
 
     current = frozenset(min_stations(instance))
-    cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng)
+    cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng, sized)
     retries = 0
     while cur_sol is None:
         # the greedy cover admits no stable sizing for this draw; keep
@@ -162,7 +172,7 @@ def simulated_annealing(
         if retries > 1000:
             raise InfeasibleError("no activation with a stable charger sizing found")
         current = walk_to_feasible(set(current))
-        cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng)
+        cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng, sized)
 
     best_sol, best_cost = cur_sol, cur_cost
     time_to_best = time.perf_counter() - t0
@@ -180,7 +190,7 @@ def simulated_annealing(
             break
         iterations = it
         cand = walk_to_feasible(set(current))
-        cand_cost, cand_sol = _try_candidate(instance, cand, params.assignment_randomness, rng)
+        cand_cost, cand_sol = _try_candidate(instance, cand, params.assignment_randomness, rng, sized)
 
         if cand_cost < best_cost:
             best_sol, best_cost = cand_sol, cand_cost
@@ -238,6 +248,7 @@ def genetic_algorithm(
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
+    sized = pair_sizer(instance)
     station_order = [s.id for s in instance.stations]
     first_half = set(station_order[: len(station_order) // 2])
 
@@ -254,7 +265,7 @@ def genetic_algorithm(
         # draws so the initial charger-type patterns stay diverse
         active = covers[idx % len(covers)]
         idx += 1
-        cost, sol = _try_candidate(instance, frozenset(active), params.assignment_randomness, rng)
+        cost, sol = _try_candidate(instance, frozenset(active), params.assignment_randomness, rng, sized)
         population.append(_Chromosome(frozenset(active), cost, sol))
         priced = priced or sol is not None
 
@@ -301,7 +312,7 @@ def genetic_algorithm(
                 inherited.add((i, j, p2_types[(i, j)]))
             else:
                 inherited.add((i, j, k))
-        child_cost, child_sol = _price(instance, AssignmentSet(frozenset(inherited)), child)
+        child_cost, child_sol = _price(instance, AssignmentSet(frozenset(inherited)), child, sized)
 
         worst_idx = max(range(len(population)), key=lambda i: (population[i].cost, i))
         worst_cost = population[worst_idx].cost

@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import geo, queueing
@@ -171,6 +172,16 @@ class Instance:
     demand_order: tuple[DemandPoint, ...] = field(init=False, repr=False, compare=False)
     demand_rank: Mapping[int, int] = field(init=False, repr=False, compare=False)  # id -> position
 
+    @cached_property
+    def nearest(self) -> Mapping[int, tuple[int, ...]]:
+        """Demand id -> its reachable station ids by (travel, id): the first
+        active one is the demand's closest active station. Built on first
+        use, so solvers that never assign by proximity do not pay for it."""
+        return {
+            d.id: tuple(sorted(d.reachable, key=lambda j: (self.travel[(d.id, j)], j)))
+            for d in self.demand_points
+        }
+
     def station_cap(self, station_id: int, type_id: int) -> int:
         return self.station_by_id[station_id].max_chargers.get(type_id, 0)
 
@@ -314,13 +325,11 @@ def compute_waits(
 
 
 def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
-    """Objective value of a structurally well-formed solution.
-
-    total = station activation + charger install + travel + expected wait,
-    all in currency per minute. Waits are recomputed from the queueing model,
-    never read from ``solution.waits``, and returned in ``waits``.
-    Deterministic: sums run in sorted key order, so identical inputs give
-    bit-identical results.
+    """Objective value of a structurally well-formed solution: its
+    :func:`cost_totals` at waits recomputed from the queueing model, never
+    read from ``solution.waits``. This is the referee of every reported
+    answer; SA and GA price their candidates with :func:`cost_totals` at the
+    waits their sizing produced, which equal these bit for bit.
     """
     assigned: dict[int, tuple[int, int]] = {}
     for (i, j, k) in solution.assignments:
@@ -336,15 +345,29 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
         raise UnassignedDemandError(f"demand points without assignment: {missing}")
 
     waits = compute_waits(instance, solution.assignments, solution.chargers)
+    return cost_totals(instance, solution.active, solution.assignments, solution.chargers, waits)
 
-    station = sum((instance.station_by_id[j].fixed_cost_rate for j in sorted(solution.active)), 0.0)
+
+def cost_totals(
+    instance: Instance,
+    active: Iterable[int],
+    assignments: Iterable[tuple[int, int, int]],
+    chargers: Mapping[tuple[int, int], int],
+    waits: Mapping[tuple[int, int], float],
+) -> CostBreakdown:
+    """The objective at the given pair waits: station activation + charger
+    install + travel + expected wait, all in currency per minute.
+    Deterministic: sums run in sorted key order, so identical inputs give
+    bit-identical results.
+    """
+    station = sum((instance.station_by_id[j].fixed_cost_rate for j in sorted(active)), 0.0)
     charger = sum(
-        (instance.type_by_id[k].unit_cost_rate * s for (j, k), s in sorted(solution.chargers.items())),
+        (instance.type_by_id[k].unit_cost_rate * s for (j, k), s in sorted(chargers.items())),
         0.0,
     )
     travel = 0.0
     waiting = 0.0
-    for (i, j, k) in sorted(solution.assignments):
+    for (i, j, k) in sorted(assignments):
         lam = instance.demand_by_id[i].rate
         travel += lam * instance.travel_cost_rate * instance.travel[(i, j)]
         waiting += lam * instance.wait_cost_rate * waits[(j, k)]
@@ -364,10 +387,7 @@ def closer_active(instance: Instance, i: int, j: int, active: Iterable[int]) -> 
     station in ``active`` is closer, up to a tie tolerance. Returns the travel
     minutes to the closest active reachable station when it is closer, else
     None."""
-    best = min(
-        (instance.travel[(i, jj)] for jj in instance.demand_by_id[i].reachable if jj in active),
-        default=math.inf,
-    )
+    best = next((instance.travel[(i, jj)] for jj in instance.nearest[i] if jj in active), math.inf)
     return best if instance.travel[(i, j)] > best + _TRAVEL_TIE_TOL else None
 
 

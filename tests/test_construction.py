@@ -366,6 +366,50 @@ class TestDemandAssignment:
         a = demand_assignment(inst, {0, 1, 2}, 0.5, random.Random(5))
         assert sorted(i for (i, _, _) in a.triplets) == [0, 1, 2]
 
+    @staticmethod
+    def reference(instance, active, randomization, rng):
+        """The rule as first written: build the active options, then take the
+        closest by (travel, id) unless the exploration draw picks one."""
+        act = set(active)
+        type_ids = [k.id for k in instance.charger_types]
+        triplets = []
+        for d in instance.demand_points:
+            options = [j for j in d.reachable if j in act]
+            if not options:
+                raise UncoveredDemandError(f"demand {d.id} has no active reachable station")
+            if rng.random() < randomization and not instance.enforce_proximity:
+                j = options[rng.randrange(len(options))]
+            else:
+                j = min(options, key=lambda jj: (instance.travel[(d.id, jj)], jj))
+            k = type_ids[rng.randrange(len(type_ids))]
+            triplets.append((d.id, j, k))
+        return AssignmentSet(frozenset(triplets))
+
+    @pytest.mark.parametrize("proximity", [False, True])
+    @pytest.mark.parametrize("randomization", [0.0, 0.3, 1.0])
+    def test_matches_closest_by_min_rule(self, proximity, randomization):
+        # whole-minute travel times: many demands reach stations tied on travel
+        rng = random.Random(41)
+        checked = 0
+        for _ in range(40):
+            n_demand, n_station = rng.randint(2, 8), rng.randint(2, 6)
+            reach = {i: rng.sample(range(n_station), rng.randint(1, n_station)) for i in range(n_demand)}
+            inst = coverage_instance(reach, n_station)
+            travel = {(i, j): float(rng.randint(1, 3)) for (i, j) in inst.travel}
+            inst = make_instance(inst.demand_points, inst.stations, inst.charger_types, travel_cost_rate=1.0,
+                                 wait_cost_rate=1.0, travel=travel, enforce_proximity=proximity)
+            for _ in range(5):
+                active = set(rng.sample(range(n_station), rng.randint(1, n_station)))
+                if not all(active.intersection(d.reachable) for d in inst.demand_points):
+                    continue
+                seed = rng.random()
+                want_rng, got_rng = random.Random(seed), random.Random(seed)
+                want = self.reference(inst, active, randomization, want_rng)
+                assert demand_assignment(inst, active, randomization, got_rng) == want
+                assert got_rng.getstate() == want_rng.getstate()
+                checked += 1
+        assert checked >= 50
+
 
 class TestBestChargers:
     def test_stability_minimum(self):
@@ -449,6 +493,24 @@ class TestBestChargers:
                 elif got[0] > smin:
                     seen["above_min"] += 1
         assert min(seen.values()) > 0, seen
+
+    def test_sizer_returns_size_pair_once_per_key(self, monkeypatch):
+        # caps 1-3 leave some pairs unsizable, so None is memoized too
+        inst = random_instance(5, n_demand=6, n_station=3, cap_range=(1, 3))
+        calls = []
+        real = construction.size_pair
+        monkeypatch.setattr(construction, "size_pair", lambda *a: calls.append(a) or real(*a))
+        sized = construction.pair_sizer(inst)
+        rng = random.Random(3)
+        keys = [(j, k.id, rng.choice([0.01, 0.05, 0.2, 1.0, 3.0]))
+                for j in range(3) for k in inst.charger_types for _ in range(4)]
+        results = set()
+        for (j, k, load) in keys + keys:
+            want = real(load, inst.type_by_id[k], inst.station_cap(j, k), inst.wait_cost_rate, inst.epsilon)
+            assert sized(j, k, load) == want
+            results.add(want is None)
+        assert results == {True, False}
+        assert len(calls) == len(set(keys))
 
     def test_assignment_set_rejects_duplicates(self):
         with pytest.raises(ValueError):

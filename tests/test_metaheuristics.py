@@ -1,8 +1,12 @@
+import gc
 import math
+import random
+import weakref
 from dataclasses import replace
 
 import pytest
 
+from chargeplan import metaheuristics
 from chargeplan.exact import brute_force, root_lower_bound
 from chargeplan.metaheuristics import (
     GAParams,
@@ -12,9 +16,10 @@ from chargeplan.metaheuristics import (
     simulated_annealing,
 )
 from chargeplan.model import CandidateStation, ChargerType, DemandPoint, check_feasibility, make_instance
-from chargeplan.construction import cover_sets
+from chargeplan.construction import best_chargers, build_solution, cover_sets, demand_assignment, pair_sizer
+from chargeplan.errors import InfeasibleError
 
-from gen import feasible_instance
+from gen import feasible_instance, random_instance
 
 
 def small(seed=7101):
@@ -215,3 +220,57 @@ class TestMultiRun:
             multi_run(inst, "sa", SAParams(), n_runs=0)
         with pytest.raises(ValueError):
             multi_run(inst, "tabu", SAParams(), n_runs=1)
+
+
+class TestCandidatePricing:
+    @pytest.mark.parametrize("proximity", [False, True])
+    def test_price_equals_build_solution(self, proximity):
+        # caps of 2-8 chargers per type leave about half the assignments unsizable;
+        # one sizer per instance, so repeated loads are answered by its memo
+        rng = random.Random(12)
+        priced = unsizable = 0
+        for seed in range(40):
+            inst = replace(random_instance(seed, n_demand=rng.randint(3, 9), n_station=rng.randint(2, 5),
+                                           cap_range=(2, 8)), enforce_proximity=proximity)
+            sized = pair_sizer(inst)
+            stations = [s.id for s in inst.stations]
+            for _ in range(6):
+                active = frozenset(rng.sample(stations, rng.randint(1, len(stations))) + [
+                    rng.choice(d.reachable) for d in inst.demand_points])
+                a = demand_assignment(inst, active, 0.5, rng)
+                cost, sol = metaheuristics._price(inst, a, active, sized)
+                try:
+                    want = build_solution(inst, a, best_chargers(inst, a)[0], active=active)
+                except InfeasibleError:
+                    assert (cost, sol) == (math.inf, None)
+                    unsizable += 1
+                    continue
+                assert cost == want.cost.total
+                assert sol.cost == want.cost
+                assert (sol.chargers, sol.waits) == (want.chargers, want.waits)
+                assert (sol.active, sol.assignments) == (want.active, want.assignments)
+                priced += 1
+        assert priced + unsizable >= 200
+        assert min(priced, unsizable) >= 50, (priced, unsizable)
+
+    @pytest.mark.parametrize("solve, params", [
+        (simulated_annealing, SAParams(max_iterations=100, seed=2)),
+        (genetic_algorithm, GAParams(max_iterations=100, seed=2)),
+    ])
+    def test_run_leaves_no_sizing_cache(self, monkeypatch, solve, params):
+        inst = small(7116)
+        inst.nearest  # the instance's own closest-station order, built on first use
+        before = dict(vars(inst))
+        made = []
+
+        def tracked(instance):
+            sized = pair_sizer(instance)
+            made.append(weakref.ref(sized))
+            return sized
+
+        monkeypatch.setattr(metaheuristics, "pair_sizer", tracked)
+        solve(inst, params)
+        gc.collect()
+        assert len(made) == 1 and made[0]() is None
+        assert vars(inst).keys() == before.keys()
+        assert all(vars(inst)[key] is value for key, value in before.items())
