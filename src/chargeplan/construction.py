@@ -33,9 +33,45 @@ class AssignmentSet:
             seen.add(i)
 
 
-def covers_all_demands(instance: mdl.Instance, active: Iterable[int]) -> bool:
-    act = set(active)
-    return all(act.intersection(d.reachable) for d in instance.demand_points)
+class Coverage:
+    """A station activation that changes one station at a time, and how
+    many of its stations reach each demand, built from each demand's
+    ``reachable`` once per solver run. A toggle updates only the demands the
+    station reaches, so whether the activation covers every demand is read
+    off the count of uncovered ones."""
+
+    def __init__(self, instance: mdl.Instance):
+        self.active: set[int] = set()
+        self.reaches: dict[int, list[int]] = {}  # station -> positions of the demands it reaches
+        for n, d in enumerate(instance.demand_points):
+            for j in d.reachable:
+                self.reaches.setdefault(j, []).append(n)
+        self.count = [0] * len(instance.demand_points)  # per demand position
+        self.uncovered = len(self.count)
+
+    def toggle(self, j: int) -> None:
+        count = self.count
+        if j in self.active:
+            self.active.discard(j)
+            for n in self.reaches.get(j, ()):
+                count[n] -= 1
+                if not count[n]:
+                    self.uncovered += 1
+        else:
+            self.active.add(j)
+            for n in self.reaches.get(j, ()):
+                if not count[n]:
+                    self.uncovered -= 1
+                count[n] += 1
+
+    def reset(self, active: Iterable[int]) -> None:
+        """Make ``active`` the activation, toggling only the stations that differ."""
+        for j in self.active.symmetric_difference(active):
+            self.toggle(j)
+
+    def covers(self) -> bool:
+        """Whether the activation is nonempty and reaches every demand."""
+        return bool(self.active) and not self.uncovered
 
 
 def min_stations(instance: mdl.Instance) -> frozenset[int]:
@@ -194,15 +230,16 @@ def demand_assignment(
     type_ids = [k.id for k in instance.charger_types]
     triplets = []
     for d in instance.demand_points:
-        j = next((jj for jj in instance.nearest[d.id] if jj in act), None)
-        if j is None:
+        for j in instance.nearest[d.id]:
+            if j in act:
+                break
+        else:
             raise UncoveredDemandError(
                 f"demand {d.id} has no active reachable station"
             )
         if rng.random() < randomization and not instance.enforce_proximity:
-            options = [jj for jj in d.reachable if jj in act]
-            j = options[rng.randrange(len(options))]
-        k = type_ids[rng.randrange(len(type_ids))]
+            j = rng.choice([jj for jj in d.reachable if jj in act])
+        k = rng.choice(type_ids)
         triplets.append((d.id, j, k))
     return AssignmentSet(frozenset(triplets))
 

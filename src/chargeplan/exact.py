@@ -9,13 +9,17 @@ assignments with travel and service-time floors, and tightens the waiting
 floors with exact tangent lines of the convex delay factor taken at
 every incumbent. Each pair's waiting floor depends only on its load and on
 the cuts of that pair, so the search memoizes it per pair by load and drops
-a pair's memo whenever a cut is added to that pair. An open node is stored
-as (parent node, pair) and rebuilt from its parent when popped, and a bound
-of ``inf`` means the node has no stable completion.
+a pair's memo whenever a cut is added to that pair. An expanded node bounds
+all of its children in one pass from its own sorted floors, without building
+them. An open node is stored as (parent node, pair) and rebuilt from its
+parent when popped; it is bounded again only if a cut was added after its
+parent's expansion, since no bound can change otherwise. A bound of ``inf``
+means the node has no stable completion.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import itertools
 import math
@@ -228,7 +232,7 @@ class _Node:
     follows ``instance.demand_order``, so a full path's loads equal
     :func:`model.pair_loads` of its assignment bit for bit."""
 
-    __slots__ = ("path", "loads", "stations", "committed", "travel")
+    __slots__ = ("path", "loads", "stations", "committed", "travel", "cuts")
 
     def __init__(self) -> None:
         self.path: tuple[tuple[int, int], ...] = ()
@@ -236,6 +240,7 @@ class _Node:
         self.stations: frozenset[int] = frozenset()
         self.committed = 0.0  # travel + service-time cost of the assigned demands
         self.travel = 0.0  # travel cost of the assigned demands
+        self.cuts = -1  # the search's cut count when this node was expanded
 
 
 class _TreeSearch:
@@ -243,11 +248,15 @@ class _TreeSearch:
 
     A heap entry is (bound, sequence number, parent node, pair): the open
     node is the parent's :meth:`_child` by that pair, rebuilt when popped,
-    so a parent stays alive until its last child is popped.
+    so a parent stays alive until its last child is popped. Its bound is
+    the one :meth:`_children` gave it when the parent was expanded, equal
+    to its :meth:`node_bound` bit for bit at that moment.
     ``floors[(j, k)]`` memoizes :meth:`pair_floor_extra` of the pair by load,
     ``inf`` included. A pair's floor reads only the cuts keyed by that pair,
     so :meth:`_cuts_at_incumbent` drops the pair's memo when it adds one, and
-    a memoized floor always equals a fresh call."""
+    a memoized floor always equals a fresh call. So while no cut is added a
+    node's bound cannot change: a parent records the cut count when it is
+    expanded, and a popped node is bounded again only if the count grew."""
 
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
@@ -273,8 +282,9 @@ class _TreeSearch:
         # cut pool: (station, type, servers) -> list of (intercept, slope)
         self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
         self.cut_keys: set[tuple[int, int, int, float]] = set()
-        self.floors: dict[tuple[int, int], dict[float, float | None]] = {}
+        self.floors: dict[tuple[int, int], dict[float, float]] = {}
         self.station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
+        self.station_sums: dict[frozenset[int], float] = {}
         # each (station, type) pair: (service rate, charger cap, unit cost), and
         # the largest stable load at its cap
         self.pair_params = {
@@ -341,32 +351,47 @@ class _TreeSearch:
             best = min(best, base + c_wait * extra)
         return best
 
+    def _floor(self, pair: tuple[int, int], load: float) -> float:
+        """:meth:`pair_floor_extra` of the pair at ``load``, memoized until the
+        pair's next cut."""
+        memo = self.floors.get(pair)
+        if memo is None:
+            memo = self.floors[pair] = {}
+        floor = memo.get(load)
+        if floor is None:
+            floor = memo[load] = self.pair_floor_extra(*pair, load)
+        return floor
+
+    def _station_sum(self, stations: frozenset[int]) -> float:
+        """The fixed costs of ``stations`` summed in id order, memoized per set."""
+        total = self.station_sums.get(stations)
+        if total is None:
+            total = self.station_sums[stations] = sum(map(self.station_cost.__getitem__, sorted(stations)))
+        return total
+
+    @staticmethod
+    def _bound(head: float, floors: Iterable[float]) -> float:
+        """``head`` plus each floor, added one at a time in the given order
+        (``sum`` may compensate its rounding on newer Pythons, which would
+        move a bound by a bit)."""
+        for floor in floors:
+            head += floor
+        return head
+
     def node_bound(self, node: _Node) -> float:
         """Valid lower bound on every completion of a partial assignment:
         committed station costs, per-pair charger/wait floors, committed
         travel+service cost, and per-demand floors for the rest. ``inf``
         when some committed pair is already beyond capacity, so that no
-        completion exists."""
-        bound = (
-            sum(map(self.station_cost.__getitem__, sorted(node.stations)))
-            + node.committed
-            + self.suffix[len(node.path)]
-        )
-        floors = self.floors
-        for pair, load in sorted(node.loads.items()):
-            memo = floors.get(pair)
-            if memo is None:
-                memo = floors[pair] = {}
-            floor = memo.get(load)
-            if floor is None:
-                floor = memo[load] = self.pair_floor_extra(*pair, load)
-            bound += floor
-        return bound
+        completion exists. The floors are added in pair order; a child
+        bounded by :meth:`_children` gets the same sum bit for bit."""
+        head = self._station_sum(node.stations) + node.committed + self.suffix[len(node.path)]
+        return self._bound(head, [self._floor(pair, load) for pair, load in sorted(node.loads.items())])
 
     # -- leaf evaluation ---------------------------------------------------
 
     def leaf_cost(self, node: _Node) -> tuple[float, dict[tuple[int, int], int]] | None:
-        cost = node.travel + sum(map(self.station_cost.__getitem__, sorted(node.stations)))
+        cost = node.travel + self._station_sum(node.stations)
         chargers: dict[tuple[int, int], int] = {}
         for (j, k), load in sorted(node.loads.items()):
             sized = self.sizer.best(j, k, load)
@@ -378,27 +403,45 @@ class _TreeSearch:
 
     # -- search ------------------------------------------------------------
 
-    def _children(self, node: _Node) -> list[tuple[int, int]]:
-        """Feasible extensions of a node, cheapest myopic cost first."""
+    def _children(self, node: _Node) -> list[tuple[tuple[int, int], float]]:
+        """Feasible extensions of a node, cheapest myopic cost first, each
+        with the :meth:`node_bound` of the child it makes. The node's floors
+        are looked up once, in pair order; a child's bound adds them to its
+        own head with the new pair's floor in its sorted place, so no child
+        is built."""
         depth = len(node.path)
         d = self.demands[depth]
+        loads, stations = node.loads, node.stations
+        pairs = sorted(loads)
+        floors = [self._floor(pair, loads[pair]) for pair in pairs]
+        suffix = self.suffix[depth + 1]
+        station_sum = self._station_sum(stations)
         out = []
-        for (j, k), (rate, myopic, _) in self.steps[depth].items():
-            if self.capacity[(j, k)] < node.loads.get((j, k), 0.0) + rate:
+        for pair, (rate, myopic, _) in self.steps[depth].items():
+            load = loads.get(pair, 0.0) + rate
+            if self.capacity[pair] < load:
                 continue
+            j, k = pair
             if self.instance.enforce_proximity:
-                new_active = node.stations | {j}
+                new_active = stations | {j}
                 if mdl.closer_active(self.instance, d.id, j, new_active) is not None:
                     continue
-                if j not in node.stations and any(
+                if j not in stations and any(
                     mdl.closer_active(self.instance, self.demands[dd].id, jj, new_active) is not None
                     for dd, (jj, _) in enumerate(node.path)
                 ):
                     continue
-            dyn = myopic + (0.0 if j in node.stations else self.station_cost[j])
-            out.append((dyn, j, k))
-        out.sort(key=lambda c: (c[0], c[1], c[2]))
-        return [(j, k) for (_, j, k) in out]
+            if j in stations:
+                dyn, opened = myopic, station_sum
+            else:
+                dyn, opened = myopic + self.station_cost[j], self._station_sum(stations | {j})
+            at = bisect.bisect_left(pairs, pair)
+            held = at < len(pairs) and pairs[at] == pair
+            head = opened + (node.committed + myopic) + suffix
+            bound = self._bound(head, floors[:at] + [self._floor(pair, load)] + floors[at + held:])
+            out.append((dyn, j, k, bound))
+        out.sort()  # (dyn, j, k) is unique, so the bound never decides
+        return [((j, k), bound) for (_, j, k, bound) in out]
 
     def solve(self) -> SolverReport:
         t0 = time.perf_counter()
@@ -422,7 +465,7 @@ class _TreeSearch:
             kids = self._children(node)
             if not kids:
                 break
-            node = self._child(node, kids[0])
+            node = self._child(node, kids[0][0])
         if len(node.path) == self.n:
             register(node)
 
@@ -443,14 +486,16 @@ class _TreeSearch:
             if key >= upper - _PRUNE_MARGIN:
                 continue  # drain; monotone bounds make everything left prunable
             node = parent if pair is None else self._child(parent, pair)
-            if self.node_bound(node) >= upper - _PRUNE_MARGIN:  # re-tightened by cuts added since push
+            # without a cut since the parent's expansion the bound is still
+            # the key; after one it may have risen
+            if parent.cuts != len(self.cut_keys) and self.node_bound(node) >= upper - _PRUNE_MARGIN:
                 continue
             nodes += 1
             if len(node.path) == self.n:
                 register(node)
                 continue
-            for pair in self._children(node):
-                child_bound = self.node_bound(self._child(node, pair))
+            node.cuts = len(self.cut_keys)
+            for pair, child_bound in self._children(node):
                 if child_bound < upper - _PRUNE_MARGIN:
                     heapq.heappush(heap, (child_bound, next(seq), node, pair))
 

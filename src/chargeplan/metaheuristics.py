@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 from . import model as mdl
 from .construction import (
     AssignmentSet,
+    Coverage,
     best_chargers,
     build_solution,
     cover_sets,
-    covers_all_demands,
     demand_assignment,
     min_stations,
     pair_sizer,
@@ -145,19 +145,17 @@ def simulated_annealing(
     rng = random.Random(params.seed)
     sized = pair_sizer(instance)
     station_ids = [s.id for s in instance.stations]
+    coverage = Coverage(instance)
 
-    def walk_to_feasible(active: set[int]) -> frozenset[int]:
-        """One random toggle, repeated until the activation covers every
-        demand (the first flip may be undone)."""
+    def walk_to_feasible(start: frozenset[int]) -> frozenset[int]:
+        """One random toggle from ``start``, repeated until the activation
+        covers every demand (the first flip may be undone)."""
+        coverage.reset(start)
         attempts = 0
         while True:
-            j = station_ids[rng.randrange(len(station_ids))]
-            if j in active:
-                active.discard(j)
-            else:
-                active.add(j)
-            if active and covers_all_demands(instance, active):
-                return frozenset(active)
+            coverage.toggle(rng.choice(station_ids))
+            if coverage.covers():
+                return frozenset(coverage.active)
             attempts += 1
             if attempts > _TOGGLE_LIMIT:
                 raise InfeasibleError("random walk could not reach a feasible activation")
@@ -171,7 +169,7 @@ def simulated_annealing(
         retries += 1
         if retries > 1000:
             raise InfeasibleError("no activation with a stable charger sizing found")
-        current = walk_to_feasible(set(current))
+        current = walk_to_feasible(current)
         cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng, sized)
 
     best_sol, best_cost = cur_sol, cur_cost
@@ -189,7 +187,7 @@ def simulated_annealing(
             terminated = "time"
             break
         iterations = it
-        cand = walk_to_feasible(set(current))
+        cand = walk_to_feasible(current)
         cand_cost, cand_sol = _try_candidate(instance, cand, params.assignment_randomness, rng, sized)
 
         if cand_cost < best_cost:
@@ -251,6 +249,7 @@ def genetic_algorithm(
     sized = pair_sizer(instance)
     station_order = [s.id for s in instance.stations]
     first_half = set(station_order[: len(station_order) // 2])
+    coverage = Coverage(instance)
 
     deadline = None if time_limit is None else t0 + time_limit
     covers = cover_sets(instance, params.population_size, deadline)
@@ -291,15 +290,13 @@ def genetic_algorithm(
         p1 = population[ranked[0]]
         p2 = population[ranked[1]] if len(ranked) > 1 else p1
 
-        child_active = {j for j in p1.active if j in first_half}
-        child_active |= {j for j in p2.active if j not in first_half}
-        inactive = [j for j in station_order if j not in child_active]
-        while not (child_active and covers_all_demands(instance, child_active)):
+        coverage.reset({j for j in p1.active if j in first_half} | {j for j in p2.active if j not in first_half})
+        inactive = [j for j in station_order if j not in coverage.active]
+        while not coverage.covers():
             if not inactive:
                 break
-            j = inactive.pop(rng.randrange(len(inactive)))
-            child_active.add(j)
-        child = frozenset(child_active)
+            coverage.toggle(inactive.pop(rng.randrange(len(inactive))))
+        child = frozenset(coverage.active)
 
         assignment = demand_assignment(instance, child, params.assignment_randomness, rng)
         inherited = set()
@@ -314,8 +311,10 @@ def genetic_algorithm(
                 inherited.add((i, j, k))
         child_cost, child_sol = _price(instance, AssignmentSet(frozenset(inherited)), child, sized)
 
-        worst_idx = max(range(len(population)), key=lambda i: (population[i].cost, i))
-        worst_cost = population[worst_idx].cost
+        # the last of the costliest, as a (cost, index) maximum picks it
+        costs = [c.cost for c in population]
+        worst_cost = max(costs)
+        worst_idx = len(costs) - 1 - costs[::-1].index(worst_cost)
         offspring = _Chromosome(child, child_cost, child_sol)
         if child_cost < best_cost:
             best_sol, best_cost = child_sol, child_cost

@@ -8,6 +8,7 @@ import pytest
 from chargeplan import construction
 from chargeplan.construction import (
     AssignmentSet,
+    Coverage,
     best_chargers,
     cover_sets,
     demand_assignment,
@@ -328,6 +329,32 @@ class TestCoverSearch:
         inst = coverage_instance({0: [0, 1], 1: [1, 2], 2: [2]}, 3)
         report = genetic_algorithm(inst, GAParams(population_size=4, max_iterations=20))
         assert "cover_search_cut" not in report.stats
+
+
+class TestCoverage:
+    def test_counts_match_a_set_check_over_random_toggles(self):
+        seen = set()
+        for seed in range(40):
+            rng = random.Random(seed)
+            inst = random_instance(seed, n_demand=rng.randint(1, 12), n_station=rng.randint(1, 6))
+            station_ids = [s.id for s in inst.stations]
+            coverage = Coverage(inst)
+            active: set[int] = set()
+            for _ in range(60):
+                if rng.random() < 0.2:
+                    # jump to a random activation, as a walk's new start does
+                    active = {j for j in station_ids if rng.random() < 0.5}
+                    coverage.reset(frozenset(active))
+                else:
+                    j = rng.choice(station_ids)
+                    active ^= {j}
+                    coverage.toggle(j)
+                reach = [len(active.intersection(d.reachable)) for d in inst.demand_points]
+                covers = bool(active) and all(reach)
+                assert (coverage.active, coverage.count, coverage.covers()) == (active, reach, covers)
+                assert coverage.uncovered == reach.count(0)
+                seen.add(covers)
+        assert seen == {False, True}
 
 
 class TestDemandAssignment:

@@ -314,7 +314,7 @@ class TestStabilityBoundary:
                 "check_feasibility": feasible,
                 "min_chargers": min_chargers(load, mu, eps) <= servers,
                 "size_pair": size_pair(load, kt, servers, 1.0, eps) is not None,
-                "children": _TreeSearch(inst, SolverConfig())._children(_Node()) == [(0, 0)],
+                "children": [pair for pair, _ in _TreeSearch(inst, SolverConfig())._children(_Node())] == [(0, 0)],
             }
             assert verdicts == dict.fromkeys(verdicts, stable), (load, verdicts)
 
@@ -358,9 +358,11 @@ class TestLoadOrder:
 
 
 class _Unmemoized(_TreeSearch):
-    """The referee for the floor memo: every node bound calls
-    ``pair_floor_extra`` afresh for each of its pairs, and is ``inf`` when
-    one of them is."""
+    """The referee for the floor memo and for bounding children from their
+    parent: every node bound, a child's included, is taken on the built node
+    and calls ``pair_floor_extra`` afresh for each of its pairs, and is
+    ``inf`` when one of them is. It also forgets the cut count of each node
+    it expands, so every child is bounded again when popped."""
 
     def node_bound(self, node):
         bound = (
@@ -372,6 +374,10 @@ class _Unmemoized(_TreeSearch):
             bound += self.pair_floor_extra(j, k, load)
         return bound
 
+    def _children(self, node):
+        node.cuts = -1
+        return [(pair, self.node_bound(self._child(node, pair))) for pair, _ in super()._children(node)]
+
 
 class TestFloorMemo:
     @staticmethod
@@ -379,7 +385,7 @@ class TestFloorMemo:
         """The greedy leaf the search starts from."""
         node = _Node()
         while len(node.path) < search.n:
-            node = search._child(node, search._children(node)[0])
+            node = search._child(node, search._children(node)[0][0])
         return node
 
     def test_a_cut_drops_the_memo_of_its_pair(self):
@@ -415,6 +421,43 @@ class TestFloorMemo:
         assert solved >= 10
 
 
+class _CheckedChildren(_TreeSearch):
+    """Checks, at every expansion, each child's bound from :meth:`_children`
+    against :meth:`node_bound` of the built child, bit for bit, and counts
+    how the child's pair sits among its parent's pairs."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.placed = {"held": 0, "first": 0, "inside": 0, "last": 0}
+
+    def _children(self, node):
+        kids = super()._children(node)
+        held = sorted(node.loads)
+        for pair, bound in kids:
+            assert bound.hex() == self.node_bound(self._child(node, pair)).hex(), (node.path, pair)
+            if pair in node.loads:
+                self.placed["held"] += 1
+            elif not held or pair < held[0]:
+                self.placed["first"] += 1
+            elif pair > held[-1]:
+                self.placed["last"] += 1
+            else:
+                self.placed["inside"] += 1
+        return kids
+
+
+@pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
+def test_children_are_bounded_as_built_nodes(proximity):
+    placed = dict.fromkeys(("held", "first", "inside", "last"), 0)
+    for seed in range(8):
+        inst = replace(feasible_instance(seed, n_demand=9, n_station=4), enforce_proximity=proximity)
+        search = _CheckedChildren(inst, SolverConfig())
+        assert search.solve().nodes_explored == PINNED_SEARCH[(seed, proximity)][0]
+        for key, count in search.placed.items():
+            placed[key] += count
+    assert min(placed.values()) > 0, placed
+
+
 # (seed, proximity) -> (nodes_explored, cuts_added, lower_bound.hex(),
 # upper_bound.hex()) of branch-and-bound on feasible_instance(seed, 9, 4)
 PINNED_SEARCH = {
@@ -445,6 +488,29 @@ def test_search_course_is_pinned(seed, proximity):
     rep = branch_and_bound(inst)
     got = (rep.nodes_explored, rep.cuts_added, rep.lower_bound.hex(), rep.upper_bound.hex())
     assert got == PINNED_SEARCH[(seed, proximity)]
+
+
+# (n_demand, n_station, seed, proximity) -> (nodes_explored, cuts_added,
+# lower_bound.hex(), upper_bound.hex()) of branch-and-bound on
+# feasible_instance(seed, n_demand, n_station, cap_range=(6, 14)). Cuts land
+# mid-search here, so a node popped after one must be bounded again: in three
+# of the six, a search that never re-bounds explores more nodes.
+PINNED_LARGER_SEARCH = {
+    (12, 5, 1, True): (5443, 8, '0x1.2c86860da3243p+6', '0x1.2c86860da3243p+6'),
+    (14, 4, 1, True): (12085, 13, '0x1.88534fd8ee786p+6', '0x1.88534fd8ee786p+6'),
+    (16, 4, 0, False): (4574, 16, '0x1.9043d3b6de2ddp+6', '0x1.9043d3b6de2ddp+6'),
+    (16, 4, 0, True): (733, 5, '0x1.b5d66009172bdp+6', '0x1.b5d66009172bdp+6'),
+    (16, 5, 0, True): (21687, 31, '0x1.ca434dc0ad570p+6', '0x1.ca434dc0ad570p+6'),
+    (16, 5, 2, False): (3061, 7, '0x1.ef42f87a4b2aap+5', '0x1.ef42f87a4b2aap+5'),
+}
+
+
+@pytest.mark.parametrize("n_demand, n_station, seed, proximity", sorted(PINNED_LARGER_SEARCH))
+def test_larger_search_course_is_pinned(n_demand, n_station, seed, proximity):
+    inst = feasible_instance(seed, n_demand=n_demand, n_station=n_station, cap_range=(6, 14))
+    rep = branch_and_bound(replace(inst, enforce_proximity=proximity))
+    got = (rep.nodes_explored, rep.cuts_added, rep.lower_bound.hex(), rep.upper_bound.hex())
+    assert got == PINNED_LARGER_SEARCH[(n_demand, n_station, seed, proximity)]
 
 
 EPS = 1e-6
