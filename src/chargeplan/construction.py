@@ -17,6 +17,8 @@ from . import model as mdl
 from . import queueing
 from .errors import InfeasibleError, UncoveredDemandError
 
+_MEMO_ENTRIES = 4096  # per memo of a CandidateContext
+
 
 @dataclass(frozen=True)
 class AssignmentSet:
@@ -31,47 +33,6 @@ class AssignmentSet:
             if i in seen:
                 raise ValueError(f"demand {i} assigned more than once")
             seen.add(i)
-
-
-class Coverage:
-    """A station activation that changes one station at a time, and how
-    many of its stations reach each demand, built from each demand's
-    ``reachable`` once per solver run. A toggle updates only the demands the
-    station reaches, so whether the activation covers every demand is read
-    off the count of uncovered ones."""
-
-    def __init__(self, instance: mdl.Instance):
-        self.active: set[int] = set()
-        self.reaches: dict[int, list[int]] = {}  # station -> positions of the demands it reaches
-        for n, d in enumerate(instance.demand_points):
-            for j in d.reachable:
-                self.reaches.setdefault(j, []).append(n)
-        self.count = [0] * len(instance.demand_points)  # per demand position
-        self.uncovered = len(self.count)
-
-    def toggle(self, j: int) -> None:
-        count = self.count
-        if j in self.active:
-            self.active.discard(j)
-            for n in self.reaches.get(j, ()):
-                count[n] -= 1
-                if not count[n]:
-                    self.uncovered += 1
-        else:
-            self.active.add(j)
-            for n in self.reaches.get(j, ()):
-                if not count[n]:
-                    self.uncovered -= 1
-                count[n] += 1
-
-    def reset(self, active: Iterable[int]) -> None:
-        """Make ``active`` the activation, toggling only the stations that differ."""
-        for j in self.active.symmetric_difference(active):
-            self.toggle(j)
-
-    def covers(self) -> bool:
-        """Whether the activation is nonempty and reaches every demand."""
-        return bool(self.active) and not self.uncovered
 
 
 def min_stations(instance: mdl.Instance) -> frozenset[int]:
@@ -210,11 +171,30 @@ def cover_sets(instance: mdl.Instance, population_size: int, deadline: float | N
     return list(found) or [greedy]
 
 
+def _routes(instance: mdl.Instance, active: Iterable[int]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    """Per demand point, in ``instance.demand_points`` order: (demand id,
+    closest active station, active reachable stations in ``reachable``
+    order), the closest one taken first in ``instance.nearest`` (ties:
+    lowest id). Raises UncoveredDemandError for a demand that reaches no
+    active station."""
+    act = set(active)
+    out = []
+    for d in instance.demand_points:
+        for j in instance.nearest[d.id]:
+            if j in act:
+                break
+        else:
+            raise UncoveredDemandError(f"demand {d.id} has no active reachable station")
+        out.append((d.id, j, tuple(jj for jj in d.reachable if jj in act)))
+    return tuple(out)
+
+
 def demand_assignment(
     instance: mdl.Instance,
     active: Iterable[int],
     randomization: float,
     rng: random.Random,
+    context: CandidateContext | None = None,
 ) -> AssignmentSet:
     """Assign each demand point to one (station, type) pair.
 
@@ -222,25 +202,23 @@ def demand_assignment(
     the active reachable set, otherwise the closest active station wins
     (ties: lowest id), as it always does when the instance enforces
     proximity (the exploration draw is still taken). The charger type is
-    always uniform random.
+    always uniform random. With a run's :class:`CandidateContext` each
+    activation's closest stations and options are worked out once per run
+    (``active`` must then be a frozenset); the draws are the same with it or
+    without it. A demand that reaches no active station raises
+    UncoveredDemandError before any draw.
     """
     if not 0.0 <= randomization <= 1.0:
         raise ValueError("randomization must lie in [0, 1]")
-    act = set(active)
+    routes = _routes(instance, active) if context is None else context.routes(active)
     type_ids = [k.id for k in instance.charger_types]
+    explore = not instance.enforce_proximity
+    draw, choice = rng.random, rng.choice
     triplets = []
-    for d in instance.demand_points:
-        for j in instance.nearest[d.id]:
-            if j in act:
-                break
-        else:
-            raise UncoveredDemandError(
-                f"demand {d.id} has no active reachable station"
-            )
-        if rng.random() < randomization and not instance.enforce_proximity:
-            j = rng.choice([jj for jj in d.reachable if jj in act])
-        k = rng.choice(type_ids)
-        triplets.append((d.id, j, k))
+    for (i, j, options) in routes:
+        if draw() < randomization and explore:
+            j = choice(options)
+        triplets.append((i, j, choice(type_ids)))
     return AssignmentSet(frozenset(triplets))
 
 
@@ -296,6 +274,56 @@ def pair_sizer(instance: mdl.Instance) -> Callable[[int, int, float], tuple[int,
         return memo[key]
 
     return sized
+
+
+class CandidateContext:
+    """What the candidates of one SA or GA run share: built at the start of
+    the run and dropped with it, so nothing outlives the run or hangs off
+    the shared instance.
+
+    It holds the run's :func:`pair_sizer` (``sized``) and
+    :func:`model.cost_tables` (``tables``). An activation is an int bitmask
+    over ``instance.stations``, station ``n`` being ``bits[n]``;
+    :meth:`covering` memoizes each mask's station set when it covers every
+    demand, and :meth:`routes` each activation's closest stations and
+    exploration options. A memo that reaches ``_MEMO_ENTRIES`` entries is
+    emptied, which bounds a run's memory on instances with many stations.
+    """
+
+    def __init__(self, instance: mdl.Instance):
+        self.instance = instance
+        self.sized = pair_sizer(instance)
+        self.tables = mdl.cost_tables(instance)
+        self.bits = [1 << n for n in range(len(instance.stations))]
+        self._bit = {s.id: b for s, b in zip(instance.stations, self.bits)}
+        self._reach = [self.mask(d.reachable) for d in instance.demand_points]
+        self._covering: dict[int, frozenset[int]] = {}
+        self._routes: dict[frozenset[int], tuple] = {}
+
+    def mask(self, stations: Iterable[int]) -> int:
+        """The bitmask of a set of distinct stations."""
+        return sum(map(self._bit.__getitem__, stations))
+
+    def covering(self, mask: int) -> frozenset[int]:
+        """The stations of ``mask`` when they are nonempty and reach every
+        demand, else the empty set."""
+        active = self._covering.get(mask)
+        if active is None:
+            if len(self._covering) >= _MEMO_ENTRIES:
+                self._covering.clear()
+            covers = mask and all(map(mask.__and__, self._reach))
+            active = frozenset(j for j, b in self._bit.items() if mask & b) if covers else frozenset()
+            self._covering[mask] = active
+        return active
+
+    def routes(self, active: frozenset[int]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+        """:func:`_routes` of the activation, memoized."""
+        routes = self._routes.get(active)
+        if routes is None:
+            if len(self._routes) >= _MEMO_ENTRIES:
+                self._routes.clear()
+            routes = self._routes[active] = _routes(self.instance, active)
+        return routes
 
 
 def best_chargers(

@@ -4,14 +4,19 @@ Both methods move through subsets of active stations; for each candidate
 subset the demand assignment is sampled (closest station, with an exploration
 probability of a random one unless the instance enforces proximity), charger
 counts are sized optimally for that assignment, and the candidate is priced
-at the waits that sizing produced. Sizing goes through a per-run
-:func:`~chargeplan.construction.pair_sizer`, so each (station, type, load)
-is sized once per run. Candidates whose sizing is infeasible cost infinity
-and are never recorded as incumbents. The reported incumbent is re-priced
-from scratch by ``model.evaluate``.
+at the waits that sizing produced. Each run builds one
+:class:`~chargeplan.construction.CandidateContext` and drops it with the
+run: activations are bitmasks whose coverage it memoizes, it memoizes each
+activation's closest stations and exploration options for the assignment
+draws, it sizes each (station, type, load) once, and it prices a candidate
+from per-run coefficient tables in ``model.cost_totals``' order, so every
+total is the one ``model.evaluate`` gives. Candidates whose sizing is
+infeasible cost infinity and are never recorded as incumbents. The reported
+incumbent is re-priced from scratch by ``model.evaluate``.
 
-A multi-run driver launches independently seeded runs and reports the best,
-plus how many distinct final objective values the runs produced.
+A multi-run driver launches independently seeded runs within one shared
+time limit and reports the best, plus how many distinct final objective
+values the runs produced.
 """
 
 from __future__ import annotations
@@ -20,17 +25,17 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 from . import model as mdl
 from .construction import (
     AssignmentSet,
-    Coverage,
+    CandidateContext,
     best_chargers,
     build_solution,
     cover_sets,
     demand_assignment,
     min_stations,
-    pair_sizer,
 )
 from .errors import InfeasibleError
 from .exact import SolverReport, root_lower_bound
@@ -82,24 +87,25 @@ class GAParams:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _price(instance: mdl.Instance, assignment: AssignmentSet, active: frozenset[int], sized):
-    """Size the chargers of an assignment through the run's ``sized`` and
-    price it with ``active`` open; returns (cost, solution) with cost = inf
-    when sizing is infeasible. The sizing waits equal ``evaluate``'s bit for
-    bit, so the cost is the one ``build_solution`` would give."""
+def _price(instance: mdl.Instance, assignment: AssignmentSet, active: frozenset[int], context: CandidateContext):
+    """Size the chargers of an assignment through the run's ``context`` and
+    price it from its tables with ``active`` open; returns (cost, solution)
+    with cost = inf when sizing is infeasible. The sizing waits equal
+    ``evaluate``'s bit for bit, so the cost is the one ``build_solution``
+    would give."""
     try:
-        chargers, waits = best_chargers(instance, assignment, sized)
+        chargers, waits = best_chargers(instance, assignment, context.sized)
     except InfeasibleError:
         return math.inf, None
-    cost = mdl.cost_totals(instance, active, assignment.triplets, chargers, waits)
+    cost = mdl.cost_totals(instance, active, assignment.triplets, chargers, waits, context.tables)
     return cost.total, mdl.Solution(active, assignment.triplets, chargers, waits, cost)
 
 
 def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: float, rng: random.Random,
-                   sized):
+                   context: CandidateContext):
     """Sample an assignment for an activation set and price it with the run's
-    ``sized``."""
-    return _price(instance, demand_assignment(instance, active, randomness, rng), active, sized)
+    ``context``."""
+    return _price(instance, demand_assignment(instance, active, randomness, rng, context), active, context)
 
 
 def _report(
@@ -143,25 +149,22 @@ def simulated_annealing(
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
-    sized = pair_sizer(instance)
-    station_ids = [s.id for s in instance.stations]
-    coverage = Coverage(instance)
+    context = CandidateContext(instance)
+    bits, choice, covering = context.bits, rng.choice, context.covering
 
-    def walk_to_feasible(start: frozenset[int]) -> frozenset[int]:
-        """One random toggle from ``start``, repeated until the activation
+    def walk_to_feasible(mask: int) -> tuple[int, frozenset[int]]:
+        """One random toggle from ``mask``, repeated until the activation
         covers every demand (the first flip may be undone)."""
-        coverage.reset(start)
-        attempts = 0
-        while True:
-            coverage.toggle(rng.choice(station_ids))
-            if coverage.covers():
-                return frozenset(coverage.active)
-            attempts += 1
-            if attempts > _TOGGLE_LIMIT:
-                raise InfeasibleError("random walk could not reach a feasible activation")
+        for _ in range(_TOGGLE_LIMIT + 1):
+            mask ^= choice(bits)
+            active = covering(mask)
+            if active:
+                return mask, active
+        raise InfeasibleError("random walk could not reach a feasible activation")
 
     current = frozenset(min_stations(instance))
-    cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng, sized)
+    cur_mask = context.mask(current)
+    cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng, context)
     retries = 0
     while cur_sol is None:
         # the greedy cover admits no stable sizing for this draw; keep
@@ -169,8 +172,8 @@ def simulated_annealing(
         retries += 1
         if retries > 1000:
             raise InfeasibleError("no activation with a stable charger sizing found")
-        current = walk_to_feasible(current)
-        cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng, sized)
+        cur_mask, current = walk_to_feasible(cur_mask)
+        cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng, context)
 
     best_sol, best_cost = cur_sol, cur_cost
     time_to_best = time.perf_counter() - t0
@@ -187,22 +190,22 @@ def simulated_annealing(
             terminated = "time"
             break
         iterations = it
-        cand = walk_to_feasible(current)
-        cand_cost, cand_sol = _try_candidate(instance, cand, params.assignment_randomness, rng, sized)
+        cand_mask, cand = walk_to_feasible(cur_mask)
+        cand_cost, cand_sol = _try_candidate(instance, cand, params.assignment_randomness, rng, context)
 
         if cand_cost < best_cost:
             best_sol, best_cost = cand_sol, cand_cost
-            current, cur_cost = cand, cand_cost
+            cur_mask, cur_cost = cand_mask, cand_cost
             time_to_best = time.perf_counter() - t0
             trace.append((it, best_cost))
         else:
             if cand_cost <= cur_cost:
-                current, cur_cost = cand, cand_cost
+                cur_mask, cur_cost = cand_mask, cand_cost
             else:
                 # cand_cost may be inf; exp(-inf) is a clean 0
                 m = math.exp((cur_cost - cand_cost) / temp)
                 if rng.random() < m:
-                    current, cur_cost = cand, cand_cost
+                    cur_mask, cur_cost = cand_mask, cand_cost
         new_temp = temp * factor
         if new_temp < _TEMP_FLOOR:
             new_temp = _TEMP_FLOOR
@@ -217,9 +220,15 @@ def simulated_annealing(
 
 @dataclass
 class _Chromosome:
+    mask: int
     active: frozenset[int]
     cost: float
     solution: mdl.Solution | None
+
+    @cached_property
+    def types(self) -> dict[tuple[int, int], int]:
+        """(demand, station) -> the charger type the solution routes it with."""
+        return {(i, j): k for (i, j, k) in self.solution.assignments} if self.solution else {}
 
 
 def genetic_algorithm(
@@ -246,10 +255,10 @@ def genetic_algorithm(
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
-    sized = pair_sizer(instance)
+    context = CandidateContext(instance)
     station_order = [s.id for s in instance.stations]
     first_half = set(station_order[: len(station_order) // 2])
-    coverage = Coverage(instance)
+    first_mask = context.mask(first_half)
 
     deadline = None if time_limit is None else t0 + time_limit
     covers = cover_sets(instance, params.population_size, deadline)
@@ -262,11 +271,12 @@ def genetic_algorithm(
             break
         # fewer distinct covers than N: cycle them with fresh assignment
         # draws so the initial charger-type patterns stay diverse
-        active = covers[idx % len(covers)]
+        active = frozenset(covers[idx % len(covers)])
         idx += 1
-        cost, sol = _try_candidate(instance, frozenset(active), params.assignment_randomness, rng, sized)
-        population.append(_Chromosome(frozenset(active), cost, sol))
+        cost, sol = _try_candidate(instance, active, params.assignment_randomness, rng, context)
+        population.append(_Chromosome(context.mask(active), active, cost, sol))
         priced = priced or sol is not None
+    costs = [c.cost for c in population]  # kept in step with the population
 
     def fittest(chroms: list[_Chromosome]) -> _Chromosome:
         return min(chroms, key=lambda c: (c.cost, sorted(c.active)))
@@ -286,48 +296,43 @@ def genetic_algorithm(
         pool_size = max(2, math.ceil(params.tournament_fraction * len(population)))
         pool_size = min(pool_size, len(population))
         pool_idx = rng.sample(range(len(population)), pool_size)
-        ranked = sorted(pool_idx, key=lambda i: (population[i].cost, i))
+        ranked = sorted(pool_idx, key=lambda i: (costs[i], i))
         p1 = population[ranked[0]]
         p2 = population[ranked[1]] if len(ranked) > 1 else p1
 
-        coverage.reset({j for j in p1.active if j in first_half} | {j for j in p2.active if j not in first_half})
-        inactive = [j for j in station_order if j not in coverage.active]
-        while not coverage.covers():
-            if not inactive:
-                break
-            coverage.toggle(inactive.pop(rng.randrange(len(inactive))))
-        child = frozenset(coverage.active)
+        mask = (p1.mask & first_mask) | (p2.mask & ~first_mask)
+        inactive = [b for b in context.bits if not mask & b]
+        child = context.covering(mask)
+        while not child and inactive:
+            mask |= inactive.pop(rng.randrange(len(inactive)))
+            child = context.covering(mask)
 
-        assignment = demand_assignment(instance, child, params.assignment_randomness, rng)
-        inherited = set()
-        p1_types = {(i, j): k for (i, j, k) in (p1.solution.assignments if p1.solution else ())}
-        p2_types = {(i, j): k for (i, j, k) in (p2.solution.assignments if p2.solution else ())}
-        for (i, j, k) in assignment.triplets:
-            if j in first_half and j in p1.active and (i, j) in p1_types:
-                inherited.add((i, j, p1_types[(i, j)]))
-            elif j not in first_half and j in p2.active and (i, j) in p2_types:
-                inherited.add((i, j, p2_types[(i, j)]))
-            else:
-                inherited.add((i, j, k))
-        child_cost, child_sol = _price(instance, AssignmentSet(frozenset(inherited)), child, sized)
+        # the child inherits a parent's type wherever that parent routed the
+        # same demand to the same station: parent 1 on the first half
+        assignment = demand_assignment(instance, child, params.assignment_randomness, rng, context)
+        inherited = frozenset(
+            (i, j, (p1.types if j in first_half else p2.types).get((i, j), k))
+            for (i, j, k) in assignment.triplets
+        )
+        child_cost, child_sol = _price(instance, AssignmentSet(inherited), child, context)
 
         # the last of the costliest, as a (cost, index) maximum picks it
-        costs = [c.cost for c in population]
         worst_cost = max(costs)
         worst_idx = len(costs) - 1 - costs[::-1].index(worst_cost)
-        offspring = _Chromosome(child, child_cost, child_sol)
         if child_cost < best_cost:
             best_sol, best_cost = child_sol, child_cost
             time_to_best = time.perf_counter() - t0
-            population[worst_idx] = offspring
+            admit = True
         elif child_cost > worst_cost:
             m = worst_cost / child_cost if child_cost > 0 else 0.0
             if math.isinf(child_cost) and math.isinf(worst_cost):
                 m = 1.0
-            if rng.random() < m:
-                population[worst_idx] = offspring
+            admit = rng.random() < m
         else:
-            population[worst_idx] = offspring
+            admit = True
+        if admit:
+            population[worst_idx] = _Chromosome(mask, child, child_cost, child_sol)
+            costs[worst_idx] = child_cost
 
     if best_sol is None:
         raise InfeasibleError("no cover admits a stable charger sizing")
@@ -347,28 +352,31 @@ def multi_run(
     """Launch ``n_runs`` independent runs seeded ``params.seed`` + 0..n-1 and
     report the cheapest. Runs share only the immutable instance, so they may
     execute in any order; they are executed sequentially here for exact
-    reproducibility of the aggregate.
+    reproducibility of the aggregate. ``time_limit`` bounds all the runs
+    together: each run gets what is left of it when it starts, and once
+    nothing is left no further run starts.
 
     The report's ``stats`` add ``run_costs`` (each run's objective),
     ``distinct_objectives`` (distinct values among them after rounding to
-    1e-6) and ``n_runs``.
+    1e-6) and ``n_runs``, the number of runs made.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
     if method not in ("sa", "ga"):
         raise ValueError("method must be 'sa' or 'ga'")
+    solve = simulated_annealing if method == "sa" else genetic_algorithm
+    deadline = None if time_limit is None else time.perf_counter() + time_limit
     reports = []
     for r in range(n_runs):
-        run_params = replace(params, seed=params.seed + r)
-        if method == "sa":
-            reports.append(simulated_annealing(instance, run_params, time_limit))
-        else:
-            reports.append(genetic_algorithm(instance, run_params, time_limit))
+        left = None if deadline is None else deadline - time.perf_counter()
+        if reports and left is not None and left <= 0.0:
+            break
+        reports.append(solve(instance, replace(params, seed=params.seed + r), left))
     best = min(reports, key=lambda rep: rep.upper_bound)
     costs = [r.upper_bound for r in reports]
     stats = dict(best.stats)
     stats.pop("incumbent_trace", None)
     stats.update(
-        {"run_costs": costs, "distinct_objectives": len({round(c, 6) for c in costs}), "n_runs": n_runs}
+        {"run_costs": costs, "distinct_objectives": len({round(c, 6) for c in costs}), "n_runs": len(costs)}
     )
     return replace(best, stats=stats)

@@ -348,29 +348,43 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
     return cost_totals(instance, solution.active, solution.assignments, solution.chargers, waits)
 
 
+def cost_tables(instance: Instance) -> tuple[dict, dict, dict, dict]:
+    """The objective's coefficients, as :func:`cost_totals` reads them: each
+    station's fixed cost, each type's unit cost, rate * travel_cost_rate *
+    travel per (demand, station) and rate * wait_cost_rate per demand. SA
+    and GA build them once per run."""
+    rate = {d.id: d.rate for d in instance.demand_points}
+    return (
+        {s.id: s.fixed_cost_rate for s in instance.stations},
+        {k.id: k.unit_cost_rate for k in instance.charger_types},
+        {(i, j): rate[i] * instance.travel_cost_rate * t for (i, j), t in instance.travel.items()},
+        {i: lam * instance.wait_cost_rate for i, lam in rate.items()},
+    )
+
+
 def cost_totals(
     instance: Instance,
     active: Iterable[int],
     assignments: Iterable[tuple[int, int, int]],
     chargers: Mapping[tuple[int, int], int],
     waits: Mapping[tuple[int, int], float],
+    tables: tuple[dict, dict, dict, dict] | None = None,
 ) -> CostBreakdown:
     """The objective at the given pair waits: station activation + charger
-    install + travel + expected wait, all in currency per minute.
-    Deterministic: sums run in sorted key order, so identical inputs give
+    install + travel + expected wait, all in currency per minute, summed
+    from the instance's :func:`cost_tables` (built here when not given).
+    Deterministic: sums run in sorted key order (stations by id, pairs
+    sorted, assignments by demand id), so identical inputs give
     bit-identical results.
     """
-    station = sum((instance.station_by_id[j].fixed_cost_rate for j in sorted(active)), 0.0)
-    charger = sum(
-        (instance.type_by_id[k].unit_cost_rate * s for (j, k), s in sorted(chargers.items())),
-        0.0,
-    )
+    fixed, unit, travel_of, wait_of = tables or cost_tables(instance)
+    station = sum(map(fixed.__getitem__, sorted(active)), 0.0)
+    charger = sum([unit[k] * s for (j, k), s in sorted(chargers.items())], 0.0)
     travel = 0.0
     waiting = 0.0
     for (i, j, k) in sorted(assignments):
-        lam = instance.demand_by_id[i].rate
-        travel += lam * instance.travel_cost_rate * instance.travel[(i, j)]
-        waiting += lam * instance.wait_cost_rate * waits[(j, k)]
+        travel += travel_of[(i, j)]
+        waiting += wait_of[i] * waits[(j, k)]
     total = station + charger + travel + waiting
     return CostBreakdown(
         station=station,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from chargeplan.errors import InfeasibleError
-from chargeplan.exact import brute_force
+from chargeplan.exact import branch_and_bound, brute_force
 from chargeplan.model import CandidateStation, ChargerType, DemandPoint, Instance, make_instance
 
 BOX = (41.65, 42.05, -87.95, -87.55)  # lat/lon bounds, roughly one metro area
@@ -112,14 +112,18 @@ def _capacity_screen(inst: Instance) -> None:
 
 
 def feasible_instance(seed: int, **kwargs) -> Instance:
-    """Retry seeds until the instance admits a stable assignment."""
+    """Retry seeds until the instance admits a stable assignment.
+
+    Instances of at most 2e6 assignment vectors are certified by
+    branch-and-bound run to proof, which gives brute force's verdict and
+    is much faster on the larger of them."""
     offset = 0
     while True:
         inst = random_instance(seed + 100_000 * offset, **kwargs)
         try:
             _capacity_screen(inst)
             if _leaf_count(inst) <= 2e6:
-                brute_force(inst, leaf_cap=2e6)
+                branch_and_bound(inst)
             elif not _constructively_feasible(inst):
                 raise InfeasibleError("no constructive stable assignment found")
             return inst

@@ -8,7 +8,7 @@ import pytest
 from chargeplan import construction
 from chargeplan.construction import (
     AssignmentSet,
-    Coverage,
+    CandidateContext,
     best_chargers,
     cover_sets,
     demand_assignment,
@@ -22,6 +22,8 @@ from chargeplan.model import (
     ChargerType,
     DemandPoint,
     check_feasibility,
+    cost_tables,
+    cost_totals,
     make_instance,
 )
 from chargeplan.queueing import expected_wait, min_chargers
@@ -331,30 +333,102 @@ class TestCoverSearch:
         assert "cover_search_cut" not in report.stats
 
 
-class TestCoverage:
-    def test_counts_match_a_set_check_over_random_toggles(self):
+class TestCandidateKernel:
+    """SA and GA's per-run CandidateContext against plain recomputation."""
+
+    def test_covering_matches_a_set_check_over_random_toggles(self):
+        self.walk_and_check()
+
+    def test_covering_matches_a_set_check_with_the_memo_emptied_often(self, monkeypatch):
+        monkeypatch.setattr(construction, "_MEMO_ENTRIES", 3)
+        self.walk_and_check()
+
+    @staticmethod
+    def walk_and_check():
+        """Random toggles and jumps over random instances of up to 14
+        stations, each mask's covering set checked against set intersections."""
         seen = set()
         for seed in range(40):
             rng = random.Random(seed)
-            inst = random_instance(seed, n_demand=rng.randint(1, 12), n_station=rng.randint(1, 6))
+            inst = random_instance(seed, n_demand=rng.randint(1, 12), n_station=rng.randint(1, 14))
             station_ids = [s.id for s in inst.stations]
-            coverage = Coverage(inst)
-            active: set[int] = set()
+            context = CandidateContext(inst)
+            mask = 0
             for _ in range(60):
                 if rng.random() < 0.2:
-                    # jump to a random activation, as a walk's new start does
-                    active = {j for j in station_ids if rng.random() < 0.5}
-                    coverage.reset(frozenset(active))
+                    mask = rng.getrandbits(len(station_ids))  # a jump, as a walk's new start is
                 else:
-                    j = rng.choice(station_ids)
-                    active ^= {j}
-                    coverage.toggle(j)
-                reach = [len(active.intersection(d.reachable)) for d in inst.demand_points]
-                covers = bool(active) and all(reach)
-                assert (coverage.active, coverage.count, coverage.covers()) == (active, reach, covers)
-                assert coverage.uncovered == reach.count(0)
+                    mask ^= rng.choice(context.bits)
+                active = {j for n, j in enumerate(station_ids) if mask >> n & 1}
+                covers = bool(active) and all(active.intersection(d.reachable) for d in inst.demand_points)
+                assert context.covering(mask) == (frozenset(active) if covers else frozenset())
+                assert context.mask(active) == mask
                 seen.add(covers)
         assert seen == {False, True}
+
+    @pytest.mark.parametrize("proximity", [False, True])
+    @pytest.mark.parametrize("randomization", [0.0, 0.3, 1.0])
+    def test_assignment_through_the_run_memo_equals_a_fresh_call(self, proximity, randomization):
+        rng = random.Random(43)
+        checked = 0
+        for seed in range(20):
+            inst = random_instance(seed, n_demand=rng.randint(2, 12), n_station=rng.randint(2, 12))
+            inst = make_instance(inst.demand_points, inst.stations, inst.charger_types,
+                                 travel_cost_rate=1.0, wait_cost_rate=1.0, travel=inst.travel,
+                                 enforce_proximity=proximity)
+            context = CandidateContext(inst)
+            cover = context.mask(min_stations(inst))
+            # a few activations, each drawn for many times, so most calls hit the memo
+            pool = [context.covering(cover | rng.getrandbits(len(inst.stations))) for _ in range(4)]
+            for _ in range(12):
+                active = rng.choice(pool)
+                state = random.Random(rng.random()).getstate()
+                memo_rng, fresh_rng, ref_rng = random.Random(), random.Random(), random.Random()
+                for r in (memo_rng, fresh_rng, ref_rng):
+                    r.setstate(state)
+                got = demand_assignment(inst, active, randomization, memo_rng, context)
+                assert got == demand_assignment(inst, active, randomization, fresh_rng)
+                assert got == TestDemandAssignment.reference(inst, active, randomization, ref_rng)
+                assert memo_rng.getstate() == fresh_rng.getstate() == ref_rng.getstate()
+                checked += 1
+        assert checked == 240
+
+    def test_tables_sum_the_written_formula_bit_for_bit(self):
+        def reference(instance, active, assignments, chargers, waits):
+            # the objective as cost_totals first summed it, from the instance's records
+            station = sum((instance.station_by_id[j].fixed_cost_rate for j in sorted(active)), 0.0)
+            charger = sum((instance.type_by_id[k].unit_cost_rate * s for (j, k), s in sorted(chargers.items())), 0.0)
+            travel = waiting = 0.0
+            for (i, j, k) in sorted(assignments):
+                lam = instance.demand_by_id[i].rate
+                travel += lam * instance.travel_cost_rate * instance.travel[(i, j)]
+                waiting += lam * instance.wait_cost_rate * waits[(j, k)]
+            return station, charger, travel, waiting, station + charger + travel + waiting
+
+        rng = random.Random(47)
+        for seed in range(40):
+            base = random_instance(seed, n_demand=rng.randint(1, 12), n_station=rng.randint(1, 8),
+                                   k_types=rng.randint(1, 3))
+            # records out of id order, so the id order of the sums is not the records' order
+            dps, sts = list(base.demand_points), list(base.stations)
+            rng.shuffle(dps)
+            rng.shuffle(sts)
+            inst = make_instance(dps, sts, base.charger_types, travel_cost_rate=rng.uniform(0.5, 3.0),
+                                 wait_cost_rate=rng.uniform(0.5, 4.0), travel=base.travel)
+            tables = cost_tables(inst)
+            type_ids = [k.id for k in inst.charger_types]
+            for _ in range(5):
+                assignments = frozenset((d.id, rng.choice(d.reachable), rng.choice(type_ids))
+                                        for d in inst.demand_points)
+                active = {j for (_, j, _) in assignments} | {s.id for s in sts if rng.random() < 0.3}
+                pairs = {(j, k) for (_, j, k) in assignments}
+                chargers = {pair: rng.randint(1, 9) for pair in pairs}
+                waits = {pair: rng.uniform(1.0, 100.0) for pair in pairs}
+                got = cost_totals(inst, active, assignments, chargers, waits, tables)
+                want = reference(inst, active, assignments, chargers, waits)
+                assert [x.hex() for x in (got.station, got.charger, got.travel, got.waiting, got.total)] == [
+                    x.hex() for x in want]
+                assert cost_totals(inst, active, assignments, chargers, waits) == got
 
 
 class TestDemandAssignment:

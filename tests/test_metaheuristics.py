@@ -1,6 +1,7 @@
 import gc
 import math
 import random
+import time
 import weakref
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from chargeplan.metaheuristics import (
     simulated_annealing,
 )
 from chargeplan.model import CandidateStation, ChargerType, DemandPoint, check_feasibility, make_instance
-from chargeplan.construction import best_chargers, build_solution, cover_sets, demand_assignment, pair_sizer
+from chargeplan.construction import CandidateContext, best_chargers, build_solution, cover_sets, demand_assignment
 from chargeplan.errors import InfeasibleError
 
 from gen import feasible_instance, random_instance
@@ -214,6 +215,22 @@ class TestMultiRun:
         res = multi_run(inst, "sa", SAParams(max_iterations=1500, assignment_randomness=0.2, seed=1), n_runs=6)
         assert res.stats["distinct_objectives"] == 1
 
+    @pytest.mark.parametrize("method, params", [
+        ("sa", SAParams(max_iterations=10**6, seed=1)),
+        ("ga", GAParams(max_iterations=10**6, seed=1)),
+    ])
+    def test_time_limit_bounds_all_runs_together(self, method, params):
+        inst = feasible_instance(9011, n_demand=20, n_station=5, cap_range=(6, 14))
+        t0 = time.perf_counter()
+        rep = multi_run(inst, method, params, n_runs=3, time_limit=0.5)
+        elapsed = time.perf_counter() - t0
+        # each run getting the whole limit took about 1.5 s; a run that
+        # would start past the limit is not made
+        assert elapsed < 0.5 + 0.4
+        assert rep.terminated_by == "time"
+        assert rep.stats["n_runs"] == len(rep.stats["run_costs"]) < 3
+        assert check_feasibility(inst, rep.best) == []
+
     def test_rejects_bad_args(self):
         inst = small(7115)
         with pytest.raises(ValueError):
@@ -226,19 +243,19 @@ class TestCandidatePricing:
     @pytest.mark.parametrize("proximity", [False, True])
     def test_price_equals_build_solution(self, proximity):
         # caps of 2-8 chargers per type leave about half the assignments unsizable;
-        # one sizer per instance, so repeated loads are answered by its memo
+        # one context per instance, so repeated loads are answered by its sizing memo
         rng = random.Random(12)
         priced = unsizable = 0
         for seed in range(40):
             inst = replace(random_instance(seed, n_demand=rng.randint(3, 9), n_station=rng.randint(2, 5),
                                            cap_range=(2, 8)), enforce_proximity=proximity)
-            sized = pair_sizer(inst)
+            context = CandidateContext(inst)
             stations = [s.id for s in inst.stations]
             for _ in range(6):
                 active = frozenset(rng.sample(stations, rng.randint(1, len(stations))) + [
                     rng.choice(d.reachable) for d in inst.demand_points])
                 a = demand_assignment(inst, active, 0.5, rng)
-                cost, sol = metaheuristics._price(inst, a, active, sized)
+                cost, sol = metaheuristics._price(inst, a, active, context)
                 try:
                     want = build_solution(inst, a, best_chargers(inst, a)[0], active=active)
                 except InfeasibleError:
@@ -262,15 +279,20 @@ class TestCandidatePricing:
         inst.nearest  # the instance's own closest-station order, built on first use
         before = dict(vars(inst))
         made = []
+        held = []  # the run's tables and memos, which a weak reference cannot follow
 
         def tracked(instance):
-            sized = pair_sizer(instance)
-            made.append(weakref.ref(sized))
-            return sized
+            context = CandidateContext(instance)
+            made.extend((weakref.ref(context), weakref.ref(context.sized)))
+            held.extend((context.tables, context._covering, context._routes))
+            return context
 
-        monkeypatch.setattr(metaheuristics, "pair_sizer", tracked)
+        monkeypatch.setattr(metaheuristics, "CandidateContext", tracked)
         solve(inst, params)
         gc.collect()
-        assert len(made) == 1 and made[0]() is None
+        assert len(made) == 2 and [ref() for ref in made] == [None, None]
+        # nothing but this test holds them
+        for n in range(len(held)):
+            assert gc.get_referrers(held[n]) == [held]
         assert vars(inst).keys() == before.keys()
         assert all(vars(inst)[key] is value for key, value in before.items())

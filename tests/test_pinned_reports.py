@@ -40,6 +40,10 @@ def _instances() -> dict:
         "c06-9011": feasible_instance(9011, n_demand=20, n_station=5, cap_range=(6, 14)),
         # a proximity seed on which SA or GA once broke the closest-station rule
         "prox-320": replace(feasible_instance(320, n_demand=6, n_station=5), enforce_proximity=True),
+        # twelve stations, so activations span more bits than the 5-station cases
+        "wide-1": feasible_instance(1, n_demand=16, n_station=12, cap_range=(3, 8)),
+        "wide-1-prox": replace(feasible_instance(1, n_demand=16, n_station=12, cap_range=(3, 8)),
+                               enforce_proximity=True),
     }
 
 
@@ -68,7 +72,7 @@ def pinned():
     return json.loads(PINNED.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", ["c06-9011", "prox-320"])
+@pytest.mark.parametrize("name", ["c06-9011", "prox-320", "wide-1", "wide-1-prox"])
 @pytest.mark.parametrize("run", sorted(RUNS))
 def test_report_equals_pinned(instances, pinned, name, run):
     assert _report(instances[name], run) == pinned[f"{name}/{run}"]
