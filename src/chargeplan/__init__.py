@@ -32,7 +32,6 @@ from .exact import (
     SolverReport,
     branch_and_bound,
     brute_force,
-    compute_gap,
 )
 from .metaheuristics import (
     GAParams,
@@ -88,7 +87,6 @@ __all__ = [
     "check_feasibility",
     "cluster_demand_points",
     "cluster_stations",
-    "compute_gap",
     "cover_sets",
     "delay_factor",
     "demand_assignment",

@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest, cluster, solve, compare, sweep, validate.
 
 Exit codes: 0 success, 2 infeasible, 3 parse/usage error, 4 solver hit its
-time limit but a result file was still written. All volatile values (wall
-times, timestamps) are confined to the ``meta`` object of JSON outputs so
+time limit (a result file is still written when it had a deployment, and
+none when it stopped before finding one). All volatile values (wall times,
+timestamps) are confined to the ``meta`` object of JSON outputs so
 fixed-seed runs are byte-identical elsewhere.
 """
 
@@ -28,6 +29,7 @@ from .errors import (
     InstanceTooLargeError,
     InvalidKError,
     ParseError,
+    TimeLimitError,
     UncoveredDemandError,
 )
 from .exact import SolverConfig, branch_and_bound, brute_force, save_report, solution_from_dict
@@ -449,6 +451,9 @@ def main(argv: list[str] | None = None) -> int:
     except (InfeasibleError, InfeasibleDemandError, UncoveredDemandError, InstanceTooLargeError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except TimeLimitError as exc:
+        print(f"timeout: {exc}", file=sys.stderr)
+        return EXIT_TIMEOUT
     except ChargePlanError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import model as mdl
 from . import queueing
@@ -256,24 +256,31 @@ def size_pair(
     return (s, wait)
 
 
-def pair_sizer(instance: mdl.Instance) -> Callable[[int, int, float], tuple[int, float] | None]:
-    """:func:`size_pair` for the pairs of ``instance``, memoized by (station,
-    type, load): ``sized(j, k, load)`` is size_pair's (count, wait), or None
-    when the pair cannot be sized within its cap.
+class _PairSizer:
+    """:func:`size_pair` for one instance, memoized in ``_memo`` by (station,
+    type, load); loads are summed in ``instance.demand_order`` wherever they
+    are formed, so one assignment's pair always meets the same key. Each
+    solve or SA/GA run makes its own and drops it, so no cache outlives it."""
 
-    SA and GA make one per run and drop it with the run, so no cache
-    outlives the run or hangs off the shared instance.
-    """
-    memo: dict[tuple[int, int, float], tuple[int, float] | None] = {}
+    def __init__(self, instance: mdl.Instance):
+        self.instance = instance
+        self._memo: dict[tuple[int, int, float], tuple[int, float, float] | None] = {}
 
-    def sized(j: int, k: int, load: float) -> tuple[int, float] | None:
+    def best(self, j: int, k: int, load: float) -> tuple[int, float, float] | None:
+        """(charger count, wait, charger + wait cost) for the pair, or None
+        when the load cannot be stabilized within the capacity."""
         key = (j, k, load)
-        if key not in memo:
-            memo[key] = size_pair(load, instance.type_by_id[k], instance.station_cap(j, k),
-                                  instance.wait_cost_rate, instance.epsilon)
-        return memo[key]
-
-    return sized
+        try:
+            return self._memo[key]
+        except KeyError:
+            pass
+        inst, kt = self.instance, self.instance.type_by_id[k]
+        sized = size_pair(load, kt, inst.station_cap(j, k), inst.wait_cost_rate, inst.epsilon)
+        if sized is not None:
+            s, wait = sized
+            sized = (s, wait, kt.unit_cost_rate * s + load * inst.wait_cost_rate * wait)
+        self._memo[key] = sized
+        return sized
 
 
 class CandidateContext:
@@ -281,7 +288,7 @@ class CandidateContext:
     the run and dropped with it, so nothing outlives the run or hangs off
     the shared instance.
 
-    It holds the run's :func:`pair_sizer` (``sized``) and
+    It holds the run's :class:`_PairSizer` (``sizer``) and
     :func:`model.cost_tables` (``tables``). An activation is an int bitmask
     over ``instance.stations``, station ``n`` being ``bits[n]``;
     :meth:`covering` memoizes each mask's station set when it covers every
@@ -292,7 +299,7 @@ class CandidateContext:
 
     def __init__(self, instance: mdl.Instance):
         self.instance = instance
-        self.sized = pair_sizer(instance)
+        self.sizer = _PairSizer(instance)
         self.tables = mdl.cost_tables(instance)
         self.bits = [1 << n for n in range(len(instance.stations))]
         self._bit = {s.id: b for s, b in zip(instance.stations, self.bits)}
@@ -329,26 +336,21 @@ class CandidateContext:
 def best_chargers(
     instance: mdl.Instance,
     assignment: AssignmentSet,
-    sized: Callable[[int, int, float], tuple[int, float] | None] | None = None,
+    sizer: _PairSizer,
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], float]]:
     """Optimal charger counts per (station, type) for a fixed assignment, and
     each pair's expected wait at its count, which equals
-    :func:`model.compute_waits`' bit for bit.
-
-    ``sized`` is a :func:`pair_sizer` of the instance; without one every pair
-    is sized afresh. Raises :class:`InfeasibleError` when some pair cannot
-    reach stability within its capacity.
-    """
-    if sized is None:
-        sized = pair_sizer(instance)
+    :func:`model.compute_waits`' bit for bit, sized through the caller's
+    :class:`_PairSizer`. Raises :class:`InfeasibleError` when some pair
+    cannot reach stability within its capacity."""
     chargers: dict[tuple[int, int], int] = {}
     waits: dict[tuple[int, int], float] = {}
     for (j, k), load in sorted(mdl.pair_loads(instance, assignment.triplets).items()):
-        pair = sized(j, k, load)
+        pair = sizer.best(j, k, load)
         if pair is None:
             cap = instance.station_cap(j, k)
             raise InfeasibleError(f"station {j} type {k}: load {load:.6g} needs more than {cap} chargers")
-        chargers[(j, k)], waits[(j, k)] = pair
+        chargers[(j, k)], waits[(j, k)], _ = pair
     return chargers, waits
 
 

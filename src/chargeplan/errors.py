@@ -50,8 +50,9 @@ class InstanceTooLargeError(ChargePlanError):
     """Exhaustive enumeration would exceed the configured leaf budget."""
 
 
-class InvalidBoundsError(ChargePlanError):
-    """Lower/upper bound pair is non-positive or inverted."""
+class TimeLimitError(ChargePlanError):
+    """A search ran out of time before it found any feasible deployment, so
+    nothing is known about feasibility."""
 
 
 class ParseError(ChargePlanError):

@@ -29,8 +29,8 @@ from typing import Iterable, Mapping
 
 from . import model as mdl
 from . import queueing
-from .construction import AssignmentSet, best_chargers, build_solution, size_pair
-from .errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError
+from .construction import AssignmentSet, _PairSizer, best_chargers, build_solution
+from .errors import InfeasibleError, InstanceTooLargeError, TimeLimitError
 
 _PRUNE_MARGIN = 1e-9
 
@@ -66,13 +66,6 @@ class SolverReport:
         return report_gap(self.lower_bound, self.upper_bound)
 
 
-def compute_gap(lower: float, upper: float) -> float:
-    """Relative optimality gap 1 - lower/upper for positive, ordered bounds."""
-    if lower <= 0 or upper <= 0 or lower > upper:
-        raise InvalidBoundsError(f"need 0 < lower <= upper, got lower={lower}, upper={upper}")
-    return 1.0 - lower / upper
-
-
 def report_gap(lower: float, upper: float) -> float:
     """The gap of a report's nonnegative bounds: 1 - lower/upper when both
     are positive, else 0 when they are equal and 1 (nothing proven) if not."""
@@ -95,32 +88,6 @@ def root_lower_bound(instance: mdl.Instance) -> float:
     return floor
 
 
-class _PairSizer:
-    """Memoized exact sizing of (station, type) pairs, keyed by the pair and
-    its load. A load is summed in ``instance.demand_order`` wherever it is
-    formed, so one assignment's pair always meets the same key."""
-
-    def __init__(self, instance: mdl.Instance):
-        self.instance = instance
-        self._memo: dict[tuple[int, int, float], tuple[int, float] | None] = {}
-
-    def best(self, j: int, k: int, load: float) -> tuple[int, float] | None:
-        """(charger count, charger+wait cost) for the pair, or None if the
-        load cannot be stabilized within the capacity."""
-        key = (j, k, load)
-        if key in self._memo:
-            return self._memo[key]
-        inst, kt = self.instance, self.instance.type_by_id[k]
-        sized = size_pair(load, kt, inst.station_cap(j, k), inst.wait_cost_rate, inst.epsilon)
-        if sized is None:
-            self._memo[key] = None
-            return None
-        s, wait = sized
-        cost = kt.unit_cost_rate * s + load * inst.wait_cost_rate * wait
-        self._memo[key] = (s, cost)
-        return self._memo[key]
-
-
 def _choices_for(instance: mdl.Instance, d: mdl.DemandPoint) -> list[tuple[int, int, float]]:
     """(station, type, myopic travel+service cost) options, cheapest first."""
     opts = []
@@ -136,12 +103,12 @@ def _choices_for(instance: mdl.Instance, d: mdl.DemandPoint) -> list[tuple[int, 
 
 
 def _solution(
-    instance: mdl.Instance, demands: Iterable[mdl.DemandPoint], path: Iterable[tuple[int, int]]
+    instance: mdl.Instance, demands: Iterable[mdl.DemandPoint], path: Iterable[tuple[int, int]], sizer: _PairSizer
 ) -> mdl.Solution:
     """The deployment that sends ``demands[d]`` to the pair ``path[d]``,
-    sized as SA and GA size theirs and priced by ``model.evaluate``."""
+    sized by the search's own ``sizer`` and priced by ``model.evaluate``."""
     assignment = AssignmentSet(frozenset((d.id, j, k) for d, (j, k) in zip(demands, path)))
-    return build_solution(instance, assignment, best_chargers(instance, assignment)[0])
+    return build_solution(instance, assignment, best_chargers(instance, assignment, sizer)[0])
 
 
 def brute_force(
@@ -179,7 +146,7 @@ def brute_force(
             sized = sizer.best(j, k, load)
             if sized is None:
                 return
-            cost += sized[1]
+            cost += sized[2]
             if j not in stations_seen:
                 stations_seen.add(j)
                 cost += station_cost[j]
@@ -212,7 +179,7 @@ def brute_force(
     if best_picked is None:
         raise InfeasibleError("no assignment vector admits stable queues within capacity")
 
-    solution = _solution(instance, demands, best_picked)
+    solution = _solution(instance, demands, best_picked, sizer)
     total = solution.cost.total
     return SolverReport(
         best=solution,
@@ -398,7 +365,7 @@ class _TreeSearch:
             if sized is None:
                 return None
             chargers[(j, k)] = sized[0]
-            cost += sized[1]
+            cost += sized[2]
         return cost, chargers
 
     # -- search ------------------------------------------------------------
@@ -510,9 +477,11 @@ class _TreeSearch:
                 break
 
         if best_path is None:
+            if terminated == "time":
+                raise TimeLimitError(f"time limit {self.config.time_limit:g} s ran out before any stable assignment")
             raise InfeasibleError("no stable assignment exists within charger capacities")
 
-        solution = _solution(self.instance, self.demands, best_path)
+        solution = _solution(self.instance, self.demands, best_path, self.sizer)
         total = solution.cost.total
         if terminated == "optimality" and not heap:
             lower = total  # search tree exhausted: the incumbent is proven optimal

@@ -37,7 +37,7 @@ from .construction import (
     demand_assignment,
     min_stations,
 )
-from .errors import InfeasibleError
+from .errors import InfeasibleError, TimeLimitError
 from .exact import SolverReport, root_lower_bound
 
 _TEMP_FLOOR = 1e-12
@@ -94,10 +94,10 @@ def _price(instance: mdl.Instance, assignment: AssignmentSet, active: frozenset[
     ``evaluate``'s bit for bit, so the cost is the one ``build_solution``
     would give."""
     try:
-        chargers, waits = best_chargers(instance, assignment, context.sized)
+        chargers, waits = best_chargers(instance, assignment, context.sizer)
     except InfeasibleError:
         return math.inf, None
-    cost = mdl.cost_totals(instance, active, assignment.triplets, chargers, waits, context.tables)
+    cost = mdl.cost_totals(context.tables, active, assignment.triplets, chargers, waits)
     return cost.total, mdl.Solution(active, assignment.triplets, chargers, waits, cost)
 
 
@@ -335,6 +335,8 @@ def genetic_algorithm(
             costs[worst_idx] = child_cost
 
     if best_sol is None:
+        if terminated == "time":
+            raise TimeLimitError(f"time limit {time_limit:g} s ran out before any cover admitted a stable sizing")
         raise InfeasibleError("no cover admits a stable charger sizing")
     return _report(
         instance, best_sol, iterations, time_to_best, terminated,
@@ -354,7 +356,9 @@ def multi_run(
     execute in any order; they are executed sequentially here for exact
     reproducibility of the aggregate. ``time_limit`` bounds all the runs
     together: each run gets what is left of it when it starts, and once
-    nothing is left no further run starts.
+    nothing is left no further run starts. A run that runs out of time
+    before any deployment (:class:`TimeLimitError`) ends the loop; the runs
+    already made are reported, and with none the error propagates.
 
     The report's ``stats`` add ``run_costs`` (each run's objective),
     ``distinct_objectives`` (distinct values among them after rounding to
@@ -371,7 +375,12 @@ def multi_run(
         left = None if deadline is None else deadline - time.perf_counter()
         if reports and left is not None and left <= 0.0:
             break
-        reports.append(solve(instance, replace(params, seed=params.seed + r), left))
+        try:
+            reports.append(solve(instance, replace(params, seed=params.seed + r), left))
+        except TimeLimitError:
+            if not reports:
+                raise
+            break
     best = min(reports, key=lambda rep: rep.upper_bound)
     costs = [r.upper_bound for r in reports]
     stats = dict(best.stats)

@@ -345,7 +345,7 @@ def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
         raise UnassignedDemandError(f"demand points without assignment: {missing}")
 
     waits = compute_waits(instance, solution.assignments, solution.chargers)
-    return cost_totals(instance, solution.active, solution.assignments, solution.chargers, waits)
+    return cost_totals(cost_tables(instance), solution.active, solution.assignments, solution.chargers, waits)
 
 
 def cost_tables(instance: Instance) -> tuple[dict, dict, dict, dict]:
@@ -363,21 +363,19 @@ def cost_tables(instance: Instance) -> tuple[dict, dict, dict, dict]:
 
 
 def cost_totals(
-    instance: Instance,
+    tables: tuple[dict, dict, dict, dict],
     active: Iterable[int],
     assignments: Iterable[tuple[int, int, int]],
     chargers: Mapping[tuple[int, int], int],
     waits: Mapping[tuple[int, int], float],
-    tables: tuple[dict, dict, dict, dict] | None = None,
 ) -> CostBreakdown:
     """The objective at the given pair waits: station activation + charger
     install + travel + expected wait, all in currency per minute, summed
-    from the instance's :func:`cost_tables` (built here when not given).
-    Deterministic: sums run in sorted key order (stations by id, pairs
-    sorted, assignments by demand id), so identical inputs give
-    bit-identical results.
+    from an instance's :func:`cost_tables`. Deterministic: sums run in
+    sorted key order (stations by id, pairs sorted, assignments by demand
+    id), so identical inputs give bit-identical results.
     """
-    fixed, unit, travel_of, wait_of = tables or cost_tables(instance)
+    fixed, unit, travel_of, wait_of = tables
     station = sum(map(fixed.__getitem__, sorted(active)), 0.0)
     charger = sum([unit[k] * s for (j, k), s in sorted(chargers.items())], 0.0)
     travel = 0.0

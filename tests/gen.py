@@ -139,14 +139,15 @@ def _leaf_count(inst: Instance) -> float:
 
 
 def _constructively_feasible(inst: Instance) -> bool:
-    from chargeplan.construction import best_chargers, demand_assignment
+    from chargeplan.construction import _PairSizer, best_chargers, demand_assignment
     from chargeplan.errors import InfeasibleError as Inf
 
     every = [s.id for s in inst.stations]
     rng = random.Random(0)
+    sizer = _PairSizer(inst)
     for _ in range(200):
         try:
-            best_chargers(inst, demand_assignment(inst, every, 0.3, rng))
+            best_chargers(inst, demand_assignment(inst, every, 0.3, rng), sizer)
             return True
         except Inf:
             continue

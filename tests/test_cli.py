@@ -220,6 +220,30 @@ class TestSolve:
         else:
             assert rc == 0  # solved inside the budget anyway
 
+    def test_time_out_before_any_deployment_exits_4_without_a_report(self, tmp_path, capsys):
+        # branch-and-bound's greedy dive dead-ends here, so no incumbent exists
+        inst = feasible_instance(66, n_demand=10, n_station=4, cap_range=(1, 4))
+        src = write_instance(inst, tmp_path / "inst.json")
+        out = tmp_path / "report.json"
+        rc = main(["solve", src, "--method", "bnb", "--time-limit", "1e-9", "--out", str(out)])
+        assert rc == 4
+        assert not out.exists()
+        assert "1e-09 s" in capsys.readouterr().err
+
+    def test_infeasible_instance_exits_2(self, tmp_path):
+        from chargeplan.model import CandidateStation, ChargerType, DemandPoint, make_instance
+
+        # rate 5 against at most 3 chargers serving 0.1 each
+        kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=10.0)
+        dp = DemandPoint(id=0, lat=41.88, lon=-87.68, rate=5.0)
+        st = CandidateStation(id=0, lat=41.9, lon=-87.7, fixed_cost_rate=1.0, max_chargers={0: 3})
+        inst = make_instance([dp], [st], [kt], travel_cost_rate=1.0, wait_cost_rate=1.0, travel={(0, 0): 2.0})
+        src = write_instance(inst, tmp_path / "inst.json")
+        out = tmp_path / "report.json"
+        rc = main(["solve", src, "--method", "bnb", "--out", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
     def test_config_file_sections_applied(self, tmp_path):
         inst = feasible_instance(511, n_demand=3, n_station=3)
         src = write_instance(inst, tmp_path / "inst.json")

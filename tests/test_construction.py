@@ -424,11 +424,11 @@ class TestCandidateKernel:
                 pairs = {(j, k) for (_, j, k) in assignments}
                 chargers = {pair: rng.randint(1, 9) for pair in pairs}
                 waits = {pair: rng.uniform(1.0, 100.0) for pair in pairs}
-                got = cost_totals(inst, active, assignments, chargers, waits, tables)
+                got = cost_totals(tables, active, assignments, chargers, waits)
                 want = reference(inst, active, assignments, chargers, waits)
                 assert [x.hex() for x in (got.station, got.charger, got.travel, got.waiting, got.total)] == [
                     x.hex() for x in want]
-                assert cost_totals(inst, active, assignments, chargers, waits) == got
+                assert cost_totals(cost_tables(inst), active, assignments, chargers, waits) == got
 
 
 class TestDemandAssignment:
@@ -533,7 +533,7 @@ class TestBestChargers:
         inst = coverage_instance({0: [0]}, 1, rates={0: 10.0}, caps={0: 3})
         a = AssignmentSet(frozenset({(0, 0, 0)}))
         with pytest.raises(InfeasibleError):
-            best_chargers(inst, a)
+            best_chargers(inst, a, construction._PairSizer(inst))
 
     def test_greedy_equals_bruteforce_over_counts(self):
         # exhaustive minimization of charger + waiting cost over s
@@ -601,17 +601,24 @@ class TestBestChargers:
         calls = []
         real = construction.size_pair
         monkeypatch.setattr(construction, "size_pair", lambda *a: calls.append(a) or real(*a))
-        sized = construction.pair_sizer(inst)
+        sizer = construction._PairSizer(inst)
         rng = random.Random(3)
         keys = [(j, k.id, rng.choice([0.01, 0.05, 0.2, 1.0, 3.0]))
                 for j in range(3) for k in inst.charger_types for _ in range(4)]
         results = set()
         for (j, k, load) in keys + keys:
-            want = real(load, inst.type_by_id[k], inst.station_cap(j, k), inst.wait_cost_rate, inst.epsilon)
-            assert sized(j, k, load) == want
+            kt = inst.type_by_id[k]
+            want = real(load, kt, inst.station_cap(j, k), inst.wait_cost_rate, inst.epsilon)
+            got = sizer.best(j, k, load)
             results.add(want is None)
+            if want is None:
+                assert got is None
+                continue
+            s, wait = want
+            assert got[:2] == (s, wait)
+            assert got[2].hex() == (kt.unit_cost_rate * s + load * inst.wait_cost_rate * wait).hex()
         assert results == {True, False}
-        assert len(calls) == len(set(keys))
+        assert len(calls) == len(set(keys)) == len(sizer._memo)
 
     def test_assignment_set_rejects_duplicates(self):
         with pytest.raises(ValueError):

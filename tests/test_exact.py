@@ -2,21 +2,22 @@ import functools
 import itertools
 import math
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chargeplan import construction, exact
 from chargeplan.construction import size_pair
-from chargeplan.errors import InfeasibleError, InstanceTooLargeError, InvalidBoundsError, UnstableQueueError
+from chargeplan.errors import InfeasibleError, InstanceTooLargeError, TimeLimitError, UnstableQueueError
 from chargeplan.exact import (
     SolverConfig,
     _Node,
     _TreeSearch,
     branch_and_bound,
     brute_force,
-    compute_gap,
     report_gap,
     root_lower_bound,
 )
@@ -61,32 +62,11 @@ def unit_instance():
     )
 
 
-class TestComputeGap:
-    def test_equal_bounds(self):
-        assert compute_gap(4.2, 4.2) == 0.0
-
-    def test_half(self):
-        assert compute_gap(50.0, 100.0) == pytest.approx(0.5)
-
-    def test_unit_example(self):
-        assert compute_gap(8.0, 8.0 + 8.0 / 15.0) == pytest.approx(0.0625, abs=1e-12)
-
-    def test_invalid_bounds(self):
-        with pytest.raises(InvalidBoundsError):
-            compute_gap(2.0, 1.0)
-        with pytest.raises(InvalidBoundsError):
-            compute_gap(0.0, 1.0)
-        with pytest.raises(InvalidBoundsError):
-            compute_gap(-1.0, 1.0)
-
-    def test_message_states_both_bounds(self):
-        with pytest.raises(InvalidBoundsError, match=r"got lower=0\.0, upper=5\.0$"):
-            compute_gap(0.0, 5.0)
-
+class TestReportGap:
     def test_report_gap_covers_a_zero_floor(self):
         assert report_gap(0.0, 5.0) == 1.0
         assert report_gap(0.0, 0.0) == 0.0
-        assert report_gap(50.0, 100.0) == compute_gap(50.0, 100.0)
+        assert report_gap(50.0, 100.0) == 0.5
 
 
 class TestMakeCut:
@@ -214,6 +194,13 @@ class TestBranchAndBound:
         assert rep.lower_bound <= rep.upper_bound + 1e-12
         assert rep.best is not None
         assert check_feasibility(inst, rep.best) == []
+
+    def test_time_out_before_any_incumbent_is_not_infeasibility(self):
+        # the greedy dive dead-ends, so no incumbent exists when time runs out
+        inst = feasible_instance(66, n_demand=10, n_station=4, cap_range=(1, 4))
+        with pytest.raises(TimeLimitError, match="1e-09 s"):
+            branch_and_bound(inst, SolverConfig(time_limit=1e-9))
+        assert branch_and_bound(inst).upper_bound == pytest.approx(73.0366, abs=1e-4)
 
     def test_deterministic_node_counts(self, fixtures40):
         inst = fixtures40[1]
@@ -377,6 +364,36 @@ class _Unmemoized(_TreeSearch):
     def _children(self, node):
         node.cuts = -1
         return [(pair, self.node_bound(self._child(node, pair))) for pair, _ in super()._children(node)]
+
+
+class TestSizingMemo:
+    @pytest.mark.parametrize("solve", [brute_force, branch_and_bound])
+    def test_sizer_sizes_each_key_once_per_solve(self, monkeypatch, solve):
+        # every binding of size_pair in the package is counted, so an answer
+        # sized outside the search's memo shows as a call beyond its keys
+        inst = feasible_instance(5, n_demand=6, n_station=3, cap_range=(2, 6))
+        real = construction.size_pair
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("chargeplan") and getattr(module, "size_pair", None) is real:
+                monkeypatch.setattr(module, "size_pair", counted)
+        sizers = []
+
+        class Tracked(exact._PairSizer):
+            def __init__(self, instance):
+                super().__init__(instance)
+                sizers.append(self)
+
+        monkeypatch.setattr(exact, "_PairSizer", Tracked)
+        rep = solve(inst)
+        assert rep.best is not None and len(sizers) == 1
+        assert set(rep.best.chargers) <= {(j, k) for (j, k, _) in sizers[0]._memo}
+        assert len(calls) == len(sizers[0]._memo) > 0
 
 
 class TestFloorMemo:

@@ -17,8 +17,15 @@ from chargeplan.metaheuristics import (
     simulated_annealing,
 )
 from chargeplan.model import CandidateStation, ChargerType, DemandPoint, check_feasibility, make_instance
-from chargeplan.construction import CandidateContext, best_chargers, build_solution, cover_sets, demand_assignment
-from chargeplan.errors import InfeasibleError
+from chargeplan.construction import (
+    CandidateContext,
+    _PairSizer,
+    best_chargers,
+    build_solution,
+    cover_sets,
+    demand_assignment,
+)
+from chargeplan.errors import InfeasibleError, TimeLimitError
 
 from gen import feasible_instance, random_instance
 
@@ -102,6 +109,14 @@ class TestGeneticAlgorithm:
         assert rep.stats["population_size"] == 1
         assert rep.terminated_by == "time"
         assert check_feasibility(inst, rep.best) == []
+
+    def test_time_out_before_any_finite_cost_is_not_infeasibility(self):
+        # no chromosome of the initial population sizes before time runs out
+        inst = feasible_instance(9011, n_demand=20, n_station=5, cap_range=(6, 14))
+        with pytest.raises(TimeLimitError, match="1e-09 s"):
+            genetic_algorithm(inst, GAParams(seed=1), time_limit=1e-9)
+        rep = genetic_algorithm(inst, GAParams(max_iterations=200, seed=1))
+        assert rep.upper_bound == pytest.approx(198.9512, abs=1e-4)
 
     def test_result_feasible(self):
         for seed in (7110, 7111):
@@ -231,6 +246,26 @@ class TestMultiRun:
         assert rep.stats["n_runs"] == len(rep.stats["run_costs"]) < 3
         assert check_feasibility(inst, rep.best) == []
 
+    def test_a_later_run_out_of_time_keeps_the_runs_made(self, monkeypatch):
+        inst = small(7113)
+        made = []
+
+        def later_runs_time_out(instance, params, time_limit=None):
+            if made:
+                raise TimeLimitError("time limit ran out before any deployment")
+            made.append(genetic_algorithm(instance, params, time_limit))
+            return made[-1]
+
+        monkeypatch.setattr(metaheuristics, "genetic_algorithm", later_runs_time_out)
+        rep = multi_run(inst, "ga", GAParams(max_iterations=50, seed=3), n_runs=3)
+        assert rep.upper_bound == made[0].upper_bound
+        assert rep.stats["run_costs"] == [made[0].upper_bound] and rep.stats["n_runs"] == 1
+
+    def test_a_first_run_out_of_time_raises(self):
+        inst = feasible_instance(9011, n_demand=20, n_station=5, cap_range=(6, 14))
+        with pytest.raises(TimeLimitError):
+            multi_run(inst, "ga", GAParams(seed=1), n_runs=3, time_limit=1e-9)
+
     def test_rejects_bad_args(self):
         inst = small(7115)
         with pytest.raises(ValueError):
@@ -257,7 +292,7 @@ class TestCandidatePricing:
                 a = demand_assignment(inst, active, 0.5, rng)
                 cost, sol = metaheuristics._price(inst, a, active, context)
                 try:
-                    want = build_solution(inst, a, best_chargers(inst, a)[0], active=active)
+                    want = build_solution(inst, a, best_chargers(inst, a, _PairSizer(inst))[0], active=active)
                 except InfeasibleError:
                     assert (cost, sol) == (math.inf, None)
                     unsizable += 1
@@ -283,8 +318,8 @@ class TestCandidatePricing:
 
         def tracked(instance):
             context = CandidateContext(instance)
-            made.extend((weakref.ref(context), weakref.ref(context.sized)))
-            held.extend((context.tables, context._covering, context._routes))
+            made.extend((weakref.ref(context), weakref.ref(context.sizer)))
+            held.extend((context.tables, context.sizer._memo, context._covering, context._routes))
             return context
 
         monkeypatch.setattr(metaheuristics, "CandidateContext", tracked)
