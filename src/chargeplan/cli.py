@@ -234,16 +234,11 @@ def cmd_cluster(args) -> int:
     instance = mdl.load_instance(args.instance)
     if args.k_demand != len(instance.demand_points) or args.k_station != len(instance.stations):
         # full identity keeps the instance, and so its travel matrix, as it is
-        instance = mdl.make_instance(
-            dm.cluster_demand_points(list(instance.demand_points), args.k_demand, args.seed),
-            dm.cluster_stations(list(instance.stations), args.k_station, args.seed + 1),
-            instance.charger_types,
-            travel_cost_rate=instance.travel_cost_rate,
-            wait_cost_rate=instance.wait_cost_rate,
-            speed_kmh=instance.speed_kmh,
-            max_travel_minutes=instance.max_travel_minutes,
-            epsilon=instance.epsilon,
-            enforce_proximity=instance.enforce_proximity,
+        dps = dm.cluster_demand_points(list(instance.demand_points), args.k_demand, args.seed)
+        sts = dm.cluster_stations(list(instance.stations), args.k_station, args.seed + 1)
+        instance = replace(
+            instance, demand_points=dps, stations=sts,
+            travel=mdl.travel_times(dps, sts, instance.speed_kmh, instance.max_travel_minutes),
         )
     payload = mdl.instance_to_dict(instance)
     payload["meta"] = _meta(args, {"k_demand": args.k_demand, "k_station": args.k_station, "seed": args.seed})

@@ -66,7 +66,7 @@ def min_stations(instance: mdl.Instance) -> frozenset[int]:
     return frozenset(chosen)
 
 
-def _packing_bound(remaining: Iterable[int], covering: Mapping[int, list[int]]) -> int:
+def _packing_bound(remaining: Iterable[int], covering: Mapping[int, tuple[int, ...]]) -> int:
     """Lower bound on the stations any cover of ``remaining`` needs.
 
     Packs demands greedily, fewest reaching stations first (ties: lower id),
@@ -82,7 +82,7 @@ def _packing_bound(remaining: Iterable[int], covering: Mapping[int, list[int]]) 
     return packed
 
 
-def _min_cover_size(all_demands: frozenset[int], served: Mapping[int, frozenset[int]], covering: Mapping[int, list[int]],
+def _min_cover_size(all_demands: frozenset[int], served: Mapping[int, frozenset[int]], covering: Mapping[int, tuple[int, ...]],
                     greedy: int, deadline: float | None = None) -> int:
     """Exact minimum-cardinality cover size, by branching on the stations
     that can serve the most constrained uncovered demand.
@@ -141,9 +141,7 @@ def cover_sets(instance: mdl.Instance, population_size: int, deadline: float | N
         return [frozenset()]
     station_ids = sorted(s.id for s in instance.stations)
     served = {j: frozenset(instance.station_by_id[j].served) for j in station_ids}
-    covering = {
-        d.id: [j for j in station_ids if d.id in served[j]] for d in instance.demand_points
-    }
+    covering = {d.id: d.reachable for d in instance.demand_points}  # ascending station ids
     greedy = min_stations(instance)
     best_size = _min_cover_size(all_demands, served, covering, len(greedy), deadline)
 

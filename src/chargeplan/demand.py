@@ -42,6 +42,8 @@ class Trip:
     def __post_init__(self) -> None:
         if self.kind not in TRIP_KINDS:
             raise ValueError(f"trip {self.id}: unknown kind {self.kind!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.end)):
+            raise ValueError(f"trip {self.id}: start and end must be finite")
         if self.end < self.start:
             raise ValueError(f"trip {self.id}: end before start")
         if self.kind == "service" and self.origin_stop == self.dest_stop and self.end == self.start:
@@ -154,7 +156,7 @@ def build_coverage(
     speed_kmh: float = 30.0,
 ) -> tuple[list[DemandPoint], list[CandidateStation], dict[tuple[int, int], float]]:
     """Reachability sets and the sparse travel matrix for a travel cutoff,
-    as :func:`~chargeplan.model.make_instance` derives them.
+    as :class:`~chargeplan.model.Instance` derives them.
 
     A station is reachable when the haversine travel time at ``speed_kmh``
     does not exceed ``max_travel_minutes``. Served sets are the exact inverse

@@ -146,6 +146,8 @@ def simulated_annealing(
     Improvements over the incumbent are always kept; otherwise the candidate
     replaces the current state with probability exp((current - new) / T).
     The temperature follows T *= (1 - C * T0 / L) clamped at a tiny floor.
+    ``time_limit`` bounds the walk to a first stable sizing as well; when it
+    runs out there, :class:`TimeLimitError` is raised.
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
@@ -168,7 +170,9 @@ def simulated_annealing(
     retries = 0
     while cur_sol is None:
         # the greedy cover admits no stable sizing for this draw; keep
-        # walking activation space until one sizes
+        # walking activation space until one sizes, within the time limit
+        if time_limit is not None and time.perf_counter() - t0 > time_limit:
+            raise TimeLimitError(f"time limit {time_limit:g} s ran out before any activation admitted a stable sizing")
         retries += 1
         if retries > 1000:
             raise InfeasibleError("no activation with a stable charger sizing found")

@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import geo, queueing
 from .errors import (
@@ -134,8 +134,9 @@ def _check_epsilon(epsilon: float, name: str) -> None:
 
 @dataclass(frozen=True)
 class Instance:
-    """Immutable problem data. Build through :func:`make_instance` so the
-    reachability sets and travel matrix stay mutually consistent."""
+    """Immutable problem data. Coverage comes from the travel keys alone:
+    every construction, ``dataclasses.replace`` included, derives each demand
+    point's ``reachable`` and each station's ``served`` set from them anew."""
 
     demand_points: tuple[DemandPoint, ...]
     stations: tuple[CandidateStation, ...]
@@ -150,16 +151,31 @@ class Instance:
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon, "epsilon")
+        # the tangent-cut wait floors bound the objective from below only
+        # when both rates are nonnegative
         for name in ("travel_cost_rate", "wait_cost_rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for pair, t in self.travel.items():
-            if t < 0 or not math.isfinite(t):
-                raise ValueError(f"travel time for {pair} must be finite and >= 0")
-        object.__setattr__(self, "demand_by_id", _by_id("demand", self.demand_points))
-        object.__setattr__(self, "station_by_id", _by_id("station", self.stations))
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be nonnegative and finite")
+        reach: dict[int, list[int]] = {d.id: [] for d in self.demand_points}
+        served: dict[int, list[int]] = {s.id: [] for s in self.stations}
+        for (i, j), t in sorted(self.travel.items()):
+            if not 0 <= t < math.inf:
+                raise ValueError(f"travel time for {(i, j)} must be finite and >= 0")
+            if i not in reach or j not in served:
+                raise ValueError(f"travel entry {(i, j)} names an unknown demand or station")
+            reach[i].append(j)
+            served[j].append(i)
+        uncovered = [d.id for d in self.demand_points if not reach[d.id]]
+        if uncovered:
+            raise InfeasibleDemandError(uncovered)
+        dps = tuple(replace(d, reachable=tuple(reach[d.id])) for d in self.demand_points)
+        sts = tuple(replace(s, served=tuple(served[s.id])) for s in self.stations)
+        object.__setattr__(self, "demand_points", dps)
+        object.__setattr__(self, "stations", sts)
+        object.__setattr__(self, "demand_by_id", _by_id("demand", dps))
+        object.__setattr__(self, "station_by_id", _by_id("station", sts))
         object.__setattr__(self, "type_by_id", _by_id("charger type", self.charger_types))
-        order = tuple(sorted(self.demand_points, key=lambda d: (-d.rate, d.id)))
+        order = tuple(sorted(dps, key=lambda d: (-d.rate, d.id)))
         object.__setattr__(self, "demand_order", order)
         object.__setattr__(self, "demand_rank", {d.id: r for r, d in enumerate(order)})
 
@@ -197,6 +213,19 @@ def _by_id(kind: str, items) -> dict:
     return out
 
 
+def travel_times(demand_points: Sequence[DemandPoint], stations: Sequence[CandidateStation], speed_kmh: float,
+                 max_travel_minutes: float | None = None) -> dict[tuple[int, int], float]:
+    """Haversine travel minutes at a constant ``speed_kmh`` for every
+    (demand, station) pair within ``max_travel_minutes``, when it is given."""
+    travel = {}
+    for d in demand_points:
+        for s in stations:
+            t = geo.travel_minutes(d.lat, d.lon, s.lat, s.lon, speed_kmh)
+            if max_travel_minutes is None or t <= max_travel_minutes:
+                travel[(d.id, s.id)] = t
+    return travel
+
+
 def make_instance(
     demand_points: Iterable[DemandPoint],
     stations: Iterable[CandidateStation],
@@ -210,44 +239,16 @@ def make_instance(
     epsilon: float = 1e-6,
     enforce_proximity: bool = False,
 ) -> Instance:
-    """Assemble an instance, deriving travel times and reachability.
-
-    When ``travel`` is omitted, times come from the haversine distance at a
-    constant ``speed_kmh``; pairs beyond ``max_travel_minutes`` (when given)
-    are dropped. Reachable/served sets are rebuilt from the surviving pairs
-    so they are exact inverses of each other by construction.
-    """
-    dps = list(demand_points)
-    sts = list(stations)
-    kinds = tuple(charger_types)
-
-    if travel is None:
-        travel = {}
-        for d in dps:
-            for s in sts:
-                t = geo.travel_minutes(d.lat, d.lon, s.lat, s.lon, speed_kmh)
-                if max_travel_minutes is None or t <= max_travel_minutes:
-                    travel[(d.id, s.id)] = t
-    else:
-        travel = dict(travel)
-
-    reach: dict[int, list[int]] = {d.id: [] for d in dps}
-    served: dict[int, list[int]] = {s.id: [] for s in sts}
-    for (i, j) in sorted(travel):
-        reach[i].append(j)
-        served[j].append(i)
-
-    uncovered = [d.id for d in dps if not reach[d.id]]
-    if uncovered:
-        raise InfeasibleDemandError(uncovered)
-
-    dps = [replace(d, reachable=tuple(reach[d.id])) for d in dps]
-    sts = [replace(s, served=tuple(served[s.id])) for s in sts]
+    """Assemble an instance; when ``travel`` is omitted, its times are the
+    :func:`travel_times` at ``speed_kmh`` within ``max_travel_minutes``.
+    :class:`Instance` derives the reachable/served sets from them."""
+    dps = tuple(demand_points)
+    sts = tuple(stations)
     return Instance(
-        demand_points=tuple(dps),
-        stations=tuple(sts),
-        charger_types=kinds,
-        travel=travel,
+        demand_points=dps,
+        stations=sts,
+        charger_types=tuple(charger_types),
+        travel=travel_times(dps, sts, speed_kmh, max_travel_minutes) if travel is None else dict(travel),
         travel_cost_rate=travel_cost_rate,
         wait_cost_rate=wait_cost_rate,
         epsilon=epsilon,

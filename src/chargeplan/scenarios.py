@@ -61,7 +61,8 @@ def restrict_instance(
     agency: str | None = None,
 ) -> mdl.Instance:
     """Sub-instance with a filtered station pool (and demand set, when an
-    agency is given). Travel entries are restricted to surviving pairs.
+    agency is given): the instance with its travel entries restricted to
+    surviving pairs, from which it derives its coverage anew.
 
     Raises :class:`InfeasibleDemandError` when a kept demand point loses all
     of its reachable stations.
@@ -75,21 +76,8 @@ def restrict_instance(
     demands = [d for d in instance.demand_points if agency is None or d.agency == agency]
     keep_j = {s.id for s in stations}
     keep_i = {d.id for d in demands}
-    travel = {
-        (i, j): t for (i, j), t in instance.travel.items() if i in keep_i and j in keep_j
-    }
-    return mdl.make_instance(
-        [replace(d, reachable=()) for d in demands],
-        [replace(s, served=()) for s in stations],
-        instance.charger_types,
-        travel_cost_rate=instance.travel_cost_rate,
-        wait_cost_rate=instance.wait_cost_rate,
-        travel=travel,
-        speed_kmh=instance.speed_kmh,
-        max_travel_minutes=instance.max_travel_minutes,
-        epsilon=instance.epsilon,
-        enforce_proximity=instance.enforce_proximity,
-    )
+    travel = {(i, j): t for (i, j), t in instance.travel.items() if i in keep_i and j in keep_j}
+    return replace(instance, demand_points=demands, stations=stations, travel=travel)
 
 
 def _agencies(instance: mdl.Instance) -> list[str]:

@@ -230,6 +230,16 @@ class TestSolve:
         assert not out.exists()
         assert "1e-09 s" in capsys.readouterr().err
 
+    def test_sa_time_out_before_a_stable_start_exits_4(self, tmp_path, capsys):
+        # SA's greedy start does not size here, and the walk to one is timed
+        inst = feasible_instance(9011, n_demand=20, n_station=5, cap_range=(6, 14))
+        src = write_instance(inst, tmp_path / "inst.json")
+        out = tmp_path / "report.json"
+        rc = main(["solve", src, "--method", "sa", "--seed", "1", "--time-limit", "1e-9", "--out", str(out)])
+        assert rc == 4
+        assert not out.exists()
+        assert "1e-09 s" in capsys.readouterr().err
+
     def test_infeasible_instance_exits_2(self, tmp_path):
         from chargeplan.model import CandidateStation, ChargerType, DemandPoint, make_instance
 
@@ -322,6 +332,28 @@ class TestBadInput:
         for method in ("bnb", "sa"):
             assert main(["solve", src, "--method", method, "--out", str(tmp_path / "r.json")]) == 3
             assert "rate must be positive and finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["travel_cost_rate", "wait_cost_rate"])
+    def test_negative_cost_rate_exits_3(self, unit_instance_file, tmp_path, capsys, name):
+        src = self.edited(unit_instance_file, tmp_path, lambda d: d["costs"].update({name: -1.0}))
+        for method in ("bnb", "brute"):
+            assert main(["solve", src, "--method", method, "--out", str(tmp_path / "r.json")]) == 3
+            assert f"{name} must be nonnegative and finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    def test_non_finite_trip_time_exits_3(self, data_dir, tmp_path, capsys):
+        lines = (data_dir / "sample_blocks.csv").read_text().splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index("end_min")] = "nan"
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        out = tmp_path / "instance.json"
+        rc = main(["gen-demand", "--blocks", str(blocks), "--stations", str(data_dir / "sample_stations.csv"),
+                   "--range-min", "360", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "start and end must be finite" in err and str(blocks) in err
 
     @pytest.mark.parametrize("edit, named", [
         (lambda d: d["travel"].append([0, 9, 1.0]), "unknown station id 9"),

@@ -291,6 +291,23 @@ class TestCSVReaders:
         with pytest.raises(ParseError):
             read_blocks_csv(bad)
 
+    @pytest.mark.parametrize("column", ["start_min", "end_min"])
+    @pytest.mark.parametrize("bad", ["nan", "inf"])
+    def test_non_finite_trip_time_reports_line(self, data_dir, tmp_path, column, bad):
+        # a NaN end fails the end-before-start check and would silently drop
+        # the block's demand
+        lines = (data_dir / "sample_blocks.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        row[header.index(column)] = bad
+        path = tmp_path / "blocks.csv"
+        path.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        with pytest.raises(ParseError, match="start and end must be finite") as exc:
+            read_blocks_csv(path)
+        assert exc.value.line == 2
+        with pytest.raises(ValueError, match="must be finite"):
+            trip("t", "A", "B", 360, float(bad))
+
     def test_bad_row_reports_line(self, tmp_path):
         bad = tmp_path / "bad.csv"
         header = "block_id,garage_id,trip_id,kind,origin_stop,dest_stop,origin_lat,origin_lon,dest_lat,dest_lon,start_min,end_min"

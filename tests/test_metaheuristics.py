@@ -35,6 +35,15 @@ def small(seed=7101):
 
 
 class TestSimulatedAnnealing:
+    def test_time_out_before_a_stable_start_is_not_infeasibility(self):
+        # the greedy cover does not size, so SA walks to a start; past its
+        # deadline that walk ends with TimeLimitError, as GA's pricing does
+        inst = feasible_instance(9011, n_demand=20, n_station=5, cap_range=(6, 14))
+        with pytest.raises(TimeLimitError, match="1e-09 s"):
+            simulated_annealing(inst, SAParams(seed=1), time_limit=1e-9)
+        rep = simulated_annealing(inst, SAParams(max_iterations=200, seed=1))
+        assert check_feasibility(inst, rep.best) == []
+
     def test_finds_optimum_with_generous_budget(self):
         inst = small()
         opt = brute_force(inst).upper_bound

@@ -5,11 +5,18 @@ import math
 import pytest
 
 from chargeplan.construction import AssignmentSet, build_solution
-from chargeplan.errors import InvalidSOCError, ParseError, UnassignedDemandError, UnstableQueueError
+from chargeplan.errors import (
+    InfeasibleDemandError,
+    InvalidSOCError,
+    ParseError,
+    UnassignedDemandError,
+    UnstableQueueError,
+)
 from chargeplan.model import (
     CandidateStation,
     ChargerType,
     DemandPoint,
+    Instance,
     Solution,
     check_feasibility,
     derive_service_rates,
@@ -313,6 +320,56 @@ class TestInstanceSchema:
                 assert math.isfinite(inst.travel[(d.id, j)])
 
 
+class TestCoverageDerivation:
+    """Reachable/served sets come from the travel keys on every construction."""
+
+    def test_direct_construction_matches_make_instance(self):
+        for seed in range(5):
+            built = random_instance(seed)
+            stale = Instance(
+                demand_points=tuple(dataclasses.replace(d, reachable=(-1,) if n % 2 else ())
+                                    for n, d in enumerate(built.demand_points)),
+                stations=tuple(dataclasses.replace(s, served=(-1,) if n % 2 else ())
+                               for n, s in enumerate(built.stations)),
+                charger_types=built.charger_types,
+                travel=dict(built.travel),
+                travel_cost_rate=built.travel_cost_rate,
+                wait_cost_rate=built.wait_cost_rate,
+            )
+            assert stale.demand_points == built.demand_points
+            assert stale.stations == built.stations
+            assert stale.demand_by_id == built.demand_by_id
+            assert stale.station_by_id == built.station_by_id
+
+    def test_replace_travel_derives_coverage_anew(self):
+        inst = random_instance(3)
+        dropped = {(d.id, d.reachable[-1]) for d in inst.demand_points if len(d.reachable) > 1}
+        assert dropped
+        subset = {pair: t for pair, t in inst.travel.items() if pair not in dropped}
+        sub = dataclasses.replace(inst, travel=subset)
+        for d in sub.demand_points:
+            assert d.reachable == tuple(sorted(j for (i, j) in subset if i == d.id))
+            assert sub.nearest[d.id] == tuple(sorted(d.reachable, key=lambda j: (subset[(d.id, j)], j)))
+        for s in sub.stations:
+            assert s.served == tuple(sorted(i for (i, j) in subset if j == s.id))
+
+    def test_replace_that_strands_a_demand_raises(self):
+        inst = random_instance(3)
+        lost = inst.demand_points[0].id
+        with pytest.raises(InfeasibleDemandError) as exc:
+            dataclasses.replace(inst, travel={(i, j): t for (i, j), t in inst.travel.items() if i != lost})
+        assert exc.value.demand_ids == [lost]
+
+    @pytest.mark.parametrize("pair, named", [((0, 7), "(0, 7)"), ((7, 0), "(7, 0)")])
+    def test_travel_key_naming_an_unknown_record_raises(self, unit_instance, pair, named):
+        with pytest.raises(ValueError, match="unknown demand or station") as exc:
+            dataclasses.replace(unit_instance, travel={**unit_instance.travel, pair: 1.0})
+        assert named in str(exc.value)
+        with pytest.raises(ValueError, match="unknown demand or station"):
+            make_instance(unit_instance.demand_points, unit_instance.stations, unit_instance.charger_types,
+                          travel_cost_rate=1.0, wait_cost_rate=1.0, travel={(0, 0): 2.0, pair: 1.0})
+
+
 class TestInputValidation:
     @staticmethod
     def parts(**overrides):
@@ -352,6 +409,18 @@ class TestInputValidation:
         for name in ("travel_cost_rate", "wait_cost_rate"):
             with pytest.raises(ValueError, match=name):
                 self.build(**{name: bad})
+
+    @pytest.mark.parametrize("name", ["travel_cost_rate", "wait_cost_rate"])
+    def test_negative_cost_rate_rejected(self, name):
+        # a negative rate would void the B&B wait floors, which bound the
+        # objective from below only when both rates are nonnegative
+        with pytest.raises(ValueError, match=f"{name} must be nonnegative and finite"):
+            self.build(**{name: -1.0})
+        data = instance_to_dict(self.build())
+        data["costs"][name] = -1.0
+        with pytest.raises(ValueError, match=name):
+            instance_from_dict(data)
+        assert getattr(self.build(**{name: 0.0}), name) == 0.0
 
     def test_epsilon_must_leave_a_margin_after_rounding(self):
         p = self.parts()

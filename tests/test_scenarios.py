@@ -1,9 +1,10 @@
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
-from chargeplan.errors import ChargePlanError
+from chargeplan.errors import ChargePlanError, InfeasibleDemandError
 from chargeplan.exact import SolverConfig, branch_and_bound
+from chargeplan.model import make_instance
 from chargeplan.scenarios import (
     ScenarioSpec,
     SweepSpec,
@@ -34,6 +35,41 @@ class TestRestrict:
         sub = restrict_instance(inst, allow_garage=True, allow_other=False)
         assert all(s.is_garage for s in sub.stations)
         assert len(sub.demand_points) == len(inst.demand_points)
+
+    @pytest.mark.parametrize("pool", [
+        dict(agency="north"), dict(agency="south"), dict(allow_garage=True, allow_other=False),
+        dict(allow_garage=False, allow_other=True, agency="north"), dict(),
+    ])
+    def test_matches_a_sub_instance_rebuilt_from_scratch(self, pool):
+        for seed in range(4):
+            inst = two_agency_instance(seed)
+            sub = restrict_instance(inst, **pool)
+            keep_i = {d.id for d in sub.demand_points}
+            keep_j = {s.id for s in sub.stations}
+            rebuilt = make_instance(
+                [replace(d, reachable=()) for d in inst.demand_points if d.id in keep_i],
+                [replace(s, served=()) for s in inst.stations if s.id in keep_j],
+                inst.charger_types,
+                travel_cost_rate=inst.travel_cost_rate,
+                wait_cost_rate=inst.wait_cost_rate,
+                travel={(i, j): t for (i, j), t in inst.travel.items() if i in keep_i and j in keep_j},
+                speed_kmh=inst.speed_kmh,
+                max_travel_minutes=inst.max_travel_minutes,
+                epsilon=inst.epsilon,
+                enforce_proximity=inst.enforce_proximity,
+            )
+            for f in fields(sub):
+                assert getattr(sub, f.name) == getattr(rebuilt, f.name), f.name
+
+    def test_pool_that_strands_a_demand_raises(self):
+        inst = two_agency_instance(0)
+        garage = next(s.id for s in inst.stations if s.is_garage)
+        # demand 0 reaches one garage only, so a pool without garages strands it
+        narrowed = replace(inst, travel={(i, j): t for (i, j), t in inst.travel.items() if i != 0 or j == garage})
+        assert narrowed.demand_by_id[0].reachable == (garage,)
+        with pytest.raises(InfeasibleDemandError) as exc:
+            restrict_instance(narrowed, allow_garage=False, allow_other=True)
+        assert exc.value.demand_ids == [0]
 
     def test_invalid_pool_rejected(self):
         with pytest.raises(ValueError):
