@@ -11,6 +11,7 @@ commands.
 
 from .construction import (
     AssignmentSet,
+    assignment_set,
     best_chargers,
     build_solution,
     cover_sets,
@@ -79,6 +80,7 @@ __all__ = [
     "Trip",
     "Violation",
     "aggregate_demand",
+    "assignment_set",
     "best_chargers",
     "branch_and_bound",
     "brute_force",

@@ -3,7 +3,8 @@
 These are the building blocks the exact search and both metaheuristics lean
 on: a greedy minimum feasible station set, a backtracking enumeration of
 small covers, randomized demand assignment, and optimal charger sizing for a
-fixed assignment. All of them are pure given an explicit RNG.
+fixed assignment, given as an assignment vector: the (station, type) pair
+of each demand in ``instance.demand_order``. All are pure given an RNG.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import model as mdl
 from . import queueing
@@ -170,11 +171,10 @@ def cover_sets(instance: mdl.Instance, population_size: int, deadline: float | N
 
 
 def _routes(instance: mdl.Instance, active: Iterable[int]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-    """Per demand point, in ``instance.demand_points`` order: (demand id,
-    closest active station, active reachable stations in ``reachable``
-    order), the closest one taken first in ``instance.nearest`` (ties:
-    lowest id). Raises UncoveredDemandError for a demand that reaches no
-    active station."""
+    """Per demand point, in ``instance.demand_points`` order: (its vector
+    position, closest active station, the first in ``instance.nearest``,
+    active reachable stations in ``reachable`` order). Raises
+    UncoveredDemandError for a demand that reaches no active station."""
     act = set(active)
     out = []
     for d in instance.demand_points:
@@ -183,7 +183,7 @@ def _routes(instance: mdl.Instance, active: Iterable[int]) -> tuple[tuple[int, i
                 break
         else:
             raise UncoveredDemandError(f"demand {d.id} has no active reachable station")
-        out.append((d.id, j, tuple(jj for jj in d.reachable if jj in act)))
+        out.append((instance.demand_rank[d.id], j, tuple(jj for jj in d.reachable if jj in act)))
     return tuple(out)
 
 
@@ -193,31 +193,44 @@ def demand_assignment(
     randomization: float,
     rng: random.Random,
     context: CandidateContext | None = None,
-) -> AssignmentSet:
-    """Assign each demand point to one (station, type) pair.
+) -> list[tuple[int, int]]:
+    """An assignment vector, drawn in ``instance.demand_points`` order.
 
     With probability ``randomization`` the station is drawn uniformly from
     the active reachable set, otherwise the closest active station wins
     (ties: lowest id), as it always does when the instance enforces
     proximity (the exploration draw is still taken). The charger type is
-    always uniform random. With a run's :class:`CandidateContext` each
-    activation's closest stations and options are worked out once per run
-    (``active`` must then be a frozenset); the draws are the same with it or
-    without it. A demand that reaches no active station raises
-    UncoveredDemandError before any draw.
+    always uniform random; each index draw is ``rng.choice``'s own, inline.
+    With a run's :class:`CandidateContext` each activation's closest
+    stations and options are worked out once per run (``active`` must then
+    be a frozenset), with the same draws. A demand that reaches no active
+    station raises UncoveredDemandError before any draw.
     """
     if not 0.0 <= randomization <= 1.0:
         raise ValueError("randomization must lie in [0, 1]")
     routes = _routes(instance, active) if context is None else context.routes(active)
     type_ids = [k.id for k in instance.charger_types]
+    n_types, type_width = len(type_ids), len(type_ids).bit_length()
     explore = not instance.enforce_proximity
-    draw, choice = rng.random, rng.choice
-    triplets = []
-    for (i, j, options) in routes:
+    draw, getrandbits = rng.random, rng.getrandbits
+    vector: list = [None] * len(routes)
+    for (r, j, options) in routes:
         if draw() < randomization and explore:
-            j = choice(options)
-        triplets.append((i, j, choice(type_ids)))
-    return AssignmentSet(frozenset(triplets))
+            n = len(options)
+            x = getrandbits(n.bit_length())
+            while x >= n:
+                x = getrandbits(n.bit_length())
+            j = options[x]
+        x = getrandbits(type_width)
+        while x >= n_types:
+            x = getrandbits(type_width)
+        vector[r] = (j, type_ids[x])
+    return vector
+
+
+def assignment_set(instance: mdl.Instance, vector: Sequence[tuple[int, int]]) -> AssignmentSet:
+    """The (demand, station, type) triplets of an assignment vector."""
+    return AssignmentSet(frozenset((d.id, j, k) for d, (j, k) in zip(instance.demand_order, vector)))
 
 
 def size_pair(
@@ -286,8 +299,9 @@ class CandidateContext:
     the run and dropped with it, so nothing outlives the run or hangs off
     the shared instance.
 
-    It holds the run's :class:`_PairSizer` (``sizer``) and
-    :func:`model.cost_tables` (``tables``). An activation is an int bitmask
+    It holds the run's :class:`_PairSizer` (``sizer``),
+    :func:`model.cost_tables` (``tables``) and each demand's (id, vector
+    position) in id order (``by_id``). An activation is an int bitmask
     over ``instance.stations``, station ``n`` being ``bits[n]``;
     :meth:`covering` memoizes each mask's station set when it covers every
     demand, and :meth:`routes` each activation's closest stations and
@@ -299,6 +313,7 @@ class CandidateContext:
         self.instance = instance
         self.sizer = _PairSizer(instance)
         self.tables = mdl.cost_tables(instance)
+        self.by_id = sorted((d.id, r) for r, d in enumerate(instance.demand_order))
         self.bits = [1 << n for n in range(len(instance.stations))]
         self._bit = {s.id: b for s, b in zip(instance.stations, self.bits)}
         self._reach = [self.mask(d.reachable) for d in instance.demand_points]
@@ -333,17 +348,20 @@ class CandidateContext:
 
 def best_chargers(
     instance: mdl.Instance,
-    assignment: AssignmentSet,
+    vector: Sequence[tuple[int, int]],
     sizer: _PairSizer,
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], float]]:
-    """Optimal charger counts per (station, type) for a fixed assignment, and
-    each pair's expected wait at its count, which equals
-    :func:`model.compute_waits`' bit for bit, sized through the caller's
-    :class:`_PairSizer`. Raises :class:`InfeasibleError` when some pair
-    cannot reach stability within its capacity."""
+    """Optimal charger counts per (station, type) for an assignment vector,
+    and each pair's expected wait at its count, which equals
+    :func:`model.compute_waits`' bit for bit (loads summed along the vector),
+    sized through the caller's :class:`_PairSizer`. Raises InfeasibleError
+    when some pair cannot reach stability within its capacity."""
+    loads: dict[tuple[int, int], float] = {}
+    for d, pair in zip(instance.demand_order, vector):
+        loads[pair] = loads.get(pair, 0.0) + d.rate
     chargers: dict[tuple[int, int], int] = {}
     waits: dict[tuple[int, int], float] = {}
-    for (j, k), load in sorted(mdl.pair_loads(instance, assignment.triplets).items()):
+    for (j, k), load in sorted(loads.items()):
         pair = sizer.best(j, k, load)
         if pair is None:
             cap = instance.station_cap(j, k)

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import InvalidKError, ParseError, RangeTooShortError
-from .model import MINUTES_PER_YEAR, CandidateStation, DemandPoint, make_instance
+from .model import MINUTES_PER_YEAR, CandidateStation, ChargerType, DemandPoint, make_instance
 
 DRIVING_KINDS = ("service", "deadhead")
 TRIP_KINDS = DRIVING_KINDS + ("layover",)
@@ -44,6 +44,8 @@ class Trip:
             raise ValueError(f"trip {self.id}: unknown kind {self.kind!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.end)):
             raise ValueError(f"trip {self.id}: start and end must be finite")
+        if not all(map(math.isfinite, self.origin + self.dest)):
+            raise ValueError(f"trip {self.id}: origin and dest lat/lon must be finite")
         if self.end < self.start:
             raise ValueError(f"trip {self.id}: end before start")
         if self.kind == "service" and self.origin_stop == self.dest_stop and self.end == self.start:
@@ -165,8 +167,9 @@ def build_coverage(
     """
     if max_travel_minutes <= 0:
         raise ValueError("max_travel_minutes must be positive")
+    placeholder = (ChargerType(0, 1.0, 0.0, 1.0),)  # an instance needs a catalog; coverage reads none
     inst = make_instance(
-        demand_points, stations, (), travel_cost_rate=0.0, wait_cost_rate=0.0,
+        demand_points, stations, placeholder, travel_cost_rate=0.0, wait_cost_rate=0.0,
         speed_kmh=speed_kmh, max_travel_minutes=max_travel_minutes,
     )
     return list(inst.demand_points), list(inst.stations), dict(inst.travel)

@@ -25,11 +25,11 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from . import model as mdl
 from . import queueing
-from .construction import AssignmentSet, _PairSizer, best_chargers, build_solution
+from .construction import _PairSizer, assignment_set, best_chargers, build_solution
 from .errors import InfeasibleError, InstanceTooLargeError, TimeLimitError
 
 _PRUNE_MARGIN = 1e-9
@@ -102,13 +102,9 @@ def _choices_for(instance: mdl.Instance, d: mdl.DemandPoint) -> list[tuple[int, 
     return opts
 
 
-def _solution(
-    instance: mdl.Instance, demands: Iterable[mdl.DemandPoint], path: Iterable[tuple[int, int]], sizer: _PairSizer
-) -> mdl.Solution:
-    """The deployment that sends ``demands[d]`` to the pair ``path[d]``,
-    sized by the search's own ``sizer`` and priced by ``model.evaluate``."""
-    assignment = AssignmentSet(frozenset((d.id, j, k) for d, (j, k) in zip(demands, path)))
-    return build_solution(instance, assignment, best_chargers(instance, assignment, sizer)[0])
+def _solution(instance: mdl.Instance, path: Sequence[tuple[int, int]], sizer: _PairSizer) -> mdl.Solution:
+    """The deployment of a full path, sized by the search's ``sizer``."""
+    return build_solution(instance, assignment_set(instance, path), best_chargers(instance, path, sizer)[0])
 
 
 def brute_force(
@@ -179,7 +175,7 @@ def brute_force(
     if best_picked is None:
         raise InfeasibleError("no assignment vector admits stable queues within capacity")
 
-    solution = _solution(instance, demands, best_picked, sizer)
+    solution = _solution(instance, best_picked, sizer)
     total = solution.cost.total
     return SolverReport(
         best=solution,
@@ -481,7 +477,7 @@ class _TreeSearch:
                 raise TimeLimitError(f"time limit {self.config.time_limit:g} s ran out before any stable assignment")
             raise InfeasibleError("no stable assignment exists within charger capacities")
 
-        solution = _solution(self.instance, self.demands, best_path, self.sizer)
+        solution = _solution(self.instance, best_path, self.sizer)
         total = solution.cost.total
         if terminated == "optimality" and not heap:
             lower = total  # search tree exhausted: the incumbent is proven optimal

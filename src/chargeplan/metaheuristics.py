@@ -4,15 +4,16 @@ Both methods move through subsets of active stations; for each candidate
 subset the demand assignment is sampled (closest station, with an exploration
 probability of a random one unless the instance enforces proximity), charger
 counts are sized optimally for that assignment, and the candidate is priced
-at the waits that sizing produced. Each run builds one
+at the waits that sizing produced; the assignment is the vector that the
+exact searches walk. Each run builds one
 :class:`~chargeplan.construction.CandidateContext` and drops it with the
 run: activations are bitmasks whose coverage it memoizes, it memoizes each
 activation's closest stations and exploration options for the assignment
 draws, it sizes each (station, type, load) once, and it prices a candidate
 from per-run coefficient tables in ``model.cost_totals``' order, so every
 total is the one ``model.evaluate`` gives. Candidates whose sizing is
-infeasible cost infinity and are never recorded as incumbents. The reported
-incumbent is re-priced from scratch by ``model.evaluate``.
+infeasible cost infinity and are never recorded as incumbents. Only the
+reported incumbent becomes a Solution, re-priced by ``model.evaluate``.
 
 A multi-run driver launches independently seeded runs within one shared
 time limit and reports the best, plus how many distinct final objective
@@ -25,12 +26,11 @@ import math
 import random
 import time
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 from . import model as mdl
 from .construction import (
-    AssignmentSet,
     CandidateContext,
+    assignment_set,
     best_chargers,
     build_solution,
     cover_sets,
@@ -87,18 +87,17 @@ class GAParams:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _price(instance: mdl.Instance, assignment: AssignmentSet, active: frozenset[int], context: CandidateContext):
-    """Size the chargers of an assignment through the run's ``context`` and
-    price it from its tables with ``active`` open; returns (cost, solution)
-    with cost = inf when sizing is infeasible. The sizing waits equal
-    ``evaluate``'s bit for bit, so the cost is the one ``build_solution``
-    would give."""
+def _price(instance: mdl.Instance, vector: list[tuple[int, int]], active: frozenset[int], context: CandidateContext):
+    """(cost, (vector, chargers)) of an assignment vector with ``active``
+    open, sized and priced through the run's ``context``; (inf, None) when
+    sizing is infeasible. The sizing waits equal ``evaluate``'s bit for bit,
+    so the cost is the one ``build_solution`` would give."""
     try:
-        chargers, waits = best_chargers(instance, assignment, context.sizer)
+        chargers, waits = best_chargers(instance, vector, context.sizer)
     except InfeasibleError:
         return math.inf, None
-    cost = mdl.cost_totals(context.tables, active, assignment.triplets, chargers, waits)
-    return cost.total, mdl.Solution(active, assignment.triplets, chargers, waits, cost)
+    triplets = [(i, *vector[r]) for i, r in context.by_id]
+    return mdl.cost_totals(context.tables, active, triplets, chargers, waits).total, (vector, chargers)
 
 
 def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: float, rng: random.Random,
@@ -110,15 +109,15 @@ def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: f
 
 def _report(
     instance: mdl.Instance,
-    best: mdl.Solution,
+    incumbent: tuple[list[tuple[int, int]], dict[tuple[int, int], int]],
     iterations: int,
     time_to_best: float,
     terminated: str,
     stats: dict,
 ) -> SolverReport:
-    """Report the incumbent re-priced with only its used stations open (idle
-    activations only add cost), against the travel-and-service floor."""
-    best = build_solution(instance, AssignmentSet(best.assignments), best.chargers)
+    """Report the incumbent (vector, chargers) re-priced with only its used
+    stations open (idle activations only add cost), against the floor."""
+    best = build_solution(instance, assignment_set(instance, incumbent[0]), incumbent[1])
     total = best.cost.total
     lower = min(root_lower_bound(instance), total)
     return SolverReport(
@@ -152,13 +151,18 @@ def simulated_annealing(
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
     context = CandidateContext(instance)
-    bits, choice, covering = context.bits, rng.choice, context.covering
+    bits, getrandbits, covering = context.bits, rng.getrandbits, context.covering
+    n_bits, width = len(bits), len(bits).bit_length()
 
     def walk_to_feasible(mask: int) -> tuple[int, frozenset[int]]:
         """One random toggle from ``mask``, repeated until the activation
-        covers every demand (the first flip may be undone)."""
+        covers every demand (the first flip may be undone); each draw is
+        ``rng.choice(bits)``'s, inline."""
         for _ in range(_TOGGLE_LIMIT + 1):
-            mask ^= choice(bits)
+            x = getrandbits(width)
+            while x >= n_bits:
+                x = getrandbits(width)
+            mask ^= bits[x]
             active = covering(mask)
             if active:
                 return mask, active
@@ -189,7 +193,8 @@ def simulated_annealing(
     iterations = 0
     terminated = "optimality"
 
-    for it in range(1, params.max_iterations + 1):
+    # no station means no demand and nothing to toggle: the start is the answer
+    for it in range(1, params.max_iterations + 1 if bits else 1):
         if time_limit is not None and time.perf_counter() - t0 > time_limit:
             terminated = "time"
             break
@@ -202,19 +207,12 @@ def simulated_annealing(
             cur_mask, cur_cost = cand_mask, cand_cost
             time_to_best = time.perf_counter() - t0
             trace.append((it, best_cost))
-        else:
-            if cand_cost <= cur_cost:
-                cur_mask, cur_cost = cand_mask, cand_cost
-            else:
-                # cand_cost may be inf; exp(-inf) is a clean 0
-                m = math.exp((cur_cost - cand_cost) / temp)
-                if rng.random() < m:
-                    cur_mask, cur_cost = cand_mask, cand_cost
-        new_temp = temp * factor
-        if new_temp < _TEMP_FLOOR:
-            new_temp = _TEMP_FLOOR
+        elif cand_cost <= cur_cost or rng.random() < math.exp((cur_cost - cand_cost) / temp):
+            cur_mask, cur_cost = cand_mask, cand_cost  # cand_cost may be inf; exp(-inf) is a clean 0
+        temp *= factor
+        if temp < _TEMP_FLOOR:
+            temp = _TEMP_FLOOR
             clamp_events += 1
-        temp = new_temp
 
     return _report(
         instance, best_sol, iterations, time_to_best, terminated,
@@ -227,12 +225,18 @@ class _Chromosome:
     mask: int
     active: frozenset[int]
     cost: float
-    solution: mdl.Solution | None
+    priced: tuple[list[tuple[int, int]], dict[tuple[int, int], int]] | None  # (vector, chargers) unless inf
 
-    @cached_property
-    def types(self) -> dict[tuple[int, int], int]:
-        """(demand, station) -> the charger type the solution routes it with."""
-        return {(i, j): k for (i, j, k) in self.solution.assignments} if self.solution else {}
+
+def _inherit(vector: list[tuple[int, int]], p1: _Chromosome, p2: _Chromosome, first_half: set[int]) -> None:
+    """Give each demand of the child ``vector`` the pair of its parent (``p1``
+    on ``first_half``, else ``p2``) where that parent routed it to the same
+    station, in place; a parent priced inf passes nothing on."""
+    first, second = (p.priced[0] if p.priced else () for p in (p1, p2))
+    for r, (j, _) in enumerate(vector):
+        parent = first if j in first_half else second
+        if parent and parent[r][0] == j:
+            vector[r] = parent[r]
 
 
 def genetic_algorithm(
@@ -246,8 +250,8 @@ def genetic_algorithm(
     The initial population consists of minimum (or minimum plus one) covers.
     Crossover copies the activation genes of parent 1 for the first half of
     the station ordering and of parent 2 for the rest; uncovered offspring
-    activate random stations until they cover. Offspring inherit a parent's
-    charger type wherever the parent routed the same demand to the same
+    activate random stations until they cover. A child takes, by position,
+    a parent's pair wherever that parent routed the demand to the same
     station. An offspring replaces the worst chromosome unless it is strictly
     worse, in which case it still does so with probability worst/new.
 
@@ -282,11 +286,8 @@ def genetic_algorithm(
         priced = priced or sol is not None
     costs = [c.cost for c in population]  # kept in step with the population
 
-    def fittest(chroms: list[_Chromosome]) -> _Chromosome:
-        return min(chroms, key=lambda c: (c.cost, sorted(c.active)))
-
-    incumbent = fittest(population)
-    best_sol, best_cost = incumbent.solution, incumbent.cost
+    incumbent = min(population, key=lambda c: (c.cost, sorted(c.active)))
+    best_sol, best_cost = incumbent.priced, incumbent.cost
     time_to_best = time.perf_counter() - t0
     iterations = 0
     terminated = "optimality"
@@ -297,8 +298,7 @@ def genetic_algorithm(
             break
         iterations = it
 
-        pool_size = max(2, math.ceil(params.tournament_fraction * len(population)))
-        pool_size = min(pool_size, len(population))
+        pool_size = min(max(2, math.ceil(params.tournament_fraction * len(population))), len(population))
         pool_idx = rng.sample(range(len(population)), pool_size)
         ranked = sorted(pool_idx, key=lambda i: (costs[i], i))
         p1 = population[ranked[0]]
@@ -311,14 +311,9 @@ def genetic_algorithm(
             mask |= inactive.pop(rng.randrange(len(inactive)))
             child = context.covering(mask)
 
-        # the child inherits a parent's type wherever that parent routed the
-        # same demand to the same station: parent 1 on the first half
-        assignment = demand_assignment(instance, child, params.assignment_randomness, rng, context)
-        inherited = frozenset(
-            (i, j, (p1.types if j in first_half else p2.types).get((i, j), k))
-            for (i, j, k) in assignment.triplets
-        )
-        child_cost, child_sol = _price(instance, AssignmentSet(inherited), child, context)
+        vector = demand_assignment(instance, child, params.assignment_randomness, rng, context)
+        _inherit(vector, p1, p2, first_half)
+        child_cost, child_sol = _price(instance, vector, child, context)
 
         # the last of the costliest, as a (cost, index) maximum picks it
         worst_cost = max(costs)

@@ -98,6 +98,8 @@ class DemandPoint:
     agency: str | None = None
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):  # NaN would drop out of coverage
+            raise ValueError(f"demand point {self.id}: lat and lon must be finite")
         if not 0 < self.rate < math.inf:
             raise ValueError(f"demand point {self.id}: rate must be positive and finite")
 
@@ -117,6 +119,8 @@ class CandidateStation:
     source_id: str | None = None  # ingest-only: the stop id in the source feed
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
+            raise ValueError(f"station {self.id}: lat and lon must be finite")
         if not 0 <= self.fixed_cost_rate < math.inf:
             raise ValueError(f"station {self.id}: fixed_cost_rate must be nonnegative and finite")
         for k, cap in self.max_chargers.items():
@@ -151,6 +155,8 @@ class Instance:
 
     def __post_init__(self) -> None:
         _check_epsilon(self.epsilon, "epsilon")
+        if not self.charger_types:
+            raise ValueError("charger_types must name at least one charger type")
         # the tangent-cut wait floors bound the objective from below only
         # when both rates are nonnegative
         for name in ("travel_cost_rate", "wait_cost_rate"):

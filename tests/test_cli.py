@@ -333,6 +333,45 @@ class TestBadInput:
             assert main(["solve", src, "--method", method, "--out", str(tmp_path / "r.json")]) == 3
             assert "rate must be positive and finite" in capsys.readouterr().err
 
+    def test_empty_charger_catalog_exits_3(self, unit_instance_file, tmp_path, capsys):
+        src = self.edited(unit_instance_file, tmp_path, lambda d: d.update(charger_types=[]))
+        for method in ("brute", "bnb", "sa", "ga"):
+            assert main(["solve", src, "--method", method, "--out", str(tmp_path / "r.json")]) == 3
+            assert "charger_types must name at least one charger type" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("records, field, value, named", [
+        ("demand_points", "lat", float("nan"), "demand point 0"),
+        ("stations", "lon", float("inf"), "station 0"),
+    ])
+    def test_non_finite_coordinate_in_an_instance_exits_3(self, unit_instance_file, tmp_path, capsys, records,
+                                                          field, value, named):
+        src = self.edited(unit_instance_file, tmp_path, lambda d: d[records][0].update({field: value}))
+        assert main(["solve", src, "--method", "ga", "--out", str(tmp_path / "r.json")]) == 3
+        assert f"{named}: lat and lon must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
+    @pytest.mark.parametrize("csv_name, column, named", [
+        ("sample_stations.csv", "lat", "bad station row: station 0: lat and lon must be finite"),
+        ("sample_blocks.csv", "origin_lon", "bad trip row: trip t0: origin and dest lat/lon must be finite"),
+    ])
+    def test_non_finite_coordinate_in_a_csv_names_its_line(self, data_dir, tmp_path, capsys, csv_name, column,
+                                                           named):
+        lines = (data_dir / csv_name).read_text().splitlines()
+        row = lines[1].split(",")
+        row[lines[0].split(",").index(column)] = "nan"
+        bad = tmp_path / csv_name
+        bad.write_text("\n".join([lines[0], ",".join(row), *lines[2:]]) + "\n")
+        inputs = {"sample_blocks.csv": data_dir / "sample_blocks.csv",
+                  "sample_stations.csv": data_dir / "sample_stations.csv", csv_name: bad}
+        out = tmp_path / "instance.json"
+        rc = main(["gen-demand", "--blocks", str(inputs["sample_blocks.csv"]),
+                   "--stations", str(inputs["sample_stations.csv"]), "--range-min", "360", "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert named in err and f"[{bad}:2]" in err
+
     @pytest.mark.parametrize("name", ["travel_cost_rate", "wait_cost_rate"])
     def test_negative_cost_rate_exits_3(self, unit_instance_file, tmp_path, capsys, name):
         src = self.edited(unit_instance_file, tmp_path, lambda d: d["costs"].update({name: -1.0}))

@@ -9,6 +9,7 @@ from chargeplan import construction
 from chargeplan.construction import (
     AssignmentSet,
     CandidateContext,
+    assignment_set,
     best_chargers,
     cover_sets,
     demand_assignment,
@@ -388,7 +389,7 @@ class TestCandidateKernel:
                     r.setstate(state)
                 got = demand_assignment(inst, active, randomization, memo_rng, context)
                 assert got == demand_assignment(inst, active, randomization, fresh_rng)
-                assert got == TestDemandAssignment.reference(inst, active, randomization, ref_rng)
+                assert assignment_set(inst, got) == TestDemandAssignment.reference(inst, active, randomization, ref_rng)
                 assert memo_rng.getstate() == fresh_rng.getstate() == ref_rng.getstate()
                 checked += 1
         assert checked == 240
@@ -437,7 +438,7 @@ class TestDemandAssignment:
 
     def test_zero_randomness_assigns_nearest(self):
         inst = self.make()
-        a = demand_assignment(inst, {0, 1, 2}, 0.0, random.Random(0))
+        a = assignment_set(inst, demand_assignment(inst, {0, 1, 2}, 0.0, random.Random(0)))
         for (i, j, _) in a.triplets:
             best = min(
                 (jj for jj in inst.demand_by_id[i].reachable),
@@ -447,7 +448,7 @@ class TestDemandAssignment:
 
     def test_full_randomness_single_station(self):
         inst = coverage_instance({0: [0], 1: [0], 2: [0]}, 1)
-        a = demand_assignment(inst, {0}, 1.0, random.Random(0))
+        a = assignment_set(inst, demand_assignment(inst, {0}, 1.0, random.Random(0)))
         assert {j for (_, j, _) in a.triplets} == {0}
         assert len(a.triplets) == 3
 
@@ -464,7 +465,7 @@ class TestDemandAssignment:
 
     def test_each_demand_exactly_once(self):
         inst = self.make()
-        a = demand_assignment(inst, {0, 1, 2}, 0.5, random.Random(5))
+        a = assignment_set(inst, demand_assignment(inst, {0, 1, 2}, 0.5, random.Random(5)))
         assert sorted(i for (i, _, _) in a.triplets) == [0, 1, 2]
 
     @staticmethod
@@ -506,7 +507,7 @@ class TestDemandAssignment:
                 seed = rng.random()
                 want_rng, got_rng = random.Random(seed), random.Random(seed)
                 want = self.reference(inst, active, randomization, want_rng)
-                assert demand_assignment(inst, active, randomization, got_rng) == want
+                assert assignment_set(inst, demand_assignment(inst, active, randomization, got_rng)) == want
                 assert got_rng.getstate() == want_rng.getstate()
                 checked += 1
         assert checked >= 50
@@ -531,9 +532,8 @@ class TestBestChargers:
 
     def test_infeasible_when_demand_exceeds_cap(self):
         inst = coverage_instance({0: [0]}, 1, rates={0: 10.0}, caps={0: 3})
-        a = AssignmentSet(frozenset({(0, 0, 0)}))
         with pytest.raises(InfeasibleError):
-            best_chargers(inst, a, construction._PairSizer(inst))
+            best_chargers(inst, [(0, 0)], construction._PairSizer(inst))  # demand 0 to station 0, type 0
 
     def test_greedy_equals_bruteforce_over_counts(self):
         # exhaustive minimization of charger + waiting cost over s

@@ -8,7 +8,7 @@ from dataclasses import replace
 import pytest
 
 from chargeplan import metaheuristics
-from chargeplan.exact import brute_force, root_lower_bound
+from chargeplan.exact import branch_and_bound, brute_force, root_lower_bound
 from chargeplan.metaheuristics import (
     GAParams,
     SAParams,
@@ -20,6 +20,7 @@ from chargeplan.model import CandidateStation, ChargerType, DemandPoint, check_f
 from chargeplan.construction import (
     CandidateContext,
     _PairSizer,
+    assignment_set,
     best_chargers,
     build_solution,
     cover_sets,
@@ -84,6 +85,15 @@ class TestSimulatedAnnealing:
         )
         assert rep.stats["clamp_events"] > 0
         assert math.isfinite(rep.upper_bound)
+
+    def test_instance_without_stations_keeps_the_empty_deployment(self):
+        # no station means no demand: nothing to toggle, and the walk must not draw
+        kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=10.0)
+        inst = make_instance([], [], [kt], travel_cost_rate=1.0, wait_cost_rate=1.0)
+        rep = simulated_annealing(inst, SAParams(max_iterations=50, seed=3))
+        want = genetic_algorithm(inst, GAParams(max_iterations=50, seed=3))
+        assert rep.best == want.best == branch_and_bound(inst).best
+        assert (rep.best.active, rep.best.assignments, rep.upper_bound) == (frozenset(), frozenset(), 0.0)
 
     def test_bounds_are_consistent(self):
         inst = small(7107)
@@ -301,18 +311,55 @@ class TestCandidatePricing:
                 a = demand_assignment(inst, active, 0.5, rng)
                 cost, sol = metaheuristics._price(inst, a, active, context)
                 try:
-                    want = build_solution(inst, a, best_chargers(inst, a, _PairSizer(inst))[0], active=active)
+                    want = build_solution(inst, assignment_set(inst, a), best_chargers(inst, a, _PairSizer(inst))[0],
+                                          active=active)
                 except InfeasibleError:
                     assert (cost, sol) == (math.inf, None)
                     unsizable += 1
                     continue
                 assert cost == want.cost.total
-                assert sol.cost == want.cost
-                assert (sol.chargers, sol.waits) == (want.chargers, want.waits)
-                assert (sol.active, sol.assignments) == (want.active, want.assignments)
+                vector, chargers = sol
+                assert vector is a and chargers == want.chargers
+                # the waits it priced with, out of the run's memo
+                assert best_chargers(inst, a, context.sizer) == (want.chargers, want.waits)
                 priced += 1
         assert priced + unsizable >= 200
         assert min(priced, unsizable) >= 50, (priced, unsizable)
+
+    def test_positional_inheritance_equals_the_dict_rule(self):
+        # caps of 2-8 leave some parents priced inf; such a parent passes no types
+        def types(parent):
+            """(demand, station) -> type, as a GA chromosome first kept them."""
+            if parent.priced is None:
+                return {}
+            return {(i, j): k for (i, j, k) in assignment_set(inst, parent.priced[0]).triplets}
+
+        rng = random.Random(19)
+        checked = inf_parents = changed = 0
+        for seed in range(30):
+            inst = random_instance(seed, n_demand=rng.randint(3, 9), n_station=rng.randint(2, 5), cap_range=(2, 8))
+            context = CandidateContext(inst)
+            stations = [s.id for s in inst.stations]
+            first_half = set(stations[: len(stations) // 2])
+
+            def draw_active():
+                return frozenset(rng.sample(stations, rng.randint(1, len(stations))) + [
+                    rng.choice(d.reachable) for d in inst.demand_points])
+
+            for _ in range(6):
+                p1, p2 = (metaheuristics._Chromosome(0, active, *metaheuristics._try_candidate(
+                    inst, active, 0.5, rng, context)) for active in (draw_active(), draw_active()))
+                vector = demand_assignment(inst, draw_active(), 0.5, rng, context)
+                drawn = assignment_set(inst, vector).triplets
+                want = frozenset((i, j, (types(p1) if j in first_half else types(p2)).get((i, j), k))
+                                 for (i, j, k) in drawn)
+                metaheuristics._inherit(vector, p1, p2, first_half)
+                assert assignment_set(inst, vector).triplets == want
+                inf_parents += (p1.priced is None) + (p2.priced is None)
+                changed += want != drawn
+                checked += 1
+        assert checked == 180
+        assert min(inf_parents, changed) >= 20, (inf_parents, changed)
 
     @pytest.mark.parametrize("solve, params", [
         (simulated_annealing, SAParams(max_iterations=100, seed=2)),
