@@ -10,8 +10,6 @@ commands.
 """
 
 from .construction import (
-    AssignmentSet,
-    assignment_set,
     best_chargers,
     build_solution,
     cover_sets,
@@ -62,7 +60,6 @@ from .scenarios import ScenarioSpec, SweepSpec, run_scenarios, run_sweep, scale_
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentSet",
     "BlockSchedule",
     "CandidateStation",
     "ChargerType",
@@ -80,7 +77,6 @@ __all__ = [
     "Trip",
     "Violation",
     "aggregate_demand",
-    "assignment_set",
     "best_chargers",
     "branch_and_bound",
     "brute_force",

@@ -4,14 +4,16 @@ These are the building blocks the exact search and both metaheuristics lean
 on: a greedy minimum feasible station set, a backtracking enumeration of
 small covers, randomized demand assignment, and optimal charger sizing for a
 fixed assignment, given as an assignment vector: the (station, type) pair
-of each demand in ``instance.demand_order``. All are pure given an RNG.
+of each demand in ``instance.demand_order``. Every solver hands its answer
+to :func:`build_solution` as such a vector, and nothing else turns one into
+a Solution. All are pure given an RNG.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Mapping, Sequence
 
 from . import model as mdl
@@ -19,21 +21,6 @@ from . import queueing
 from .errors import InfeasibleError, UncoveredDemandError
 
 _MEMO_ENTRIES = 4096  # per memo of a CandidateContext
-
-
-@dataclass(frozen=True)
-class AssignmentSet:
-    """The set of (demand, station, type) triplets of one solution; every
-    demand id appears exactly once."""
-
-    triplets: frozenset[tuple[int, int, int]]
-
-    def __post_init__(self) -> None:
-        seen = set()
-        for (i, _, _) in self.triplets:
-            if i in seen:
-                raise ValueError(f"demand {i} assigned more than once")
-            seen.add(i)
 
 
 def min_stations(instance: mdl.Instance) -> frozenset[int]:
@@ -228,11 +215,6 @@ def demand_assignment(
     return vector
 
 
-def assignment_set(instance: mdl.Instance, vector: Sequence[tuple[int, int]]) -> AssignmentSet:
-    """The (demand, station, type) triplets of an assignment vector."""
-    return AssignmentSet(frozenset((d.id, j, k) for d, (j, k) in zip(instance.demand_order, vector)))
-
-
 def size_pair(
     load: float,
     charger_type: mdl.ChargerType,
@@ -299,9 +281,8 @@ class CandidateContext:
     the run and dropped with it, so nothing outlives the run or hangs off
     the shared instance.
 
-    It holds the run's :class:`_PairSizer` (``sizer``),
-    :func:`model.cost_tables` (``tables``) and each demand's (id, vector
-    position) in id order (``by_id``). An activation is an int bitmask
+    It holds the run's :class:`_PairSizer` (``sizer``) and
+    :func:`model.cost_tables` (``tables``). An activation is an int bitmask
     over ``instance.stations``, station ``n`` being ``bits[n]``;
     :meth:`covering` memoizes each mask's station set when it covers every
     demand, and :meth:`routes` each activation's closest stations and
@@ -313,7 +294,6 @@ class CandidateContext:
         self.instance = instance
         self.sizer = _PairSizer(instance)
         self.tables = mdl.cost_tables(instance)
-        self.by_id = sorted((d.id, r) for r, d in enumerate(instance.demand_order))
         self.bits = [1 << n for n in range(len(instance.stations))]
         self._bit = {s.id: b for s, b in zip(instance.stations, self.bits)}
         self._reach = [self.mask(d.reachable) for d in instance.demand_points]
@@ -353,15 +333,13 @@ def best_chargers(
 ) -> tuple[dict[tuple[int, int], int], dict[tuple[int, int], float]]:
     """Optimal charger counts per (station, type) for an assignment vector,
     and each pair's expected wait at its count, which equals
-    :func:`model.compute_waits`' bit for bit (loads summed along the vector),
-    sized through the caller's :class:`_PairSizer`. Raises InfeasibleError
-    when some pair cannot reach stability within its capacity."""
-    loads: dict[tuple[int, int], float] = {}
-    for d, pair in zip(instance.demand_order, vector):
-        loads[pair] = loads.get(pair, 0.0) + d.rate
+    :func:`model.compute_waits`' bit for bit (both read
+    :func:`model.pair_loads`), sized through the caller's
+    :class:`_PairSizer`. Raises InfeasibleError when some pair cannot reach
+    stability within its capacity."""
     chargers: dict[tuple[int, int], int] = {}
     waits: dict[tuple[int, int], float] = {}
-    for (j, k), load in sorted(loads.items()):
+    for (j, k), load in sorted(mdl.pair_loads(instance, vector).items()):
         pair = sizer.best(j, k, load)
         if pair is None:
             cap = instance.station_cap(j, k)
@@ -372,21 +350,22 @@ def best_chargers(
 
 def build_solution(
     instance: mdl.Instance,
-    assignment: AssignmentSet,
+    vector: Sequence[tuple[int, int]],
     chargers: Mapping[tuple[int, int], int],
     *,
     active: Iterable[int] | None = None,
 ) -> mdl.Solution:
-    """Materialize a full Solution (waits and cost included) from its parts.
+    """Materialize a full Solution (waits and cost included, priced by
+    :func:`model.evaluate`) from an assignment vector and charger counts;
+    this is where a vector becomes a Solution's (demand, station, type)
+    triplets.
 
     Active stations default to exactly those receiving traffic; idle active
     stations only ever add cost.
     """
-    if active is None:
-        active = {j for (_, j, _) in assignment.triplets}
     sol = mdl.Solution(
-        active=frozenset(active),
-        assignments=assignment.triplets,
+        active=frozenset({j for (j, _) in vector} if active is None else active),
+        assignments=frozenset((d.id, j, k) for d, (j, k) in zip(instance.demand_order, vector)),
         chargers=dict(chargers),
     )
     cost = mdl.evaluate(instance, sol)

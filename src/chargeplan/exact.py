@@ -29,8 +29,8 @@ from typing import Iterable, Mapping, Sequence
 
 from . import model as mdl
 from . import queueing
-from .construction import _PairSizer, assignment_set, best_chargers, build_solution
-from .errors import InfeasibleError, InstanceTooLargeError, TimeLimitError
+from .construction import _PairSizer, best_chargers, build_solution
+from .errors import InfeasibleError, InstanceTooLargeError, ParseError, TimeLimitError
 
 _PRUNE_MARGIN = 1e-9
 
@@ -104,7 +104,7 @@ def _choices_for(instance: mdl.Instance, d: mdl.DemandPoint) -> list[tuple[int, 
 
 def _solution(instance: mdl.Instance, path: Sequence[tuple[int, int]], sizer: _PairSizer) -> mdl.Solution:
     """The deployment of a full path, sized by the search's ``sizer``."""
-    return build_solution(instance, assignment_set(instance, path), best_chargers(instance, path, sizer)[0])
+    return build_solution(instance, path, best_chargers(instance, path, sizer)[0])
 
 
 def brute_force(
@@ -192,8 +192,8 @@ class _Node:
     search order, and the sums that bounding and leaf pricing read from it.
     A node is the root or :meth:`_TreeSearch._child` of its parent, so its
     sums are accumulated in path order however it was reached. The path
-    follows ``instance.demand_order``, so a full path's loads equal
-    :func:`model.pair_loads` of its assignment bit for bit."""
+    follows ``instance.demand_order``, so a full path is an assignment
+    vector and its loads equal :func:`model.pair_loads`' bit for bit."""
 
     __slots__ = ("path", "loads", "stations", "committed", "travel", "cuts")
 
@@ -534,17 +534,24 @@ def solution_to_dict(solution: mdl.Solution) -> dict:
     }
 
 
+def _pair_rows(data: dict, name: str, key: str, kind: type, default=None) -> dict[tuple[int, int], object]:
+    """{(station, charger_type): ``key``} of the rows at ``name``; a second row
+    for one pair would silently replace the first, so it is a ParseError."""
+    out = {}
+    for n, row in enumerate(mdl._entries(data, name, default)):
+        j, k, value = mdl._fields(row, f"{name}[{n}]", station=int, charger_type=int, **{key: kind})
+        if (j, k) in out:
+            raise ParseError(f"{name}[{n}]: duplicate (station, charger_type) {(j, k)}")
+        out[(j, k)] = value
+    return out
+
+
 def solution_from_dict(data: dict) -> mdl.Solution:
-    """The solution of a report; a missing or malformed field is a
-    ParseError that names it (``solution.chargers[0].count``)."""
-    chargers = [
-        mdl._fields(c, f"solution.chargers[{n}]", station=int, charger_type=int, count=int)
-        for n, c in enumerate(mdl._entries(data, "solution.chargers"))
-    ]
-    waits = [
-        mdl._fields(w, f"solution.waits[{n}]", station=int, charger_type=int, minutes=float)
-        for n, w in enumerate(mdl._entries(data, "solution.waits", []))
-    ]
+    """The solution of a report; a missing or malformed field, or a second
+    charger or wait row for one pair, is a ParseError that names it
+    (``solution.chargers[0].count``)."""
+    chargers = _pair_rows(data, "solution.chargers", "count", int)
+    waits = _pair_rows(data, "solution.waits", "minutes", float, [])
     return mdl.Solution(
         active=frozenset(
             mdl._number(j, f"solution.active_stations[{n}]", int)
@@ -554,8 +561,8 @@ def solution_from_dict(data: dict) -> mdl.Solution:
             mdl._fields(a, f"solution.assignments[{n}]", demand=int, station=int, charger_type=int)
             for n, a in enumerate(mdl._entries(data, "solution.assignments"))
         ),
-        chargers={(j, k): count for j, k, count in chargers},
-        waits={(j, k): minutes for j, k, minutes in waits},
+        chargers=chargers,
+        waits=waits,
     )
 
 

@@ -9,11 +9,12 @@ exact searches walk. Each run builds one
 :class:`~chargeplan.construction.CandidateContext` and drops it with the
 run: activations are bitmasks whose coverage it memoizes, it memoizes each
 activation's closest stations and exploration options for the assignment
-draws, it sizes each (station, type, load) once, and it prices a candidate
-from per-run coefficient tables in ``model.cost_totals``' order, so every
-total is the one ``model.evaluate`` gives. Candidates whose sizing is
-infeasible cost infinity and are never recorded as incumbents. Only the
-reported incumbent becomes a Solution, re-priced by ``model.evaluate``.
+draws, it sizes each (station, type, load) once, and ``model.cost_totals``
+prices a candidate's vector from per-run coefficient tables, as
+``model.evaluate`` prices a reported one, so every total is the one
+``model.evaluate`` gives. Candidates whose sizing is infeasible cost
+infinity and are never recorded as incumbents. Only the reported incumbent
+becomes a Solution, through ``construction.build_solution``.
 
 A multi-run driver launches independently seeded runs within one shared
 time limit and reports the best, plus how many distinct final objective
@@ -30,7 +31,6 @@ from dataclasses import dataclass, replace
 from . import model as mdl
 from .construction import (
     CandidateContext,
-    assignment_set,
     best_chargers,
     build_solution,
     cover_sets,
@@ -96,8 +96,7 @@ def _price(instance: mdl.Instance, vector: list[tuple[int, int]], active: frozen
         chargers, waits = best_chargers(instance, vector, context.sizer)
     except InfeasibleError:
         return math.inf, None
-    triplets = [(i, *vector[r]) for i, r in context.by_id]
-    return mdl.cost_totals(context.tables, active, triplets, chargers, waits).total, (vector, chargers)
+    return mdl.cost_totals(context.tables, active, vector, chargers, waits).total, (vector, chargers)
 
 
 def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: float, rng: random.Random,
@@ -117,7 +116,7 @@ def _report(
 ) -> SolverReport:
     """Report the incumbent (vector, chargers) re-priced with only its used
     stations open (idle activations only add cost), against the floor."""
-    best = build_solution(instance, assignment_set(instance, incumbent[0]), incumbent[1])
+    best = build_solution(instance, *incumbent)
     total = best.cost.total
     lower = min(root_lower_bound(instance), total)
     return SolverReport(
@@ -292,7 +291,8 @@ def genetic_algorithm(
     iterations = 0
     terminated = "optimality"
 
-    for it in range(1, params.max_iterations + 1):
+    # no station means no demand and no other child: the start is the answer
+    for it in range(1, params.max_iterations + 1 if context.bits else 1):
         if deadline is not None and time.perf_counter() > deadline:
             terminated = "time"
             break

@@ -189,8 +189,8 @@ class Instance:
     demand_by_id: Mapping[int, DemandPoint] = field(init=False, repr=False, compare=False)
     station_by_id: Mapping[int, CandidateStation] = field(init=False, repr=False, compare=False)
     type_by_id: Mapping[int, ChargerType] = field(init=False, repr=False, compare=False)
-    # demand points by descending rate, then id: the order in which the exact
-    # searches assign demands and pair_loads sums a load
+    # demand points by descending rate, then id: the order of an assignment
+    # vector, in which every load is summed
     demand_order: tuple[DemandPoint, ...] = field(init=False, repr=False, compare=False)
     demand_rank: Mapping[int, int] = field(init=False, repr=False, compare=False)  # id -> position
 
@@ -292,30 +292,49 @@ class Solution:
     cost: CostBreakdown | None = None
 
 
-def pair_loads(instance: Instance, assignments: Iterable[tuple[int, int, int]]) -> dict[tuple[int, int], float]:
-    """Arrival rate routed to each (station, type) pair, its rates summed in
-    ``instance.demand_order``. Float addition is not associative, so one
-    order is what lets every solver, :func:`evaluate` and
-    :func:`check_feasibility` see the same load for the same assignment."""
-    rank, order = instance.demand_rank, instance.demand_order
+def assignment_vector(instance: Instance, assignments: Iterable[tuple[int, int, int]]) -> list[tuple[int, int]]:
+    """The (station, type) pair of each demand in ``instance.demand_order``,
+    from (demand, station, type) triplets. Raises ValueError for a demand
+    assigned twice or an unknown id, UnassignedDemandError for one left out."""
+    rank = instance.demand_rank
+    vector: list = [None] * len(rank)
+    for (i, j, k) in assignments:
+        if i not in rank:
+            raise ValueError(f"unknown demand id {i}")
+        if vector[rank[i]] is not None:
+            raise ValueError(f"demand {i} assigned more than once")
+        if j not in instance.station_by_id or k not in instance.type_by_id:
+            raise ValueError(f"unknown station/type in assignment {(i, j, k)}")
+        vector[rank[i]] = (j, k)
+    missing = [d.id for d in instance.demand_points if vector[rank[d.id]] is None]
+    if missing:
+        raise UnassignedDemandError(f"demand points without assignment: {missing}")
+    return vector
+
+
+def pair_loads(instance: Instance, vector: Sequence[tuple[int, int]]) -> dict[tuple[int, int], float]:
+    """Arrival rate routed to each (station, type) pair of an assignment
+    vector, its rates summed in ``instance.demand_order``. Float addition is
+    not associative, so one order is what lets every solver and
+    :func:`evaluate` see the same load for the same assignment."""
     loads: dict[tuple[int, int], float] = {}
-    for (r, j, k) in sorted([(rank[i], j, k) for (i, j, k) in assignments]):
-        loads[(j, k)] = loads.get((j, k), 0.0) + order[r].rate
+    for d, pair in zip(instance.demand_order, vector):
+        loads[pair] = loads.get(pair, 0.0) + d.rate
     return loads
 
 
 def compute_waits(
     instance: Instance,
-    assignments: Iterable[tuple[int, int, int]],
+    vector: Sequence[tuple[int, int]],
     chargers: Mapping[tuple[int, int], int],
 ) -> dict[tuple[int, int], float]:
-    """Exact expected waits for every equipped pair.
+    """Exact expected waits for every equipped pair of an assignment vector.
 
     Raises :class:`UnstableQueueError` whenever routed load is above the
     capacity of a pair (the stability rule of :mod:`chargeplan.queueing`),
     including pairs that received traffic but no chargers.
     """
-    loads = pair_loads(instance, assignments)
+    loads = pair_loads(instance, vector)
     waits: dict[tuple[int, int], float] = {}
     keys = sorted(set(loads) | {k for k, s in chargers.items() if s > 0})
     for (j, k) in keys:
@@ -332,64 +351,53 @@ def compute_waits(
 
 
 def evaluate(instance: Instance, solution: Solution) -> CostBreakdown:
-    """Objective value of a structurally well-formed solution: its
-    :func:`cost_totals` at waits recomputed from the queueing model, never
-    read from ``solution.waits``. This is the referee of every reported
-    answer; SA and GA price their candidates with :func:`cost_totals` at the
-    waits their sizing produced, which equal these bit for bit.
-    """
-    assigned: dict[int, tuple[int, int]] = {}
-    for (i, j, k) in solution.assignments:
-        if i in assigned:
-            raise ValueError(f"demand {i} assigned more than once")
-        if i not in instance.demand_by_id:
-            raise ValueError(f"unknown demand id {i}")
-        if j not in instance.station_by_id or k not in instance.type_by_id:
-            raise ValueError(f"unknown station/type in assignment {(i, j, k)}")
-        assigned[i] = (j, k)
-    missing = [d.id for d in instance.demand_points if d.id not in assigned]
-    if missing:
-        raise UnassignedDemandError(f"demand points without assignment: {missing}")
-
-    waits = compute_waits(instance, solution.assignments, solution.chargers)
-    return cost_totals(cost_tables(instance), solution.active, solution.assignments, solution.chargers, waits)
+    """Objective value of a solution: the :func:`cost_totals` of its
+    :func:`assignment_vector` at waits recomputed from the queueing model,
+    never read from ``solution.waits``. This is the referee of every
+    reported answer; SA and GA price their candidate vectors at the waits
+    their sizing produced, which equal these bit for bit."""
+    vector = assignment_vector(instance, solution.assignments)
+    waits = compute_waits(instance, vector, solution.chargers)
+    return cost_totals(cost_tables(instance), solution.active, vector, solution.chargers, waits)
 
 
-def cost_tables(instance: Instance) -> tuple[dict, dict, dict, dict]:
+def cost_tables(instance: Instance) -> tuple[dict, dict, dict, dict, list]:
     """The objective's coefficients, as :func:`cost_totals` reads them: each
     station's fixed cost, each type's unit cost, rate * travel_cost_rate *
-    travel per (demand, station) and rate * wait_cost_rate per demand. SA
-    and GA build them once per run."""
+    travel per (demand, station), rate * wait_cost_rate per demand, and each
+    demand's (id, vector position) in id order. SA and GA build them once
+    per run."""
     rate = {d.id: d.rate for d in instance.demand_points}
     return (
         {s.id: s.fixed_cost_rate for s in instance.stations},
         {k.id: k.unit_cost_rate for k in instance.charger_types},
         {(i, j): rate[i] * instance.travel_cost_rate * t for (i, j), t in instance.travel.items()},
         {i: lam * instance.wait_cost_rate for i, lam in rate.items()},
+        sorted((d.id, r) for r, d in enumerate(instance.demand_order)),
     )
 
 
 def cost_totals(
-    tables: tuple[dict, dict, dict, dict],
+    tables: tuple[dict, dict, dict, dict, list],
     active: Iterable[int],
-    assignments: Iterable[tuple[int, int, int]],
+    vector: Sequence[tuple[int, int]],
     chargers: Mapping[tuple[int, int], int],
     waits: Mapping[tuple[int, int], float],
 ) -> CostBreakdown:
-    """The objective at the given pair waits: station activation + charger
-    install + travel + expected wait, all in currency per minute, summed
-    from an instance's :func:`cost_tables`. Deterministic: sums run in
-    sorted key order (stations by id, pairs sorted, assignments by demand
-    id), so identical inputs give bit-identical results.
+    """The objective of an assignment vector at the given pair waits:
+    station activation + charger install + travel + expected wait, all in
+    currency per minute, summed from an instance's :func:`cost_tables`.
+    Deterministic: sums run in sorted key order (stations by id, pairs
+    sorted, demands by id), so identical inputs give bit-identical results.
     """
-    fixed, unit, travel_of, wait_of = tables
+    fixed, unit, travel_of, wait_of, by_id = tables
     station = sum(map(fixed.__getitem__, sorted(active)), 0.0)
     charger = sum([unit[k] * s for (j, k), s in sorted(chargers.items())], 0.0)
     travel = 0.0
     waiting = 0.0
-    for (i, j, k) in sorted(assignments):
-        travel += travel_of[(i, j)]
-        waiting += wait_of[i] * waits[(j, k)]
+    for i, r in by_id:
+        travel += travel_of[(i, vector[r][0])]
+        waiting += wait_of[i] * waits[vector[r]]
     total = station + charger + travel + waiting
     return CostBreakdown(
         station=station,
@@ -432,11 +440,13 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
     lam_of = instance.demand_by_id
 
     counts: dict[int, int] = {d.id: 0 for d in instance.demand_points}
+    known: list[tuple[int, int, int]] = []  # (demand rank, station, type)
     for (i, j, k) in sorted(solution.assignments):
         if i not in lam_of or j not in instance.station_by_id or k not in instance.type_by_id:
             out.append(Violation("unknown_id", (i, j, k), "assignment uses an unknown id"))
             continue
         counts[i] += 1
+        known.append((instance.demand_rank[i], j, k))
         if (i, j) not in instance.travel:
             out.append(
                 Violation("unreachable_station", (i, j, k), f"station {j} not reachable from demand {i}")
@@ -455,10 +465,11 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
         if j not in instance.station_by_id:
             out.append(Violation("unknown_id", (j,), f"active station {j} does not exist"))
 
-    loads = pair_loads(
-        instance,
-        (t for t in solution.assignments if t[0] in lam_of and t[1] in instance.station_by_id and t[2] in instance.type_by_id),
-    )
+    # a report may assign a demand twice, so its loads are summed from its
+    # triplets in demand order: pair_loads' sum when it is well formed
+    loads: dict[tuple[int, int], float] = {}
+    for (r, j, k) in sorted(known):
+        loads[(j, k)] = loads.get((j, k), 0.0) + instance.demand_order[r].rate
     keys = sorted(set(loads) | set(solution.chargers))
     for (j, k) in keys:
         if j not in instance.station_by_id or k not in instance.type_by_id:
@@ -642,8 +653,8 @@ def instance_from_dict(data: dict) -> Instance:
     travel = None
     rows = _entries(data, "travel", [])
     if rows:
-        demand_ids = {d.id for d in dps}
-        station_ids = {s.id for s in sts}
+        # a twin record is named before any travel row that it doubles
+        demand_ids, station_ids = _by_id("demand", dps), _by_id("station", sts)
         travel = {}
         for n, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 3:
@@ -654,6 +665,8 @@ def instance_from_dict(data: dict) -> Instance:
                 raise ParseError(f"travel[{n}]: unknown demand id {i}")
             if j not in station_ids:
                 raise ParseError(f"travel[{n}]: unknown station id {j}")
+            if (i, j) in travel:
+                raise ParseError(f"travel[{n}]: duplicate entry for demand {i}, station {j}")
             travel[(i, j)] = _number(t, f"travel[{n}][2]")
     max_travel = opts.get("max_travel_minutes")
     epsilon = _number(opts.get("epsilon", 1e-6), "options.epsilon")

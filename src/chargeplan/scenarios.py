@@ -15,7 +15,7 @@ from functools import partial
 from typing import Callable
 
 from . import model as mdl
-from .construction import AssignmentSet, build_solution
+from .construction import build_solution
 from .errors import ChargePlanError, InfeasibleDemandError, InfeasibleError
 from .exact import SolverReport
 
@@ -105,7 +105,7 @@ class ScenarioRow:
 
 
 def _solution_stats(instance: mdl.Instance, sol: mdl.Solution):
-    loads = mdl.pair_loads(instance, sol.assignments)
+    loads = mdl.pair_loads(instance, mdl.assignment_vector(instance, sol.assignments))
     per_type: dict[int, int] = {k.id: 0 for k in instance.charger_types}
     waits = []
     utils = []
@@ -142,7 +142,7 @@ def run_scenario(instance: mdl.Instance, spec: ScenarioSpec, solve: SolveFn) -> 
             parts = [solve(restrict(agency=agency)).best for agency in _agencies(instance)]
             sol = build_solution(
                 pool,
-                AssignmentSet(frozenset().union(*(p.assignments for p in parts))),
+                mdl.assignment_vector(pool, frozenset().union(*(p.assignments for p in parts))),
                 {pair: s for p in parts for pair, s in p.chargers.items()},
                 active=frozenset().union(*(p.active for p in parts)),
             )

@@ -415,6 +415,8 @@ class TestBadInput:
         (lambda d: d["stations"][0].update(max_chargers=[5]), "stations[0].max_chargers: expected an object"),
         (lambda d: d["charger_types"][0].pop("id"), "missing required field 'charger_types[0].id'"),
         (lambda d: d["travel"].__setitem__(0, 5), "travel[0]: expected [demand, station, minutes]"),
+        # a second row would replace the first without a word
+        (lambda d: d["travel"].append([0, 0, 1002.0]), "travel[1]: duplicate entry for demand 0, station 0"),
     ])
     def test_malformed_instance_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
         report = tmp_path / "report.json"
@@ -431,6 +433,11 @@ class TestBadInput:
         (lambda s: s["chargers"][0].update(count=1.5), "solution.chargers[0].count"),
         (lambda s: s["waits"][0].update(minutes="2"), "solution.waits[0].minutes"),
         (lambda s: s.update(active_stations=None), "solution.active_stations"),
+        # a second row for one pair, which "last row wins" would let pass above its cap or wait
+        (lambda s: s["chargers"].insert(0, dict(s["chargers"][0], count=999)),
+         "solution.chargers[1]: duplicate (station, charger_type) (0, 0)"),
+        (lambda s: s["waits"].insert(0, dict(s["waits"][0], minutes=1e-6)),
+         "solution.waits[1]: duplicate (station, charger_type) (0, 0)"),
     ])
     def test_malformed_report_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
         report = tmp_path / "report.json"

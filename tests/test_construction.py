@@ -7,9 +7,7 @@ import pytest
 
 from chargeplan import construction
 from chargeplan.construction import (
-    AssignmentSet,
     CandidateContext,
-    assignment_set,
     best_chargers,
     cover_sets,
     demand_assignment,
@@ -389,7 +387,7 @@ class TestCandidateKernel:
                     r.setstate(state)
                 got = demand_assignment(inst, active, randomization, memo_rng, context)
                 assert got == demand_assignment(inst, active, randomization, fresh_rng)
-                assert assignment_set(inst, got) == TestDemandAssignment.reference(inst, active, randomization, ref_rng)
+                assert got == TestDemandAssignment.reference(inst, active, randomization, ref_rng)
                 assert memo_rng.getstate() == fresh_rng.getstate() == ref_rng.getstate()
                 checked += 1
         assert checked == 240
@@ -425,11 +423,13 @@ class TestCandidateKernel:
                 pairs = {(j, k) for (_, j, k) in assignments}
                 chargers = {pair: rng.randint(1, 9) for pair in pairs}
                 waits = {pair: rng.uniform(1.0, 100.0) for pair in pairs}
-                got = cost_totals(tables, active, assignments, chargers, waits)
+                pair_of = {i: (j, k) for (i, j, k) in assignments}
+                vector = [pair_of[d.id] for d in inst.demand_order]
+                got = cost_totals(tables, active, vector, chargers, waits)
                 want = reference(inst, active, assignments, chargers, waits)
                 assert [x.hex() for x in (got.station, got.charger, got.travel, got.waiting, got.total)] == [
                     x.hex() for x in want]
-                assert cost_totals(cost_tables(inst), active, assignments, chargers, waits) == got
+                assert cost_totals(cost_tables(inst), active, vector, chargers, waits) == got
 
 
 class TestDemandAssignment:
@@ -438,8 +438,9 @@ class TestDemandAssignment:
 
     def test_zero_randomness_assigns_nearest(self):
         inst = self.make()
-        a = assignment_set(inst, demand_assignment(inst, {0, 1, 2}, 0.0, random.Random(0)))
-        for (i, j, _) in a.triplets:
+        a = demand_assignment(inst, {0, 1, 2}, 0.0, random.Random(0))
+        for d, (j, _) in zip(inst.demand_order, a):
+            i = d.id
             best = min(
                 (jj for jj in inst.demand_by_id[i].reachable),
                 key=lambda jj: (inst.travel[(i, jj)], jj),
@@ -448,9 +449,9 @@ class TestDemandAssignment:
 
     def test_full_randomness_single_station(self):
         inst = coverage_instance({0: [0], 1: [0], 2: [0]}, 1)
-        a = assignment_set(inst, demand_assignment(inst, {0}, 1.0, random.Random(0)))
-        assert {j for (_, j, _) in a.triplets} == {0}
-        assert len(a.triplets) == 3
+        a = demand_assignment(inst, {0}, 1.0, random.Random(0))
+        assert {j for (j, _) in a} == {0}
+        assert len(a) == 3
 
     def test_seed_reproducibility(self):
         inst = self.make()
@@ -465,16 +466,17 @@ class TestDemandAssignment:
 
     def test_each_demand_exactly_once(self):
         inst = self.make()
-        a = assignment_set(inst, demand_assignment(inst, {0, 1, 2}, 0.5, random.Random(5)))
-        assert sorted(i for (i, _, _) in a.triplets) == [0, 1, 2]
+        a = demand_assignment(inst, {0, 1, 2}, 0.5, random.Random(5))
+        assert len(a) == 3 and None not in a  # a pair at every demand's position
 
     @staticmethod
     def reference(instance, active, randomization, rng):
         """The rule as first written: build the active options, then take the
-        closest by (travel, id) unless the exploration draw picks one."""
+        closest by (travel, id) unless the exploration draw picks one. The
+        pairs are drawn in record order and placed at each demand's rank."""
         act = set(active)
         type_ids = [k.id for k in instance.charger_types]
-        triplets = []
+        vector = [None] * len(instance.demand_points)
         for d in instance.demand_points:
             options = [j for j in d.reachable if j in act]
             if not options:
@@ -484,8 +486,8 @@ class TestDemandAssignment:
             else:
                 j = min(options, key=lambda jj: (instance.travel[(d.id, jj)], jj))
             k = type_ids[rng.randrange(len(type_ids))]
-            triplets.append((d.id, j, k))
-        return AssignmentSet(frozenset(triplets))
+            vector[instance.demand_rank[d.id]] = (j, k)
+        return vector
 
     @pytest.mark.parametrize("proximity", [False, True])
     @pytest.mark.parametrize("randomization", [0.0, 0.3, 1.0])
@@ -507,7 +509,7 @@ class TestDemandAssignment:
                 seed = rng.random()
                 want_rng, got_rng = random.Random(seed), random.Random(seed)
                 want = self.reference(inst, active, randomization, want_rng)
-                assert assignment_set(inst, demand_assignment(inst, active, randomization, got_rng)) == want
+                assert demand_assignment(inst, active, randomization, got_rng) == want
                 assert got_rng.getstate() == want_rng.getstate()
                 checked += 1
         assert checked >= 50
@@ -619,10 +621,6 @@ class TestBestChargers:
             assert got[2].hex() == (kt.unit_cost_rate * s + load * inst.wait_cost_rate * wait).hex()
         assert results == {True, False}
         assert len(calls) == len(set(keys)) == len(sizer._memo)
-
-    def test_assignment_set_rejects_duplicates(self):
-        with pytest.raises(ValueError):
-            AssignmentSet(frozenset({(0, 0, 0), (0, 1, 0)}))
 
 
 class TestAgainstOracles:

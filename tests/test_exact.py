@@ -290,7 +290,7 @@ class TestStabilityBoundary:
             assignments = frozenset({(0, 0, 0)})
             chargers = {(0, 0): servers}
             try:
-                compute_waits(inst, assignments, chargers)
+                compute_waits(inst, [(0, 0)], chargers)
                 waits_stable = True
             except UnstableQueueError:
                 waits_stable = False
@@ -340,8 +340,7 @@ class TestLoadOrder:
             inst = feasible_instance(seed, n_demand=5, n_station=2)
             search = _TreeSearch(inst, SolverConfig())
             for path in itertools.product(*search.steps):
-                assignment = [(d.id, j, k) for d, (j, k) in zip(search.demands, path)]
-                assert node_of(search, path).loads == pair_loads(inst, assignment)
+                assert node_of(search, path).loads == pair_loads(inst, path)
 
 
 class _Unmemoized(_TreeSearch):

@@ -20,7 +20,6 @@ from chargeplan.model import CandidateStation, ChargerType, DemandPoint, check_f
 from chargeplan.construction import (
     CandidateContext,
     _PairSizer,
-    assignment_set,
     best_chargers,
     build_solution,
     cover_sets,
@@ -103,6 +102,15 @@ class TestSimulatedAnnealing:
 
 
 class TestGeneticAlgorithm:
+    def test_instance_without_stations_stops_at_once(self):
+        # no station means no demand: every child would be the empty deployment
+        kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=10.0)
+        inst = make_instance([], [], [kt], travel_cost_rate=1.0, wait_cost_rate=1.0)
+        rep = genetic_algorithm(inst, GAParams())
+        assert rep.nodes_explored == 0
+        assert rep.best == simulated_annealing(inst, SAParams()).best == branch_and_bound(inst).best
+        assert (rep.best.active, rep.best.assignments, rep.upper_bound) == (frozenset(), frozenset(), 0.0)
+
     def test_finds_optimum_with_generous_budget(self):
         inst = small()
         opt = brute_force(inst).upper_bound
@@ -311,8 +319,7 @@ class TestCandidatePricing:
                 a = demand_assignment(inst, active, 0.5, rng)
                 cost, sol = metaheuristics._price(inst, a, active, context)
                 try:
-                    want = build_solution(inst, assignment_set(inst, a), best_chargers(inst, a, _PairSizer(inst))[0],
-                                          active=active)
+                    want = build_solution(inst, a, best_chargers(inst, a, _PairSizer(inst))[0], active=active)
                 except InfeasibleError:
                     assert (cost, sol) == (math.inf, None)
                     unsizable += 1
@@ -332,7 +339,7 @@ class TestCandidatePricing:
             """(demand, station) -> type, as a GA chromosome first kept them."""
             if parent.priced is None:
                 return {}
-            return {(i, j): k for (i, j, k) in assignment_set(inst, parent.priced[0]).triplets}
+            return {(d.id, j): k for d, (j, k) in zip(inst.demand_order, parent.priced[0])}
 
         rng = random.Random(19)
         checked = inf_parents = changed = 0
@@ -350,11 +357,11 @@ class TestCandidatePricing:
                 p1, p2 = (metaheuristics._Chromosome(0, active, *metaheuristics._try_candidate(
                     inst, active, 0.5, rng, context)) for active in (draw_active(), draw_active()))
                 vector = demand_assignment(inst, draw_active(), 0.5, rng, context)
-                drawn = assignment_set(inst, vector).triplets
+                drawn = frozenset((d.id, j, k) for d, (j, k) in zip(inst.demand_order, vector))
                 want = frozenset((i, j, (types(p1) if j in first_half else types(p2)).get((i, j), k))
                                  for (i, j, k) in drawn)
                 metaheuristics._inherit(vector, p1, p2, first_half)
-                assert assignment_set(inst, vector).triplets == want
+                assert frozenset((d.id, j, k) for d, (j, k) in zip(inst.demand_order, vector)) == want
                 inf_parents += (p1.priced is None) + (p2.priced is None)
                 changed += want != drawn
                 checked += 1

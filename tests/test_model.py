@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from chargeplan.construction import AssignmentSet, build_solution
+from chargeplan.construction import build_solution
 from chargeplan.errors import (
     InfeasibleDemandError,
     InvalidSOCError,
@@ -18,6 +18,7 @@ from chargeplan.model import (
     DemandPoint,
     Instance,
     Solution,
+    assignment_vector,
     check_feasibility,
     derive_service_rates,
     evaluate,
@@ -44,7 +45,7 @@ def unit_instance():
 
 
 def solution_with(instance, chargers):
-    return build_solution(instance, AssignmentSet(frozenset({(0, 0, 0)})), chargers)
+    return build_solution(instance, [(0, 0)], chargers)
 
 
 class TestEvaluate:
@@ -138,6 +139,50 @@ class TestEvaluate:
         assert all(d2 >= d1 - 1e-12 for d1, d2 in zip(diffs, diffs[1:]))
 
 
+class TestAssignmentVector:
+    """evaluate reads a solution's triplets through assignment_vector, which
+    makes the structural checks evaluate has always made."""
+
+    @staticmethod
+    def two_by_two():
+        kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0)
+        dps = [DemandPoint(id=i, lat=41.88, lon=-87.68, rate=r) for i, r in ((0, 0.2), (1, 0.5))]
+        sts = [CandidateStation(id=j, lat=41.9, lon=-87.7, fixed_cost_rate=5.0, max_chargers={0: 5}) for j in (0, 1)]
+        return make_instance(dps, sts, [kt], travel_cost_rate=1.0, wait_cost_rate=1.0,
+                             travel={(i, j): 2.0 + i + j for i in (0, 1) for j in (0, 1)})
+
+    @pytest.mark.parametrize("assignments, error, message", [
+        ([(1, 0, 0), (0, 0, 0), (1, 1, 0)], ValueError, "demand 1 assigned more than once"),
+        ([(0, 0, 0), (7, 0, 0), (1, 0, 0)], ValueError, "unknown demand id 7"),
+        ([(0, 0, 0), (1, 9, 0)], ValueError, "unknown station/type in assignment (1, 9, 0)"),
+        ([(0, 0, 3), (1, 0, 0)], ValueError, "unknown station/type in assignment (0, 0, 3)"),
+        ([(1, 0, 0)], UnassignedDemandError, "demand points without assignment: [0]"),
+        ([], UnassignedDemandError, "demand points without assignment: [0, 1]"),
+    ])
+    def test_assignment_vector_rejects_what_evaluate_rejects(self, assignments, error, message):
+        inst = self.two_by_two()
+        with pytest.raises(error) as exc:
+            assignment_vector(inst, assignments)
+        assert str(exc.value) == message
+        sol = Solution(active=frozenset({0, 1}), assignments=frozenset(assignments), chargers={(0, 0): 2, (1, 0): 2})
+        with pytest.raises(error) as exc:
+            evaluate(inst, sol)
+        assert str(exc.value) == message
+
+    def test_assignment_vector_places_each_pair_at_its_demand_rank(self):
+        reordered = 0
+        for seed in range(10):
+            base = random_instance(seed)
+            # records out of rate order, so the demand order is not the records' order
+            inst = dataclasses.replace(base, demand_points=base.demand_points[::-1])
+            vector = [(d.reachable[-1], inst.charger_types[d.id % len(inst.charger_types)].id)
+                      for d in inst.demand_order]
+            triplets = [(d.id, j, k) for d, (j, k) in zip(inst.demand_order, vector)]
+            assert assignment_vector(inst, reversed(triplets)) == vector
+            reordered += inst.demand_order != inst.demand_points
+        assert reordered >= 5
+
+
 class TestCheckFeasibility:
     def test_feasible_solution_is_clean(self, unit_instance):
         sol = solution_with(unit_instance, {(0, 0): 1})
@@ -211,15 +256,11 @@ class TestCheckFeasibility:
             travel={(0, 0): 2.0, (0, 1): 20.0},
             enforce_proximity=True,
         )
-        sol = build_solution(
-            inst, AssignmentSet(frozenset({(0, 1, 0)})), {(1, 0): 1}, active={0, 1}
-        )
+        sol = build_solution(inst, [(1, 0)], {(1, 0): 1}, active={0, 1})
         codes = {v.code for v in check_feasibility(inst, sol)}
         assert "not_closest_active" in codes
         # assigned to the closest: clean
-        sol2 = build_solution(
-            inst, AssignmentSet(frozenset({(0, 0, 0)})), {(0, 0): 1}, active={0, 1}
-        )
+        sol2 = build_solution(inst, [(0, 0)], {(0, 0): 1}, active={0, 1})
         assert check_feasibility(inst, sol2) == []
 
     def test_cross_validated_against_independent_predicates(self):
@@ -243,7 +284,7 @@ class TestCheckFeasibility:
                 return sorted(ids) == sorted(d.id for d in inst.demand_points)
 
             def stability_ok():
-                loads = pair_loads(inst, sol.assignments)
+                loads = pair_loads(inst, assignment_vector(inst, sol.assignments))
                 return all(
                     inst.type_by_id[k].service_rate * sol.chargers.get((j, k), 0) * (1 - inst.epsilon)
                     >= lam
@@ -251,7 +292,7 @@ class TestCheckFeasibility:
                 )
 
             def waits_ok():
-                loads = pair_loads(inst, sol.assignments)
+                loads = pair_loads(inst, assignment_vector(inst, sol.assignments))
                 for (j, k), s in sol.chargers.items():
                     if s > 0:
                         true = expected_wait(
@@ -447,6 +488,15 @@ class TestInputValidation:
         data = instance_to_dict(self.build())
         data["travel"][1] = entry
         with pytest.raises(ParseError, match=message):
+            instance_from_dict(data)
+
+    def test_duplicate_travel_row_is_a_parse_error(self):
+        # a second row for one pair would replace the first without a word
+        data = instance_to_dict(self.build())
+        i, j, t = data["travel"][0]
+        data["travel"].append([i, j, t + 1000.0])
+        row = len(data["travel"]) - 1
+        with pytest.raises(ParseError, match=f"travel\\[{row}\\]: duplicate entry for demand {i}, station {j}"):
             instance_from_dict(data)
 
     @pytest.mark.parametrize("field", ["costs", "charger_types", "demand_points", "stations"])
