@@ -253,7 +253,8 @@ class _PairSizer:
     """:func:`size_pair` for one instance, memoized in ``_memo`` by (station,
     type, load); loads are summed in ``instance.demand_order`` wherever they
     are formed, so one assignment's pair always meets the same key. Each
-    solve or SA/GA run makes its own and drops it, so no cache outlives it."""
+    solve or SA/GA run makes its own and drops it, so no cache outlives it.
+    SA's cost floor reads ``_memo`` for the pairs already sized."""
 
     def __init__(self, instance: mdl.Instance):
         self.instance = instance
@@ -287,7 +288,9 @@ class CandidateContext:
     :meth:`covering` memoizes each mask's station set when it covers every
     demand, and :meth:`routes` each activation's closest stations and
     exploration options. A memo that reaches ``_MEMO_ENTRIES`` entries is
-    emptied, which bounds a run's memory on instances with many stations.
+    emptied in place, which bounds a run's memory on instances with many
+    stations; SA's walk holds the ``_covering`` dict's ``get`` for its memo
+    hits, so the dict itself is never replaced.
     """
 
     def __init__(self, instance: mdl.Instance):

@@ -16,6 +16,13 @@ prices a candidate's vector from per-run coefficient tables, as
 infinity and are never recorded as incumbents. Only the reported incumbent
 becomes a Solution, through ``construction.build_solution``.
 
+SA prices a candidate only when its cost floor cannot decide the
+acceptance draw: a floor above the current cost rules out a new best and a
+sure acceptance, and a draw that fails against the floor fails against the
+cost too, so such a candidate is dropped unsized with the same draw, and
+the course is the one that pricing every candidate gives. The GA prices
+every child, since its admission rule takes most of them.
+
 A multi-run driver launches independently seeded runs within one shared
 time limit and reports the best, plus how many distinct final objective
 values the runs produced.
@@ -29,6 +36,7 @@ import time
 from dataclasses import dataclass, replace
 
 from . import model as mdl
+from . import queueing
 from .construction import (
     CandidateContext,
     best_chargers,
@@ -42,12 +50,15 @@ from .exact import SolverReport, root_lower_bound
 
 _TEMP_FLOOR = 1e-12
 _TOGGLE_LIMIT = 200_000
+_FLOOR_SLACK = 1.0 - 1e-9  # far above the rounding of either sum
+_UNSIZED = object()  # a pair the sizing memo does not hold yet
 
 
 @dataclass(frozen=True)
 class SAParams:
     """Simulated-annealing knobs. ``initial_temperature=None`` scales the
-    start temperature to a tenth of the initial objective value."""
+    start temperature to a tenth of the initial objective value; a given
+    one must be positive and finite."""
 
     initial_temperature: float | None = None
     max_iterations: int = 5000
@@ -56,8 +67,9 @@ class SAParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.initial_temperature is not None and self.initial_temperature <= 0:
-            raise ValueError("initial_temperature must be positive")
+        # a comparison against inf also rejects NaN, which fails every comparison
+        if self.initial_temperature is not None and not 0 < self.initial_temperature < math.inf:
+            raise ValueError("initial_temperature must be positive and finite")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if not 0.0 < self.cooling_factor <= 1.0:
@@ -97,6 +109,36 @@ def _price(instance: mdl.Instance, vector: list[tuple[int, int]], active: frozen
     except InfeasibleError:
         return math.inf, None
     return mdl.cost_totals(context.tables, active, vector, chargers, waits).total, (vector, chargers)
+
+
+def _floor(instance: mdl.Instance, vector: list[tuple[int, int]], active: frozenset[int],
+           context: CandidateContext) -> float:
+    """A lower bound on :func:`_price`'s cost for the same candidate, sized
+    only where the run's memo already holds a pair: the activation's fixed
+    costs, the vector's travel, each memoized pair's sized cost, and
+    c_k * s_min + load * c_w / mu_k for every other pair. A sized pair costs
+    at least that, since its count is at least s_min and its wait at least
+    one service time, and no rate or cost is negative. It is inf exactly when
+    the cost is (a memoized None, or s_min above the cap), and the slack
+    keeps rounding from lifting it above the computed price."""
+    fixed, _, travel_of, _, by_id = context.tables
+    floor = sum(map(fixed.__getitem__, active), 0.0)
+    for i, r in by_id:
+        floor += travel_of[(i, vector[r][0])]
+    memo = context.sizer._memo
+    for (j, k), load in mdl.pair_loads(instance, vector).items():
+        sized = memo.get((j, k, load), _UNSIZED)
+        if sized is _UNSIZED:
+            kt = instance.type_by_id[k]
+            s = queueing.min_chargers(load, kt.service_rate, instance.epsilon)
+            if s > instance.station_cap(j, k):
+                return math.inf
+            floor += kt.unit_cost_rate * s + load * instance.wait_cost_rate * kt.recharge_time_min
+        elif sized is None:
+            return math.inf
+        else:
+            floor += sized[2]
+    return floor * _FLOOR_SLACK
 
 
 def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: float, rng: random.Random,
@@ -139,10 +181,13 @@ def simulated_annealing(
     """Station-toggling SA with Metropolis acceptance and linear cooling.
 
     Starts from the greedy minimum cover. Each iteration flips one random
-    station (re-flipping until the activation covers every demand), samples
-    an assignment, and sizes the chargers.
+    station (re-flipping until the activation covers every demand) and
+    samples an assignment.
     Improvements over the incumbent are always kept; otherwise the candidate
     replaces the current state with probability exp((current - new) / T).
+    The chargers are sized only when :func:`_floor` cannot decide that draw:
+    a candidate whose floor lies above the current cost takes its draw
+    first and is dropped unsized when the draw fails against the floor.
     The temperature follows T *= (1 - C * T0 / L) clamped at a tiny floor.
     ``time_limit`` bounds the walk to a first stable sizing as well; when it
     runs out there, :class:`TimeLimitError` is raised.
@@ -151,6 +196,7 @@ def simulated_annealing(
     rng = random.Random(params.seed)
     context = CandidateContext(instance)
     bits, getrandbits, covering = context.bits, rng.getrandbits, context.covering
+    covered = context._covering.get  # a memo hit without a method call; .clear() keeps the dict
     n_bits, width = len(bits), len(bits).bit_length()
 
     def walk_to_feasible(mask: int) -> tuple[int, frozenset[int]]:
@@ -162,7 +208,9 @@ def simulated_annealing(
             while x >= n_bits:
                 x = getrandbits(width)
             mask ^= bits[x]
-            active = covering(mask)
+            active = covered(mask)
+            if active is None:
+                active = covering(mask)
             if active:
                 return mask, active
         raise InfeasibleError("random walk could not reach a feasible activation")
@@ -199,15 +247,26 @@ def simulated_annealing(
             break
         iterations = it
         cand_mask, cand = walk_to_feasible(cur_mask)
-        cand_cost, cand_sol = _try_candidate(instance, cand, params.assignment_randomness, rng, context)
-
-        if cand_cost < best_cost:
-            best_sol, best_cost = cand_sol, cand_cost
-            cur_mask, cur_cost = cand_mask, cand_cost
-            time_to_best = time.perf_counter() - t0
-            trace.append((it, best_cost))
-        elif cand_cost <= cur_cost or rng.random() < math.exp((cur_cost - cand_cost) / temp):
-            cur_mask, cur_cost = cand_mask, cand_cost  # cand_cost may be inf; exp(-inf) is a clean 0
+        vector = demand_assignment(instance, cand, params.assignment_randomness, rng, context)
+        floor = _floor(instance, vector, cand, context)
+        if floor > cur_cost:
+            # neither a new best nor <= current (best <= current always), so
+            # the acceptance draw is taken at once, and a draw that already
+            # fails against the floor needs no price
+            u = rng.random()
+            if u < math.exp((cur_cost - floor) / temp):
+                cand_cost, _ = _price(instance, vector, cand, context)
+                if u < math.exp((cur_cost - cand_cost) / temp):
+                    cur_mask, cur_cost = cand_mask, cand_cost
+        else:
+            cand_cost, cand_sol = _price(instance, vector, cand, context)
+            if cand_cost < best_cost:
+                best_sol, best_cost = cand_sol, cand_cost
+                cur_mask, cur_cost = cand_mask, cand_cost
+                time_to_best = time.perf_counter() - t0
+                trace.append((it, best_cost))
+            elif cand_cost <= cur_cost or rng.random() < math.exp((cur_cost - cand_cost) / temp):
+                cur_mask, cur_cost = cand_mask, cand_cost  # cand_cost may be inf; exp(-inf) is a clean 0
         temp *= factor
         if temp < _TEMP_FLOOR:
             temp = _TEMP_FLOOR

@@ -526,6 +526,8 @@ class TestBadInput:
         ("bnb", {"solver": {"gap_threshold": "x"}}, "solver.gap_threshold: expected a number"),
         ("ga", {"ga": {"population_size": 2.5}}, "ga.population_size: expected an integer"),
         ("sa", {"n_runs": "3"}, "n_runs: expected a number"),
+        ("sa", {"sa": {"initial_temperature": float("nan")}}, "initial_temperature must be positive and finite"),
+        ("sa", {"sa": {"initial_temperature": float("inf")}}, "initial_temperature must be positive and finite"),
         ("ga", {"n_runs": 0}, "n_runs must be >= 1"),
     ])
     def test_bad_config_number_named(self, unit_instance_file, tmp_path, capsys, method, cfg, named):

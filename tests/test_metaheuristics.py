@@ -1,14 +1,17 @@
 import gc
+import json
 import math
 import random
 import time
 import weakref
+from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from chargeplan import metaheuristics
-from chargeplan.exact import branch_and_bound, brute_force, root_lower_bound
+from chargeplan.exact import branch_and_bound, brute_force, report_to_dict, root_lower_bound
 from chargeplan.metaheuristics import (
     GAParams,
     SAParams,
@@ -394,3 +397,107 @@ class TestCandidatePricing:
             assert gc.get_referrers(held[n]) == [held]
         assert vars(inst).keys() == before.keys()
         assert all(vars(inst)[key] is value for key, value in before.items())
+
+
+class TestLazyPricing:
+    """SA prices a candidate only when its floor cannot decide the
+    acceptance draw, so the floor must never exceed the price and an SA run
+    must equal one that prices every candidate."""
+
+    @pytest.mark.parametrize("proximity", [False, True])
+    def test_floor_never_exceeds_price(self, proximity):
+        # caps of 2-8 chargers per type leave about half the assignments unsizable
+        rng = random.Random(23)
+        finite = unsizable = 0
+        for seed in range(40):
+            inst = replace(random_instance(seed, n_demand=rng.randint(3, 9), n_station=rng.randint(2, 5),
+                                           cap_range=(2, 8)), enforce_proximity=proximity)
+            shared = CandidateContext(inst)  # warms over the instance's vectors
+            stations = [s.id for s in inst.stations]
+            for _ in range(6):
+                active = frozenset(rng.sample(stations, rng.randint(1, len(stations))) + [
+                    rng.choice(d.reachable) for d in inst.demand_points])
+                a = demand_assignment(inst, active, 0.5, rng)
+                cold = CandidateContext(inst)
+                floors = [metaheuristics._floor(inst, a, active, context) for context in (cold, shared)]
+                cost, _ = metaheuristics._price(inst, a, active, cold)
+                warm = metaheuristics._floor(inst, a, active, cold)  # every pair now memoized
+                for floor in (*floors, warm):
+                    assert math.isinf(floor) == math.isinf(cost)
+                    assert floor <= cost
+                if math.isinf(cost):
+                    unsizable += 1
+                    continue
+                # with every pair sized, only the rounding slack is left
+                assert warm == pytest.approx(cost, rel=1e-8)
+                finite += 1
+        assert min(finite, unsizable) >= 50, (finite, unsizable)
+
+    @pytest.mark.parametrize("temperature", [None, 0.5])
+    @pytest.mark.parametrize("proximity", [False, True])
+    def test_lazy_sa_equals_eager_referee(self, monkeypatch, proximity, temperature):
+        # tight caps, so some candidates cost inf; the referee's floor never
+        # decides, so it prices every candidate and takes the draw after
+        events = []
+        rngs = []
+
+        class LoggedRandom(random.Random):
+            def __init__(self, seed):
+                super().__init__(seed)
+                rngs.append(self)
+
+            def random(self):
+                events.append("draw")
+                return super().random()
+
+        floor, price = metaheuristics._floor, metaheuristics._price
+        branches = Counter()
+
+        def logged_floor(*args):
+            events.append("floor")
+            return floor(*args)
+
+        def logged_price(*args):
+            events.append("price")
+            cost, sol = price(*args)
+            branches["priced inf"] += math.isinf(cost)
+            return cost, sol
+
+        monkeypatch.setattr(metaheuristics, "random", SimpleNamespace(Random=LoggedRandom))
+        monkeypatch.setattr(metaheuristics, "_price", logged_price)
+        for inst in (
+            feasible_instance(9011, n_demand=20, n_station=5, cap_range=(6, 14)),
+            feasible_instance(1, n_demand=16, n_station=12, cap_range=(3, 8)),
+            feasible_instance(7, n_demand=12, n_station=8, cap_range=(2, 6)),
+        ):
+            inst = replace(inst, enforce_proximity=proximity)
+            for seed in (1, 2):
+                params = SAParams(initial_temperature=temperature, max_iterations=300,
+                                  assignment_randomness=0.2, seed=seed)
+                runs = []
+                for referee in (False, True):
+                    events.clear()
+                    monkeypatch.setattr(metaheuristics, "_floor",
+                                        (lambda *args: -math.inf) if referee else logged_floor)
+                    rep = simulated_annealing(inst, params)
+                    runs.append((json.dumps(report_to_dict(rep)), rep.stats, rngs[-1].getstate()))
+                    if not referee:
+                        branches.update(self._branches(events))
+                lazy, eager = runs
+                assert lazy == eager
+        want = ("dropped", "priced after draw", "priced without draw", "priced inf")
+        assert min(branches[b] for b in want) > 0, branches
+
+    @staticmethod
+    def _branches(events):
+        """The branch each floor took, from what followed it: a price (no
+        draw), a draw then a price, or a draw and no price."""
+        for n, event in enumerate(events):
+            if event == "floor":
+                after = events[n + 1:n + 3]
+                if after[:1] == ["price"]:
+                    yield "priced without draw"
+                elif after == ["draw", "price"]:
+                    yield "priced after draw"
+                else:
+                    yield "dropped"
