@@ -9,23 +9,24 @@ assignments with travel and service-time floors, and tightens the waiting
 floors with exact tangent lines of the convex delay factor taken at
 every incumbent. Each pair's waiting floor depends only on its load and on
 the cuts of that pair, so the search memoizes it per pair by load and drops
-a pair's memo whenever a cut is added to that pair. An expanded node bounds
-all of its children in one pass from its own sorted floors, without building
-them. An open node is stored as (parent node, pair) and rebuilt from its
-parent when popped; it is bounded again only if a cut was added after its
-parent's expansion, since no bound can change otherwise. A bound of ``inf``
-means the node has no stable completion.
+a pair's memo whenever a cut is added to that pair. A node carries the sum
+of its pair floors, and an expanded node bounds each child in O(1) without
+building it: the child's sum is the parent's with the moved pair's old floor
+replaced by its new one. An open node is stored as (parent node, pair, floor
+sum) and rebuilt from its parent when popped; it is bounded again, from a
+fresh sum, only if a cut was added after its parent's expansion, since no
+floor can change otherwise. A bound of ``inf`` means the node has no stable
+completion.
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from . import model as mdl
 from . import queueing
@@ -45,6 +46,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.gap_threshold < 1.0:
             raise ValueError("gap_threshold must lie in [0, 1)")
+        if self.time_limit is not None and not 0.0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be None or lie in (0, inf)")
 
 
 @dataclass(frozen=True)
@@ -193,9 +196,11 @@ class _Node:
     A node is the root or :meth:`_TreeSearch._child` of its parent, so its
     sums are accumulated in path order however it was reached. The path
     follows ``instance.demand_order``, so a full path is an assignment
-    vector and its loads equal :func:`model.pair_loads`' bit for bit."""
+    vector and its loads equal :func:`model.pair_loads`' bit for bit.
+    ``floor_sum`` is the sum of its pair floors: set by :meth:`node_bound`,
+    or taken from the parent's :meth:`_TreeSearch._children` when popped."""
 
-    __slots__ = ("path", "loads", "stations", "committed", "travel", "cuts")
+    __slots__ = ("path", "loads", "stations", "committed", "travel", "cuts", "floor_sum")
 
     def __init__(self) -> None:
         self.path: tuple[tuple[int, int], ...] = ()
@@ -204,22 +209,26 @@ class _Node:
         self.committed = 0.0  # travel + service-time cost of the assigned demands
         self.travel = 0.0  # travel cost of the assigned demands
         self.cuts = -1  # the search's cut count when this node was expanded
+        self.floor_sum = 0.0
 
 
 class _TreeSearch:
     """Best-first branch-and-bound over per-demand assignment choices.
 
-    A heap entry is (bound, sequence number, parent node, pair): the open
-    node is the parent's :meth:`_child` by that pair, rebuilt when popped,
-    so a parent stays alive until its last child is popped. Its bound is
-    the one :meth:`_children` gave it when the parent was expanded, equal
-    to its :meth:`node_bound` bit for bit at that moment.
+    A heap entry is (bound, sequence number, parent node, pair, floor sum):
+    the open node is the parent's :meth:`_child` by that pair, rebuilt when
+    popped with the floor sum :meth:`_children` gave it, so a parent stays
+    alive until its last child is popped. Its bound is the one
+    :meth:`_children` gave it when the parent was expanded, equal to its
+    :meth:`node_bound` at that moment up to the rounding of the carried sum.
     ``floors[(j, k)]`` memoizes :meth:`pair_floor_extra` of the pair by load,
     ``inf`` included. A pair's floor reads only the cuts keyed by that pair,
     so :meth:`_cuts_at_incumbent` drops the pair's memo when it adds one, and
-    a memoized floor always equals a fresh call. So while no cut is added a
-    node's bound cannot change: a parent records the cut count when it is
-    expanded, and a popped node is bounded again only if the count grew."""
+    a memoized floor always equals a fresh call. So while no cut is added no
+    floor, and so no bound or floor sum, can change: a parent records the cut
+    count when it is expanded, and a popped node is bounded again, from a
+    fresh sum, only if the count grew. A node's carried sum is therefore the
+    sum of the floors it holds whenever it is expanded."""
 
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
@@ -332,24 +341,19 @@ class _TreeSearch:
             total = self.station_sums[stations] = sum(map(self.station_cost.__getitem__, sorted(stations)))
         return total
 
-    @staticmethod
-    def _bound(head: float, floors: Iterable[float]) -> float:
-        """``head`` plus each floor, added one at a time in the given order
-        (``sum`` may compensate its rounding on newer Pythons, which would
-        move a bound by a bit)."""
-        for floor in floors:
-            head += floor
-        return head
-
     def node_bound(self, node: _Node) -> float:
         """Valid lower bound on every completion of a partial assignment:
         committed station costs, per-pair charger/wait floors, committed
         travel+service cost, and per-demand floors for the rest. ``inf``
         when some committed pair is already beyond capacity, so that no
-        completion exists. The floors are added in pair order; a child
-        bounded by :meth:`_children` gets the same sum bit for bit."""
-        head = self._station_sum(node.stations) + node.committed + self.suffix[len(node.path)]
-        return self._bound(head, [self._floor(pair, load) for pair, load in sorted(node.loads.items())])
+        completion exists. The floors are summed afresh, one at a time in
+        pair order (``sum`` may compensate its rounding on newer Pythons),
+        into ``node.floor_sum``, which the node's children start from."""
+        floor_sum = 0.0
+        for pair, load in sorted(node.loads.items()):
+            floor_sum += self._floor(pair, load)
+        node.floor_sum = floor_sum
+        return self._station_sum(node.stations) + node.committed + self.suffix[len(node.path)] + floor_sum
 
     # -- leaf evaluation ---------------------------------------------------
 
@@ -366,22 +370,22 @@ class _TreeSearch:
 
     # -- search ------------------------------------------------------------
 
-    def _children(self, node: _Node) -> list[tuple[tuple[int, int], float]]:
+    def _children(self, node: _Node) -> list[tuple[tuple[int, int], float, float]]:
         """Feasible extensions of a node, cheapest myopic cost first, each
-        with the :meth:`node_bound` of the child it makes. The node's floors
-        are looked up once, in pair order; a child's bound adds them to its
-        own head with the new pair's floor in its sorted place, so no child
-        is built."""
+        as (pair, bound, floor sum) of the child it makes, without building
+        it. The child's floor sum is the node's ``floor_sum`` plus the new
+        pair's floor, less the pair's old floor if the node holds it (an
+        ``inf`` sum stays ``inf``); its bound is its head plus that sum, as
+        :meth:`node_bound` of the child would give up to rounding."""
         depth = len(node.path)
         d = self.demands[depth]
-        loads, stations = node.loads, node.stations
-        pairs = sorted(loads)
-        floors = [self._floor(pair, loads[pair]) for pair in pairs]
+        loads, stations, floor_sum = node.loads, node.stations, node.floor_sum
         suffix = self.suffix[depth + 1]
         station_sum = self._station_sum(stations)
         out = []
         for pair, (rate, myopic, _) in self.steps[depth].items():
-            load = loads.get(pair, 0.0) + rate
+            old = loads.get(pair)
+            load = rate if old is None else old + rate
             if self.capacity[pair] < load:
                 continue
             j, k = pair
@@ -398,13 +402,15 @@ class _TreeSearch:
                 dyn, opened = myopic, station_sum
             else:
                 dyn, opened = myopic + self.station_cost[j], self._station_sum(stations | {j})
-            at = bisect.bisect_left(pairs, pair)
-            held = at < len(pairs) and pairs[at] == pair
-            head = opened + (node.committed + myopic) + suffix
-            bound = self._bound(head, floors[:at] + [self._floor(pair, load)] + floors[at + held:])
-            out.append((dyn, j, k, bound))
-        out.sort()  # (dyn, j, k) is unique, so the bound never decides
-        return [((j, k), bound) for (_, j, k, bound) in out]
+            if old is None:
+                child_sum = floor_sum + self._floor(pair, load)
+            elif floor_sum == math.inf:
+                child_sum = floor_sum
+            else:
+                child_sum = floor_sum - self._floor(pair, old) + self._floor(pair, load)
+            out.append((dyn, j, k, opened + (node.committed + myopic) + suffix + child_sum, child_sum))
+        out.sort()  # (dyn, j, k) is unique, so neither the bound nor the sum decides
+        return [((j, k), bound, child_sum) for (_, j, k, bound, child_sum) in out]
 
     def solve(self) -> SolverReport:
         t0 = time.perf_counter()
@@ -429,13 +435,14 @@ class _TreeSearch:
             if not kids:
                 break
             node = self._child(node, kids[0][0])
+            node.floor_sum = kids[0][2]
         if len(node.path) == self.n:
             register(node)
 
         lower = 0.0
         root = _Node()
-        # (bound, seq, parent, pair); the root is the one entry without a pair
-        heap: list[tuple[float, int, _Node, tuple[int, int] | None]] = [(self.node_bound(root), 0, root, None)]
+        # (bound, seq, parent, pair, floor sum); the root is the one entry without a pair
+        heap: list[tuple[float, int, _Node, tuple[int, int] | None, float]] = [(self.node_bound(root), 0, root, None, 0.0)]
         seq = itertools.count(1)
 
         while heap:
@@ -444,13 +451,14 @@ class _TreeSearch:
                 if heap:
                     lower = max(lower, min(heap[0][0], upper))
                 break
-            key, _, parent, pair = heapq.heappop(heap)
+            key, _, parent, pair, floor_sum = heapq.heappop(heap)
             lower = max(lower, min(key, upper))
             if key >= upper - _PRUNE_MARGIN:
                 continue  # drain; monotone bounds make everything left prunable
             node = parent if pair is None else self._child(parent, pair)
-            # without a cut since the parent's expansion the bound is still
-            # the key; after one it may have risen
+            node.floor_sum = floor_sum
+            # without a cut since the parent's expansion the bound and the
+            # floor sum still hold; after one they may have risen
             if parent.cuts != len(self.cut_keys) and self.node_bound(node) >= upper - _PRUNE_MARGIN:
                 continue
             nodes += 1
@@ -458,9 +466,9 @@ class _TreeSearch:
                 register(node)
                 continue
             node.cuts = len(self.cut_keys)
-            for pair, child_bound in self._children(node):
+            for pair, child_bound, child_sum in self._children(node):
                 if child_bound < upper - _PRUNE_MARGIN:
-                    heapq.heappush(heap, (child_bound, next(seq), node, pair))
+                    heapq.heappush(heap, (child_bound, next(seq), node, pair, child_sum))
 
             if (
                 self.config.gap_threshold > 0.0

@@ -202,6 +202,13 @@ class TestBranchAndBound:
             branch_and_bound(inst, SolverConfig(time_limit=1e-9))
         assert branch_and_bound(inst).upper_bound == pytest.approx(73.0366, abs=1e-4)
 
+    @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0, math.inf])
+    def test_time_limit_must_be_positive_and_finite(self, limit):
+        # a NaN limit would be ignored (every comparison with it is false)
+        # and a limit of 0 or less would stop before the root is explored
+        with pytest.raises(ValueError, match="time_limit"):
+            SolverConfig(time_limit=limit)
+
     def test_deterministic_node_counts(self, fixtures40):
         inst = fixtures40[1]
         a = branch_and_bound(inst, SolverConfig())
@@ -301,7 +308,7 @@ class TestStabilityBoundary:
                 "check_feasibility": feasible,
                 "min_chargers": min_chargers(load, mu, eps) <= servers,
                 "size_pair": size_pair(load, kt, servers, 1.0, eps) is not None,
-                "children": [pair for pair, _ in _TreeSearch(inst, SolverConfig())._children(_Node())] == [(0, 0)],
+                "children": [pair for pair, _, _ in _TreeSearch(inst, SolverConfig())._children(_Node())] == [(0, 0)],
             }
             assert verdicts == dict.fromkeys(verdicts, stable), (load, verdicts)
 
@@ -346,23 +353,24 @@ class TestLoadOrder:
 class _Unmemoized(_TreeSearch):
     """The referee for the floor memo and for bounding children from their
     parent: every node bound, a child's included, is taken on the built node
-    and calls ``pair_floor_extra`` afresh for each of its pairs, and is
-    ``inf`` when one of them is. It also forgets the cut count of each node
-    it expands, so every child is bounded again when popped."""
+    from a fresh floor sum that calls ``pair_floor_extra`` for each of its
+    pairs, and is ``inf`` when one of them is. It also forgets the cut count
+    of each node it expands, so every child is bounded again when popped."""
 
     def node_bound(self, node):
-        bound = (
-            sum(self.station_cost[j] for j in sorted(node.stations))
-            + node.committed
-            + self.suffix[len(node.path)]
-        )
+        node.floor_sum = 0.0
         for (j, k), load in sorted(node.loads.items()):
-            bound += self.pair_floor_extra(j, k, load)
-        return bound
+            node.floor_sum += self.pair_floor_extra(j, k, load)
+        head = sum(self.station_cost[j] for j in sorted(node.stations)) + node.committed + self.suffix[len(node.path)]
+        return head + node.floor_sum
 
     def _children(self, node):
         node.cuts = -1
-        return [(pair, self.node_bound(self._child(node, pair))) for pair, _ in super()._children(node)]
+        kids = []
+        for pair, _, _ in super()._children(node):
+            child = self._child(node, pair)
+            kids.append((pair, self.node_bound(child), child.floor_sum))
+        return kids
 
 
 class TestSizingMemo:
@@ -401,7 +409,9 @@ class TestFloorMemo:
         """The greedy leaf the search starts from."""
         node = _Node()
         while len(node.path) < search.n:
-            node = search._child(node, search._children(node)[0][0])
+            pair, _, floor_sum = search._children(node)[0]
+            node = search._child(node, pair)
+            node.floor_sum = floor_sum
         return node
 
     def test_a_cut_drops_the_memo_of_its_pair(self):
@@ -437,10 +447,19 @@ class TestFloorMemo:
         assert solved >= 10
 
 
+def equal_up_to_rounding(carried, fresh):
+    """A bound or floor sum carried from a parent's expansion against one
+    summed afresh: ``inf`` exactly when the fresh one is, else equal up to
+    rounding (a few ulps on the instances below)."""
+    if math.isinf(carried) or math.isinf(fresh):
+        return carried == fresh
+    return math.isclose(carried, fresh, rel_tol=1e-12)
+
+
 class _CheckedChildren(_TreeSearch):
-    """Checks, at every expansion, each child's bound from :meth:`_children`
-    against :meth:`node_bound` of the built child, bit for bit, and counts
-    how the child's pair sits among its parent's pairs."""
+    """Checks, at every expansion, each child's bound and floor sum from
+    :meth:`_children` against :meth:`node_bound` of the built child, and
+    counts how the child's pair sits among its parent's pairs."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -449,8 +468,11 @@ class _CheckedChildren(_TreeSearch):
     def _children(self, node):
         kids = super()._children(node)
         held = sorted(node.loads)
-        for pair, bound in kids:
-            assert bound.hex() == self.node_bound(self._child(node, pair)).hex(), (node.path, pair)
+        for pair, bound, floor_sum in kids:
+            child = self._child(node, pair)
+            fresh = self.node_bound(child)
+            assert equal_up_to_rounding(bound, fresh), (node.path, pair)
+            assert equal_up_to_rounding(floor_sum, child.floor_sum), (node.path, pair)
             if pair in node.loads:
                 self.placed["held"] += 1
             elif not held or pair < held[0]:
@@ -472,6 +494,46 @@ def test_children_are_bounded_as_built_nodes(proximity):
         for key, count in search.placed.items():
             placed[key] += count
     assert min(placed.values()) > 0, placed
+
+
+@pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
+def test_child_bounds_are_valid_after_cuts(proximity):
+    """Once a solve has filled the cut pool, every bound :meth:`_children`
+    gives (the bound the search prunes with, from a carried floor sum) is at
+    least its parent's bound and at most the cost of every leaf below the
+    child, over the whole tree the children span."""
+    checked = held = 0
+    for seed, n_demand in itertools.product(range(6), (5, 6)):
+        inst = replace(feasible_instance(seed, n_demand=n_demand, n_station=3), enforce_proximity=proximity)
+        search = _TreeSearch(inst, SolverConfig())
+        try:
+            search.solve()
+        except InfeasibleError:
+            continue
+        assert search.cut_keys
+
+        def cheapest_leaf(node, bound):
+            """The cost of the cheapest stable leaf below ``node``, ``inf``
+            if none, checking each child's bound on the way down."""
+            nonlocal checked, held
+            if len(node.path) == search.n:
+                res = search.leaf_cost(node)
+                return math.inf if res is None else res[0]
+            cheapest = math.inf
+            for pair, child_bound, floor_sum in search._children(node):
+                assert child_bound >= bound - 1e-9, (node.path, pair)
+                child = search._child(node, pair)
+                child.floor_sum = floor_sum
+                leaf = cheapest_leaf(child, child_bound)
+                assert child_bound <= leaf + 1e-9, (child.path, child_bound, leaf)
+                cheapest = min(cheapest, leaf)
+                checked += 1
+                held += pair in node.loads
+            return cheapest
+
+        root = _Node()
+        cheapest_leaf(root, search.node_bound(root))
+    assert checked > 1000 and held > 0, (checked, held)
 
 
 # (seed, proximity) -> (nodes_explored, cuts_added, lower_bound.hex(),
