@@ -174,6 +174,11 @@ def _routes(instance: mdl.Instance, active: Iterable[int]) -> tuple[tuple[int, i
     return tuple(out)
 
 
+def _pairs(instance: mdl.Instance) -> dict[int, tuple[tuple[int, int], ...]]:
+    """Each station's (station, type) pairs, in ``instance.charger_types`` order."""
+    return {s.id: tuple((s.id, k.id) for k in instance.charger_types) for s in instance.stations}
+
+
 def demand_assignment(
     instance: mdl.Instance,
     active: Iterable[int],
@@ -190,14 +195,17 @@ def demand_assignment(
     always uniform random; each index draw is ``rng.choice``'s own, inline.
     With a run's :class:`CandidateContext` each activation's closest
     stations and options are worked out once per run (``active`` must then
-    be a frozenset), with the same draws. A demand that reaches no active
-    station raises UncoveredDemandError before any draw.
+    be a frozenset), with the same draws, and its ``pairs`` supply the
+    vector's tuples, so vectors share them rather than each making its own.
+    A demand that reaches no active station raises UncoveredDemandError
+    before any draw.
     """
     if not 0.0 <= randomization <= 1.0:
         raise ValueError("randomization must lie in [0, 1]")
     routes = _routes(instance, active) if context is None else context.routes(active)
-    type_ids = [k.id for k in instance.charger_types]
-    n_types, type_width = len(type_ids), len(type_ids).bit_length()
+    pairs = _pairs(instance) if context is None else context.pairs
+    n_types = len(instance.charger_types)
+    type_width = n_types.bit_length()
     explore = not instance.enforce_proximity
     draw, getrandbits = rng.random, rng.getrandbits
     vector: list = [None] * len(routes)
@@ -211,7 +219,7 @@ def demand_assignment(
         x = getrandbits(type_width)
         while x >= n_types:
             x = getrandbits(type_width)
-        vector[r] = (j, type_ids[x])
+        vector[r] = pairs[j][x]
     return vector
 
 
@@ -282,26 +290,33 @@ class CandidateContext:
     the run and dropped with it, so nothing outlives the run or hangs off
     the shared instance.
 
-    It holds the run's :class:`_PairSizer` (``sizer``) and
-    :func:`model.cost_tables` (``tables``). An activation is an int bitmask
-    over ``instance.stations``, station ``n`` being ``bits[n]``;
+    It holds the run's :class:`_PairSizer` (``sizer``),
+    :func:`model.cost_tables` (``tables``) and each station's (station,
+    type) tuples (``pairs``), which every drawn vector shares, so a price
+    memo key keeps no pair tuple of its own alive. An activation is an int
+    bitmask over ``instance.stations``, station ``n`` being ``bits[n]``;
     :meth:`covering` memoizes each mask's station set when it covers every
     demand, and :meth:`routes` each activation's closest stations and
-    exploration options. A memo that reaches ``_MEMO_ENTRIES`` entries is
-    emptied in place, which bounds a run's memory on instances with many
-    stations; SA's walk holds the ``_covering`` dict's ``get`` for its memo
-    hits, so the dict itself is never replaced.
+    exploration options. ``prices`` memoizes each candidate's price by
+    (activation, assignment vector as a tuple): its cost and charger counts,
+    or None when it cannot be sized; :meth:`remember_price` fills it. A memo
+    that reaches ``_MEMO_ENTRIES`` entries is emptied in place, which bounds
+    a run's memory on instances with many stations; SA's walk holds the
+    ``_covering`` dict's ``get`` for its memo hits, so the dict itself is
+    never replaced.
     """
 
     def __init__(self, instance: mdl.Instance):
         self.instance = instance
         self.sizer = _PairSizer(instance)
         self.tables = mdl.cost_tables(instance)
+        self.pairs = _pairs(instance)
         self.bits = [1 << n for n in range(len(instance.stations))]
         self._bit = {s.id: b for s, b in zip(instance.stations, self.bits)}
         self._reach = [self.mask(d.reachable) for d in instance.demand_points]
         self._covering: dict[int, frozenset[int]] = {}
         self._routes: dict[frozenset[int], tuple] = {}
+        self.prices: dict[tuple, tuple[float, dict[tuple[int, int], int]] | None] = {}
 
     def mask(self, stations: Iterable[int]) -> int:
         """The bitmask of a set of distinct stations."""
@@ -328,6 +343,12 @@ class CandidateContext:
             routes = self._routes[active] = _routes(self.instance, active)
         return routes
 
+    def remember_price(self, key: tuple, priced: tuple[float, dict[tuple[int, int], int]] | None) -> None:
+        """Record a candidate's (cost, chargers), or None, in ``prices``."""
+        if len(self.prices) >= _MEMO_ENTRIES:
+            self.prices.clear()
+        self.prices[key] = priced
+
 
 def best_chargers(
     instance: mdl.Instance,
@@ -342,12 +363,13 @@ def best_chargers(
     stability within its capacity."""
     chargers: dict[tuple[int, int], int] = {}
     waits: dict[tuple[int, int], float] = {}
-    for (j, k), load in sorted(mdl.pair_loads(instance, vector).items()):
-        pair = sizer.best(j, k, load)
-        if pair is None:
+    for pair, load in sorted(mdl.pair_loads(instance, vector).items()):
+        j, k = pair
+        sized = sizer.best(j, k, load)
+        if sized is None:
             cap = instance.station_cap(j, k)
             raise InfeasibleError(f"station {j} type {k}: load {load:.6g} needs more than {cap} chargers")
-        chargers[(j, k)], waits[(j, k)], _ = pair
+        chargers[pair], waits[pair], _ = sized
     return chargers, waits
 
 

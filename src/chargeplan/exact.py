@@ -382,6 +382,7 @@ class _TreeSearch:
         loads, stations, floor_sum = node.loads, node.stations, node.floor_sum
         suffix = self.suffix[depth + 1]
         station_sum = self._station_sum(stations)
+        floors, floor_extra = self.floors, self.pair_floor_extra
         out = []
         for pair, (rate, myopic, _) in self.steps[depth].items():
             old = loads.get(pair)
@@ -402,12 +403,22 @@ class _TreeSearch:
                 dyn, opened = myopic, station_sum
             else:
                 dyn, opened = myopic + self.station_cost[j], self._station_sum(stations | {j})
+            # :meth:`_floor` inline: the pair's memo is fetched once for both loads
+            memo = floors.get(pair)
+            if memo is None:
+                memo = floors[pair] = {}
+            new = memo.get(load)
+            if new is None:
+                new = memo[load] = floor_extra(j, k, load)
             if old is None:
-                child_sum = floor_sum + self._floor(pair, load)
+                child_sum = floor_sum + new
             elif floor_sum == math.inf:
                 child_sum = floor_sum
             else:
-                child_sum = floor_sum - self._floor(pair, old) + self._floor(pair, load)
+                was = memo.get(old)
+                if was is None:
+                    was = memo[old] = floor_extra(j, k, old)
+                child_sum = floor_sum - was + new
             out.append((dyn, j, k, opened + (node.committed + myopic) + suffix + child_sum, child_sum))
         out.sort()  # (dyn, j, k) is unique, so neither the bound nor the sum decides
         return [((j, k), bound, child_sum) for (_, j, k, bound, child_sum) in out]

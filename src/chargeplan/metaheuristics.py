@@ -12,16 +12,20 @@ activation's closest stations and exploration options for the assignment
 draws, it sizes each (station, type, load) once, and ``model.cost_totals``
 prices a candidate's vector from per-run coefficient tables, as
 ``model.evaluate`` prices a reported one, so every total is the one
-``model.evaluate`` gives. Candidates whose sizing is infeasible cost
-infinity and are never recorded as incumbents. Only the reported incumbent
-becomes a Solution, through ``construction.build_solution``.
+``model.evaluate`` gives. Its price memo keeps each candidate's cost and
+charger counts (None when unsizable) by (activation, vector), so a
+repeated candidate is neither sized nor summed again. Candidates whose
+sizing is infeasible cost infinity and are never recorded as incumbents.
+Only the reported incumbent becomes a Solution, through
+``construction.build_solution``.
 
 SA prices a candidate only when its cost floor cannot decide the
 acceptance draw: a floor above the current cost rules out a new best and a
 sure acceptance, and a draw that fails against the floor fails against the
 cost too, so such a candidate is dropped unsized with the same draw, and
 the course is the one that pricing every candidate gives. The GA prices
-every child, since its admission rule takes most of them.
+every child once per distinct (activation, vector), since its admission
+rule takes most of them.
 
 A multi-run driver launches independently seeded runs within one shared
 time limit and reports the best, plus how many distinct final objective
@@ -51,7 +55,7 @@ from .exact import SolverReport, root_lower_bound
 _TEMP_FLOOR = 1e-12
 _TOGGLE_LIMIT = 200_000
 _FLOOR_SLACK = 1.0 - 1e-9  # far above the rounding of either sum
-_UNSIZED = object()  # a pair the sizing memo does not hold yet
+_UNSIZED = object()  # a key the sizing or price memo does not hold yet
 
 
 @dataclass(frozen=True)
@@ -103,12 +107,22 @@ def _price(instance: mdl.Instance, vector: list[tuple[int, int]], active: frozen
     """(cost, (vector, chargers)) of an assignment vector with ``active``
     open, sized and priced through the run's ``context``; (inf, None) when
     sizing is infeasible. The sizing waits equal ``evaluate``'s bit for bit,
-    so the cost is the one ``build_solution`` would give."""
-    try:
-        chargers, waits = best_chargers(instance, vector, context.sizer)
-    except InfeasibleError:
+    so the cost is the one ``build_solution`` would give. A candidate is
+    priced once per run: a repeat reads the context's price memo, and the
+    pair returned holds the caller's own ``vector``."""
+    key = (active, tuple(vector))
+    priced = context.prices.get(key, _UNSIZED)
+    if priced is _UNSIZED:  # not try/except: on dense instances most lookups miss
+        try:
+            chargers, waits = best_chargers(instance, vector, context.sizer)
+        except InfeasibleError:
+            priced = None
+        else:
+            priced = (mdl.cost_totals(context.tables, active, vector, chargers, waits).total, chargers)
+        context.remember_price(key, priced)
+    if priced is None:
         return math.inf, None
-    return mdl.cost_totals(context.tables, active, vector, chargers, waits).total, (vector, chargers)
+    return priced[0], (vector, priced[1])
 
 
 def _floor(instance: mdl.Instance, vector: list[tuple[int, int]], active: frozenset[int],

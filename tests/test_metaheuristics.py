@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from chargeplan import metaheuristics
+from chargeplan import construction, metaheuristics
 from chargeplan.exact import branch_and_bound, brute_force, report_to_dict, root_lower_bound
 from chargeplan.metaheuristics import (
     GAParams,
@@ -385,7 +385,7 @@ class TestCandidatePricing:
         def tracked(instance):
             context = CandidateContext(instance)
             made.extend((weakref.ref(context), weakref.ref(context.sizer)))
-            held.extend((context.tables, context.sizer._memo, context._covering, context._routes))
+            held.extend((context.tables, context.sizer._memo, context._covering, context._routes, context.prices))
             return context
 
         monkeypatch.setattr(metaheuristics, "CandidateContext", tracked)
@@ -397,6 +397,99 @@ class TestCandidatePricing:
             assert gc.get_referrers(held[n]) == [held]
         assert vars(inst).keys() == before.keys()
         assert all(vars(inst)[key] is value for key, value in before.items())
+
+
+class TestPriceMemo:
+    """A run prices each (activation, vector) once: a repeat reads the
+    context's price memo, which must give what pricing it again gives."""
+
+    RUNS = [
+        lambda inst: simulated_annealing(inst, SAParams(max_iterations=300, assignment_randomness=0.2, seed=3)),
+        lambda inst: genetic_algorithm(inst, GAParams(max_iterations=300, assignment_randomness=0.2, seed=3)),
+        lambda inst: multi_run(inst, "sa", SAParams(max_iterations=150, assignment_randomness=0.2, seed=4), n_runs=3),
+        lambda inst: multi_run(inst, "ga", GAParams(max_iterations=150, assignment_randomness=0.2, seed=4), n_runs=3),
+    ]
+
+    @staticmethod
+    def instances():
+        # caps of 2-8 leave some candidates unsizable, so inf prices are memoized too
+        for seed, n_demand, n_station in ((3, 8, 3), (11, 9, 4), (17, 10, 5)):
+            inst = feasible_instance(seed, n_demand=n_demand, n_station=n_station, cap_range=(2, 8))
+            for proximity in (False, True):
+                yield replace(inst, enforce_proximity=proximity)
+
+    def reports(self, monkeypatch, memoized):
+        """Each run's report bytes, and how many prices were read from the
+        memo (finite, inf)."""
+        remember, price = CandidateContext.remember_price, metaheuristics._price
+        counts = Counter()
+
+        def logged_remember(context, key, priced):
+            counts["missed inf" if priced is None else "missed"] += 1
+            if memoized:
+                remember(context, key, priced)
+
+        def logged_price(*args):
+            cost, sol = price(*args)
+            counts["inf" if sol is None else "finite"] += 1
+            return cost, sol
+
+        monkeypatch.setattr(CandidateContext, "remember_price", logged_remember)
+        monkeypatch.setattr(metaheuristics, "_price", logged_price)
+        out = [json.dumps(report_to_dict(run(inst))) for inst in self.instances() for run in self.RUNS]
+        monkeypatch.undo()
+        return out, (counts["finite"] - counts["missed"], counts["inf"] - counts["missed inf"])
+
+    def test_price_memo_runs_equal_the_unmemoized_referee(self, monkeypatch):
+        memo, hits = self.reports(monkeypatch, memoized=True)
+        referee, referee_hits = self.reports(monkeypatch, memoized=False)
+        assert memo == referee
+        assert referee_hits == (0, 0)
+        assert min(hits) >= 100, hits
+
+    def test_price_memo_emptied_at_its_bound_keeps_the_runs(self, monkeypatch):
+        referee, _ = self.reports(monkeypatch, memoized=False)
+        sizes = []  # (context, memo size) after each price recorded
+        remember = CandidateContext.remember_price
+
+        def watched(context, key, priced):
+            remember(context, key, priced)
+            sizes.append((context, len(context.prices)))
+
+        monkeypatch.setattr(metaheuristics, "CandidateContext", type("Watched", (CandidateContext,), {
+            "remember_price": watched}))
+        monkeypatch.setattr(construction, "_MEMO_ENTRIES", 5)
+        bounded = [json.dumps(report_to_dict(run(inst))) for inst in self.instances() for run in self.RUNS]
+        assert bounded == referee
+        assert max(n for _, n in sizes) == 5
+        emptied = sum(a is b and n == 1 for (a, _), (b, n) in zip(sizes, sizes[1:]))
+        assert emptied >= 20, emptied
+
+    def test_price_memo_hit_returns_the_callers_vector(self, monkeypatch):
+        rng = random.Random(31)
+        hits = Counter()
+        for seed in range(30):
+            inst = random_instance(seed, n_demand=rng.randint(3, 9), n_station=rng.randint(2, 5), cap_range=(2, 8))
+            context = CandidateContext(inst)
+            stations = [s.id for s in inst.stations]
+            for _ in range(6):
+                active = frozenset(rng.sample(stations, rng.randint(1, len(stations))) + [
+                    rng.choice(d.reachable) for d in inst.demand_points])
+                a = demand_assignment(inst, active, 0.5, rng)
+                first = metaheuristics._price(inst, a, active, context)
+                b = list(a)
+                with monkeypatch.context() as m:
+                    m.setattr(metaheuristics, "best_chargers", None)  # a hit sizes nothing
+                    cost, sol = metaheuristics._price(inst, b, frozenset(active), context)
+                assert cost == first[0]
+                if sol is None:
+                    assert math.isinf(cost)
+                    hits["inf"] += 1
+                    continue
+                vector, chargers = sol
+                assert vector is b and chargers == best_chargers(inst, b, _PairSizer(inst))[0]
+                hits["finite"] += 1
+        assert min(hits.values()) >= 30 and len(hits) == 2, hits
 
 
 class TestLazyPricing:
