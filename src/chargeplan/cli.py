@@ -59,14 +59,14 @@ def _meta(args, extra: dict | None = None) -> dict:
     return meta
 
 
-# every key a --config file may hold: top-level keys, then each section's
-_CONFIG_KEYS = {
-    "": {"sa", "ga", "solver", "costs", "n_runs"},
-    "sa": {"initial_temperature", "max_iterations", "cooling_factor", "assignment_randomness"},
-    "ga": {"population_size", "tournament_fraction", "assignment_randomness", "max_iterations"},
-    "solver": {"gap_threshold", "time_limit"},
-    "costs": {"travel_cost_rate", "wait_cost_rate"},
+# every key a --config file may hold: each section's keys are the fields of
+# its parameter class (the seed comes from --seed) or the instance's costs
+_SECTION_KEYS = {
+    **{name: {f.name for f in fields(cls)} - {"seed"}
+       for name, cls in (("sa", SAParams), ("ga", GAParams), ("solver", SolverConfig))},
+    "costs": set(mdl.COST_FIELDS),
 }
+_CONFIG_KEYS = {"": {*_SECTION_KEYS, "n_runs"}, **_SECTION_KEYS}  # the top level is checked first
 
 
 def _load_config(path: str | None) -> dict:
@@ -78,7 +78,7 @@ def _load_config(path: str | None) -> dict:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read config: {exc}", path=path) from exc
-    for name, allowed in _CONFIG_KEYS.items():  # the top level is checked first
+    for name, allowed in _CONFIG_KEYS.items():
         section = cfg.get(name, {}) if name else cfg
         if not isinstance(section, dict):
             raise ParseError(f"config {name or 'file'} must be a JSON object", path=path)

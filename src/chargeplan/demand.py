@@ -96,8 +96,8 @@ def segment_block(block: BlockSchedule, range_minutes: float) -> list[DemandEven
     the walk continues. A driving step that alone reaches the range leaves no
     terminal to charge at and raises :class:`RangeTooShortError`.
     """
-    if range_minutes <= 0:
-        raise ValueError("range_minutes must be positive")
+    if not range_minutes > 0:  # NaN fails too
+        raise ValueError(f"range_minutes must be positive, got {range_minutes!r}")
 
     # visits[m] is the position just before step m; drives[m] is the driving
     # time of step m. Idle gaps between trips become zero-drive steps.
@@ -136,8 +136,8 @@ def segment_block(block: BlockSchedule, range_minutes: float) -> list[DemandEven
 
 def aggregate_demand(events: Iterable[DemandEvent], horizon_minutes: float) -> list[DemandPoint]:
     """Group events by stop into demand points with per-minute Poisson rates."""
-    if horizon_minutes <= 0:
-        raise ValueError("horizon_minutes must be positive")
+    if not 0 < horizon_minutes < math.inf:
+        raise ValueError(f"horizon_minutes must be positive and finite, got {horizon_minutes!r}")
     grouped: dict[str, list[DemandEvent]] = {}
     for ev in events:
         grouped.setdefault(ev.stop_id, []).append(ev)
@@ -163,10 +163,9 @@ def build_coverage(
     A station is reachable when the haversine travel time at ``speed_kmh``
     does not exceed ``max_travel_minutes``. Served sets are the exact inverse
     of reachable sets. Raises :class:`InfeasibleDemandError` listing every
-    demand point left without a station.
+    demand point left without a station, and ValueError (from the
+    instance) for a cutoff or speed that is not positive.
     """
-    if max_travel_minutes <= 0:
-        raise ValueError("max_travel_minutes must be positive")
     placeholder = (ChargerType(0, 1.0, 0.0, 1.0),)  # an instance needs a catalog; coverage reads none
     inst = make_instance(
         demand_points, stations, placeholder, travel_cost_rate=0.0, wait_cost_rate=0.0,

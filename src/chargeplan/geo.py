@@ -19,6 +19,6 @@ def haversine_km(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
 
 def travel_minutes(lat1: float, lon1: float, lat2: float, lon2: float, speed_kmh: float) -> float:
     """Door-to-door travel time at a constant mean speed."""
-    if speed_kmh <= 0:
-        raise ValueError("speed_kmh must be positive")
+    if not 0 < speed_kmh < math.inf:
+        raise ValueError(f"speed_kmh must be positive and finite, got {speed_kmh!r}")
     return haversine_km(lat1, lon1, lat2, lon2) / speed_kmh * 60.0

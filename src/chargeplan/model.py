@@ -7,13 +7,15 @@ immutable after construction and safe to share read-only across concurrent
 solver runs.
 
 All money is normalized to currency per minute and all times to minutes.
+The JSON fields of each record are declared once, in the field tables at
+the JSON section; the instance writer and reader both follow them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
@@ -162,6 +164,11 @@ class Instance:
         for name in ("travel_cost_rate", "wait_cost_rate"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be nonnegative and finite")
+        # checked before coverage, which a NaN cutoff would empty
+        if not 0 < self.speed_kmh < math.inf:
+            raise ValueError(f"speed_kmh must be positive and finite, got {self.speed_kmh!r}")
+        if self.max_travel_minutes is not None and not self.max_travel_minutes > 0:
+            raise ValueError(f"max_travel_minutes must be positive, got {self.max_travel_minutes!r}")
         reach: dict[int, list[int]] = {d.id: [] for d in self.demand_points}
         served: dict[int, list[int]] = {s.id: [] for s in self.stations}
         for (i, j), t in sorted(self.travel.items()):
@@ -518,56 +525,43 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
 
 # ---------------------------------------------------------------------------
 # JSON schema: {demand_points, stations, charger_types, costs, travel, options}
+#
+# The JSON fields of each record, by kind: int, float, bool, str, or dict (a
+# station's charger type id -> cap). A field is optional exactly when its
+# dataclass field has a default (in _DEFAULTS; MISSING for a factory), and may
+# be null exactly when that default is None; costs and options are fields of
+# Instance. Derived fields (reachable, served) and ingest-only ones
+# (source_id) are not written.
+CHARGER_TYPE_FIELDS = {"id": int, "power_kw": float, "unit_cost_rate": float, "recharge_time_min": float}
+DEMAND_POINT_FIELDS = {"id": int, "lat": float, "lon": float, "rate": float, "agency": str}
+STATION_FIELDS = {"id": int, "lat": float, "lon": float, "fixed_cost_rate": float, "max_chargers": dict,
+                  "is_garage": bool, "agency": str}
+COST_FIELDS = {"travel_cost_rate": float, "wait_cost_rate": float}
+OPTION_FIELDS = {"epsilon": float, "enforce_proximity": bool, "speed_kmh": float, "max_travel_minutes": float}
+_DEFAULTS = {
+    cls: {f.name: f.default for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING}
+    for cls in (ChargerType, DemandPoint, CandidateStation, Instance)
+}
+
+
+def _record_to_dict(record, table: Mapping[str, type]) -> dict:
+    """The JSON object of ``record``: each field ``table`` lists but a None."""
+    out = {}
+    for key, kind in table.items():
+        value = getattr(record, key)
+        if value is not None:
+            out[key] = {str(k): v for k, v in sorted(value.items())} if kind is dict else value
+    return out
 
 
 def instance_to_dict(instance: Instance) -> dict:
     return {
-        "demand_points": [
-            {
-                "id": d.id,
-                "lat": d.lat,
-                "lon": d.lon,
-                "rate": d.rate,
-                **({"agency": d.agency} if d.agency is not None else {}),
-            }
-            for d in instance.demand_points
-        ],
-        "stations": [
-            {
-                "id": s.id,
-                "lat": s.lat,
-                "lon": s.lon,
-                "fixed_cost_rate": s.fixed_cost_rate,
-                "max_chargers": {str(k): v for k, v in sorted(s.max_chargers.items())},
-                "is_garage": s.is_garage,
-                **({"agency": s.agency} if s.agency is not None else {}),
-            }
-            for s in instance.stations
-        ],
-        "charger_types": [
-            {
-                "id": k.id,
-                "power_kw": k.power_kw,
-                "unit_cost_rate": k.unit_cost_rate,
-                "recharge_time_min": k.recharge_time_min,
-            }
-            for k in instance.charger_types
-        ],
-        "costs": {
-            "travel_cost_rate": instance.travel_cost_rate,
-            "wait_cost_rate": instance.wait_cost_rate,
-        },
+        "demand_points": [_record_to_dict(d, DEMAND_POINT_FIELDS) for d in instance.demand_points],
+        "stations": [_record_to_dict(s, STATION_FIELDS) for s in instance.stations],
+        "charger_types": [_record_to_dict(k, CHARGER_TYPE_FIELDS) for k in instance.charger_types],
+        "costs": _record_to_dict(instance, COST_FIELDS),
         "travel": [[i, j, t] for (i, j), t in sorted(instance.travel.items())],
-        "options": {
-            "epsilon": instance.epsilon,
-            "enforce_proximity": instance.enforce_proximity,
-            "speed_kmh": instance.speed_kmh,
-            **(
-                {"max_travel_minutes": instance.max_travel_minutes}
-                if instance.max_travel_minutes is not None
-                else {}
-            ),
-        },
+        "options": _record_to_dict(instance, OPTION_FIELDS),
     }
 
 
@@ -606,13 +600,6 @@ def _fields(record, name: str, **kinds: type) -> tuple:
     return tuple(_number(record[key], f"{name}.{key}", kind) for key, kind in kinds.items())
 
 
-def _boolean(value, name: str) -> bool:
-    """A JSON true or false; a string such as "false" is a ParseError."""
-    if not isinstance(value, bool):
-        raise ParseError(f"{name}: expected true or false, got {value!r}")
-    return value
-
-
 def _type_key(key: str, name: str) -> int:
     """A charger type id written as a JSON object key."""
     try:
@@ -621,35 +608,56 @@ def _type_key(key: str, name: str) -> int:
         raise ParseError(f"{name}: charger type id {key!r} is not an integer") from None
 
 
+_EXPECTED = {bool: "true or false", str: "a string", dict: "an object"}
+
+
+def _value(value, name: str, kind: type):
+    """A JSON value as ``kind``: a number (int or float), true or false (a
+    string such as "false" is a ParseError), a string, or an object of
+    charger type ids to integer caps."""
+    if kind not in _EXPECTED:
+        return _number(value, name, kind)
+    if not isinstance(value, kind):
+        raise ParseError(f"{name}: expected {_EXPECTED[kind]}, got {value!r}")
+    if kind is dict:
+        return {_type_key(k, name): _number(v, f"{name}.{k}", int) for k, v in value.items()}
+    return value
+
+
+def _record(record, name: str, table: Mapping[str, type], cls: type) -> dict:
+    """The fields ``table`` lists of the JSON object ``record``, named
+    ``name`` in messages, each read as its kind: keyword arguments for
+    ``cls``. A field left out must have a default in ``cls``; a null is
+    read as left out where that default is None."""
+    if not isinstance(record, dict):
+        raise ParseError(f"{name}: expected an object, got {record!r}")
+    defaults = _DEFAULTS[cls]
+    out = {}
+    for key, kind in table.items():
+        if key not in record:
+            if key not in defaults:
+                raise ParseError(f"missing required field '{name}.{key}'")
+        elif record[key] is not None or defaults.get(key, MISSING) is not None:
+            out[key] = _value(record[key], f"{name}.{key}", kind)
+    return out
+
+
 def instance_from_dict(data: dict) -> Instance:
     """The instance of a JSON object; a missing or malformed field is a
     ParseError that names it (``stations[0].max_chargers``)."""
     if not isinstance(data, dict):
         raise ParseError(f"an instance must be a JSON object, got {type(data).__name__}")
-    opts = _entries(data, "options", {}, dict)
-    kinds = [
-        ChargerType(*_fields(k, f"charger_types[{n}]", id=int, power_kw=float, unit_cost_rate=float,
-                             recharge_time_min=float))
-        for n, k in enumerate(_entries(data, "charger_types"))
-    ]
-    dps = [
-        DemandPoint(*_fields(d, f"demand_points[{n}]", id=int, lat=float, lon=float, rate=float),
-                    agency=d.get("agency"))
-        for n, d in enumerate(_entries(data, "demand_points"))
-    ]
-    sts = [
-        CandidateStation(
-            *_fields(s, f"stations[{n}]", id=int, lat=float, lon=float, fixed_cost_rate=float),
-            max_chargers={
-                _type_key(k, f"stations[{n}].max_chargers"):
-                    _number(v, f"stations[{n}].max_chargers.{k}", int)
-                for k, v in _entries(s, f"stations[{n}].max_chargers", {}, dict).items()
-            },
-            is_garage=_boolean(s.get("is_garage", False), f"stations[{n}].is_garage"),
-            agency=s.get("agency"),
+    options = _record(_entries(data, "options", {}, dict), "options", OPTION_FIELDS, Instance)
+    if "epsilon" in options:
+        _check_epsilon(options["epsilon"], "options.epsilon")
+    kinds, dps, sts = (
+        [cls(**_record(r, f"{name}[{n}]", table, cls)) for n, r in enumerate(_entries(data, name))]
+        for name, cls, table in (
+            ("charger_types", ChargerType, CHARGER_TYPE_FIELDS),
+            ("demand_points", DemandPoint, DEMAND_POINT_FIELDS),
+            ("stations", CandidateStation, STATION_FIELDS),
         )
-        for n, s in enumerate(_entries(data, "stations"))
-    ]
+    )
     travel = None
     rows = _entries(data, "travel", [])
     if rows:
@@ -668,24 +676,8 @@ def instance_from_dict(data: dict) -> Instance:
             if (i, j) in travel:
                 raise ParseError(f"travel[{n}]: duplicate entry for demand {i}, station {j}")
             travel[(i, j)] = _number(t, f"travel[{n}][2]")
-    max_travel = opts.get("max_travel_minutes")
-    epsilon = _number(opts.get("epsilon", 1e-6), "options.epsilon")
-    _check_epsilon(epsilon, "options.epsilon")
-    travel_cost_rate, wait_cost_rate = _fields(
-        _entries(data, "costs", kind=dict), "costs", travel_cost_rate=float, wait_cost_rate=float
-    )
-    return make_instance(
-        dps,
-        sts,
-        kinds,
-        travel_cost_rate=travel_cost_rate,
-        wait_cost_rate=wait_cost_rate,
-        travel=travel,
-        speed_kmh=_number(opts.get("speed_kmh", 30.0), "options.speed_kmh"),
-        max_travel_minutes=None if max_travel is None else _number(max_travel, "options.max_travel_minutes"),
-        epsilon=epsilon,
-        enforce_proximity=_boolean(opts.get("enforce_proximity", False), "options.enforce_proximity"),
-    )
+    costs = _record(_entries(data, "costs", kind=dict), "costs", COST_FIELDS, Instance)
+    return make_instance(dps, sts, kinds, travel=travel, **costs, **options)
 
 
 def write_json(path, payload) -> None:

@@ -149,6 +149,26 @@ class TestGenDemand:
         ])
         assert rc == 3
 
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--range-min", "nan", "range_minutes"),
+        ("--horizon-min", "nan", "horizon_minutes"),
+        ("--horizon-min", "inf", "horizon_minutes"),
+        ("--max-travel-min", "nan", "max_travel_minutes"),
+        ("--max-travel-min", "-5", "max_travel_minutes"),
+        ("--speed-kmh", "nan", "speed_kmh"),
+        ("--speed-kmh", "inf", "speed_kmh"),
+    ])
+    def test_numeric_flag_must_be_positive(self, data_dir, tmp_path, capsys, flag, value, named):
+        out = tmp_path / "x.json"
+        rc = main([
+            "gen-demand", "--blocks", str(data_dir / "sample_blocks.csv"),
+            "--stations", str(data_dir / "sample_stations.csv"),
+            "--range-min", "360", f"{flag}={value}", "--out", str(out),
+        ])
+        assert rc == 3
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
 
 class TestCluster:
     def test_identity_cluster_counts(self, tmp_path):
@@ -405,6 +425,9 @@ class TestBadInput:
         (lambda d: d["stations"][0]["max_chargers"].update({"fast": 2}), "charger type id 'fast'"),
         (lambda d: d["options"].update(enforce_proximity="false"), "options.enforce_proximity"),
         (lambda d: d["stations"][0].update(is_garage=1), "stations[0].is_garage"),
+        # a number among string labels would break their sort
+        (lambda d: d["demand_points"][0].update(agency=5), "demand_points[0].agency"),
+        (lambda d: d["stations"][0].update(agency=5), "stations[0].agency"),
         # 1 - 1e-17 rounds to 1, so the margin would vanish
         (lambda d: d["options"].update(epsilon=1e-17), "options.epsilon"),
         (lambda d: d["charger_types"].__setitem__(0, 1), "charger_types[0]: expected an object, got 1"),

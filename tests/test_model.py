@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import pytest
 
@@ -340,9 +341,19 @@ class TestDeriveServiceRates:
 
 class TestInstanceSchema:
     def test_round_trip(self):
+        # every optional field set away from its default, so that a field the
+        # JSON tables leave out comes back different
         inst = random_instance(7)
+        inst = dataclasses.replace(
+            inst,
+            demand_points=tuple(dataclasses.replace(d, agency="A") for d in inst.demand_points),
+            stations=tuple(dataclasses.replace(s, agency="B", is_garage=True) for s in inst.stations),
+            epsilon=1e-5, enforce_proximity=True, speed_kmh=25.0, max_travel_minutes=45.0,
+        )
+        assert all(s.max_chargers for s in inst.stations)
         data = instance_to_dict(inst)
         again = instance_from_dict(data)
+        assert again == inst
         assert instance_to_dict(again) == data
 
     def test_reachability_is_inverse_image(self):
@@ -479,6 +490,41 @@ class TestInputValidation:
         data["options"]["epsilon"] = 1e-17
         with pytest.raises(ValueError, match="options.epsilon"):
             instance_from_dict(data)
+
+    @pytest.mark.parametrize("name, bad", [
+        ("speed_kmh", math.nan), ("speed_kmh", math.inf), ("speed_kmh", 0.0),
+        ("max_travel_minutes", math.nan), ("max_travel_minutes", -5.0), ("max_travel_minutes", 0.0),
+    ])
+    def test_speed_and_travel_cutoff_rejected(self, name, bad):
+        # a NaN or negative cutoff would otherwise strand every demand point
+        # as infeasible, and a NaN speed would be named as a travel time
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(self.build(), **{name: bad})
+        data = instance_to_dict(self.build())
+        data["options"][name] = bad
+        with pytest.raises(ValueError, match=name):
+            instance_from_dict(data)
+        del data["travel"]  # times then come from the speed, within the cutoff
+        with pytest.raises(ValueError, match=name):
+            instance_from_dict(data)
+
+    def test_null_reads_as_absent_only_where_the_default_is_none(self):
+        data = instance_to_dict(self.build())
+        data["options"]["max_travel_minutes"] = None
+        data["demand_points"][0]["agency"] = None
+        data["stations"][0]["agency"] = None
+        assert instance_to_dict(instance_from_dict(data)) == instance_to_dict(self.build())
+        for edit, named in [
+            (lambda d: d["options"].update(epsilon=None), "options.epsilon: expected a number"),
+            (lambda d: d["options"].update(enforce_proximity=None), "options.enforce_proximity: expected true"),
+            (lambda d: d["stations"][0].update(is_garage=None), "stations[0].is_garage: expected true"),
+            (lambda d: d["stations"][0].update(max_chargers=None), "stations[0].max_chargers: expected an object"),
+            (lambda d: d["costs"].update(wait_cost_rate=None), "costs.wait_cost_rate: expected a number"),
+        ]:
+            data = instance_to_dict(self.build())
+            edit(data)
+            with pytest.raises(ParseError, match=re.escape(named)):
+                instance_from_dict(data)
 
     @pytest.mark.parametrize("entry, message", [
         ([7, 0, 2.0], "travel\\[1\\]: unknown demand id 7"),
