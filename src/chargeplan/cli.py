@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 import time
@@ -32,7 +31,7 @@ from .errors import (
     TimeLimitError,
     UncoveredDemandError,
 )
-from .exact import SolverConfig, branch_and_bound, brute_force, save_report, solution_from_dict
+from .exact import SolverConfig, branch_and_bound, brute_force, save_report
 from .metaheuristics import GAParams, SAParams, genetic_algorithm, multi_run, simulated_annealing
 from .scenarios import (
     SWEEP_PARAMETERS,
@@ -73,11 +72,7 @@ def _load_config(path: str | None) -> dict:
     """Read a --config file, rejecting any key nothing would read."""
     if not path:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read config: {exc}", path=path) from exc
+    cfg = mdl.read_json(path)
     for name, allowed in _CONFIG_KEYS.items():
         section = cfg.get(name, {}) if name else cfg
         if not isinstance(section, dict):
@@ -346,14 +341,10 @@ def cmd_sensitivity(args) -> int:
 
 def cmd_validate(args) -> int:
     instance = mdl.load_instance(args.instance)
-    try:
-        with open(args.report, encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ParseError(f"cannot read report: {exc}", path=args.report) from exc
+    payload = mdl.read_json(args.report)
     if not isinstance(payload, dict) or payload.get("solution") is None:
         raise ParseError("report carries no solution", path=args.report)
-    solution = solution_from_dict(payload["solution"])
+    solution = mdl.solution_from_dict(payload["solution"])
     violations = mdl.check_feasibility(instance, solution)
     if not violations:
         print("solution is feasible")

@@ -166,7 +166,8 @@ def build_coverage(
     demand point left without a station, and ValueError (from the
     instance) for a cutoff or speed that is not positive.
     """
-    placeholder = (ChargerType(0, 1.0, 0.0, 1.0),)  # an instance needs a catalog; coverage reads none
+    # an instance needs a catalog holding every capped type; coverage reads none
+    placeholder = [ChargerType(k, 1.0, 0.0, 1.0) for k in sorted({0, *(k for s in stations for k in s.max_chargers)})]
     inst = make_instance(
         demand_points, stations, placeholder, travel_cost_rate=0.0, wait_cost_rate=0.0,
         speed_kmh=speed_kmh, max_travel_minutes=max_travel_minutes,

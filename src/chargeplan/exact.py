@@ -31,7 +31,7 @@ from typing import Mapping, Sequence
 from . import model as mdl
 from . import queueing
 from .construction import _PairSizer, best_chargers, build_solution
-from .errors import InfeasibleError, InstanceTooLargeError, ParseError, TimeLimitError
+from .errors import InfeasibleError, InstanceTooLargeError, TimeLimitError
 
 _PRUNE_MARGIN = 1e-9
 
@@ -519,73 +519,9 @@ def branch_and_bound(instance: mdl.Instance, config: SolverConfig | None = None)
     return _TreeSearch(instance, config or SolverConfig()).solve()
 
 
-# ---------------------------------------------------------------------------
-# JSON report serialization. Everything volatile (timings) stays out of the
-# deterministic body; the CLI adds a metadata envelope around this.
-
-
-def solution_to_dict(solution: mdl.Solution) -> dict:
-    cost = solution.cost
-    return {
-        "active_stations": sorted(solution.active),
-        "assignments": [
-            {"demand": i, "station": j, "charger_type": k}
-            for (i, j, k) in sorted(solution.assignments)
-        ],
-        "chargers": [
-            {"station": j, "charger_type": k, "count": s}
-            for (j, k), s in sorted(solution.chargers.items())
-            if s > 0
-        ],
-        "waits": [
-            {"station": j, "charger_type": k, "minutes": w}
-            for (j, k), w in sorted(solution.waits.items())
-        ],
-        "cost": None
-        if cost is None
-        else {
-            "station": cost.station,
-            "charger": cost.charger,
-            "travel": cost.travel,
-            "waiting": cost.waiting,
-            "total": cost.total,
-        },
-    }
-
-
-def _pair_rows(data: dict, name: str, key: str, kind: type, default=None) -> dict[tuple[int, int], object]:
-    """{(station, charger_type): ``key``} of the rows at ``name``; a second row
-    for one pair would silently replace the first, so it is a ParseError."""
-    out = {}
-    for n, row in enumerate(mdl._entries(data, name, default)):
-        j, k, value = mdl._fields(row, f"{name}[{n}]", station=int, charger_type=int, **{key: kind})
-        if (j, k) in out:
-            raise ParseError(f"{name}[{n}]: duplicate (station, charger_type) {(j, k)}")
-        out[(j, k)] = value
-    return out
-
-
-def solution_from_dict(data: dict) -> mdl.Solution:
-    """The solution of a report; a missing or malformed field, or a second
-    charger or wait row for one pair, is a ParseError that names it
-    (``solution.chargers[0].count``)."""
-    chargers = _pair_rows(data, "solution.chargers", "count", int)
-    waits = _pair_rows(data, "solution.waits", "minutes", float, [])
-    return mdl.Solution(
-        active=frozenset(
-            mdl._number(j, f"solution.active_stations[{n}]", int)
-            for n, j in enumerate(mdl._entries(data, "solution.active_stations"))
-        ),
-        assignments=frozenset(
-            mdl._fields(a, f"solution.assignments[{n}]", demand=int, station=int, charger_type=int)
-            for n, a in enumerate(mdl._entries(data, "solution.assignments"))
-        ),
-        chargers=chargers,
-        waits=waits,
-    )
-
-
 def report_to_dict(report: SolverReport) -> dict:
+    """The deterministic body of a report; :func:`save_report` adds the
+    volatile values (wall times) as its ``meta`` object."""
     stats = {k: v for k, v in sorted(report.stats.items())}
     return {
         "terminated_by": report.terminated_by,
@@ -599,11 +535,9 @@ def report_to_dict(report: SolverReport) -> dict:
             "cuts_added": report.cuts_added,
             "stats": stats,
         },
-        "solution": None if report.best is None else solution_to_dict(report.best),
+        "solution": None if report.best is None else mdl.solution_to_dict(report.best),
     }
 
 
 def save_report(report: SolverReport, path, meta: dict | None = None) -> None:
-    payload = dict(report_to_dict(report))
-    payload["meta"] = meta or {}
-    mdl.write_json(path, payload)
+    mdl.write_json(path, {**report_to_dict(report), "meta": meta or {}})

@@ -8,7 +8,8 @@ solver runs.
 
 All money is normalized to currency per minute and all times to minutes.
 The JSON fields of each record are declared once, in the field tables at
-the JSON section; the instance writer and reader both follow them.
+the JSON section; the instance and report writers and readers all follow
+them.
 """
 
 from __future__ import annotations
@@ -159,6 +160,11 @@ class Instance:
         _check_epsilon(self.epsilon, "epsilon")
         if not self.charger_types:
             raise ValueError("charger_types must name at least one charger type")
+        types = _by_id("charger type", self.charger_types)
+        for s in self.stations:
+            for k in s.max_chargers:
+                if k not in types:  # a cap that no pair would ever read
+                    raise ValueError(f"station {s.id}: max_chargers names unknown charger type {k}")
         # the tangent-cut wait floors bound the objective from below only
         # when both rates are nonnegative
         for name in ("travel_cost_rate", "wait_cost_rate"):
@@ -187,7 +193,7 @@ class Instance:
         object.__setattr__(self, "stations", sts)
         object.__setattr__(self, "demand_by_id", _by_id("demand", dps))
         object.__setattr__(self, "station_by_id", _by_id("station", sts))
-        object.__setattr__(self, "type_by_id", _by_id("charger type", self.charger_types))
+        object.__setattr__(self, "type_by_id", types)
         order = tuple(sorted(dps, key=lambda d: (-d.rate, d.id)))
         object.__setattr__(self, "demand_order", order)
         object.__setattr__(self, "demand_rank", {d.id: r for r, d in enumerate(order)})
@@ -439,9 +445,10 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
 
     Codes: ``unknown_id``, ``unreachable_station``, ``inactive_station``,
     ``not_single_sourced``, ``unstable_queue``, ``wait_too_low``,
-    ``charger_limit``, ``chargers_at_inactive_station`` and, when the
-    instance enforces proximity, ``not_closest_active``. A queue is unstable
-    by the rule stated in :mod:`chargeplan.queueing`.
+    ``charger_limit``, ``chargers_at_inactive_station``, ``not_closest_active``
+    when the instance enforces proximity, and ``cost_mismatch`` when all
+    else holds and a stated cost differs from :func:`evaluate`'s. A queue
+    is unstable by the rule stated in :mod:`chargeplan.queueing`.
     """
     out: list[Violation] = []
     lam_of = instance.demand_by_id
@@ -520,24 +527,37 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
                         f"travel {instance.travel[(i, j)]:.6g} > closest active {closest:.6g}",
                     )
                 )
+    if not out and solution.cost is not None:  # evaluate raises on what the checks above flag
+        priced = evaluate(instance, solution)
+        for key in BREAKDOWN_FIELDS:
+            stated, actual = getattr(solution.cost, key), getattr(priced, key)
+            if not math.isclose(stated, actual, rel_tol=1e-9):
+                out.append(Violation("cost_mismatch", (key,), f"stated {stated!r} != evaluated {actual!r}"))
     return out
 
 
 # ---------------------------------------------------------------------------
-# JSON schema: {demand_points, stations, charger_types, costs, travel, options}
-#
-# The JSON fields of each record, by kind: int, float, bool, str, or dict (a
-# station's charger type id -> cap). A field is optional exactly when its
-# dataclass field has a default (in _DEFAULTS; MISSING for a factory), and may
-# be null exactly when that default is None; costs and options are fields of
-# Instance. Derived fields (reachable, served) and ingest-only ones
-# (source_id) are not written.
+# JSON schema. An instance: {demand_points, stations, charger_types, costs,
+# travel, options, meta}; a report's solution: {active_stations, assignments,
+# chargers, waits, cost}. The JSON fields of each record, by kind: int,
+# float, bool, str, or dict (a station's charger type id -> cap). A field is
+# optional exactly when its dataclass field has a default (in _DEFAULTS;
+# MISSING for a factory), and may be null exactly when that default is None;
+# costs and options are fields of Instance, and every field of a report row
+# or cost is required. Derived fields (reachable, served) and ingest-only
+# ones (source_id) are not written. A key that no table lists is an error.
 CHARGER_TYPE_FIELDS = {"id": int, "power_kw": float, "unit_cost_rate": float, "recharge_time_min": float}
 DEMAND_POINT_FIELDS = {"id": int, "lat": float, "lon": float, "rate": float, "agency": str}
 STATION_FIELDS = {"id": int, "lat": float, "lon": float, "fixed_cost_rate": float, "max_chargers": dict,
                   "is_garage": bool, "agency": str}
 COST_FIELDS = {"travel_cost_rate": float, "wait_cost_rate": float}
 OPTION_FIELDS = {"epsilon": float, "enforce_proximity": bool, "speed_kmh": float, "max_travel_minutes": float}
+ASSIGNMENT_FIELDS = {"demand": int, "station": int, "charger_type": int}
+CHARGER_FIELDS = {"station": int, "charger_type": int, "count": int}
+WAIT_FIELDS = {"station": int, "charger_type": int, "minutes": float}
+BREAKDOWN_FIELDS = {"station": float, "charger": float, "travel": float, "waiting": float, "total": float}
+_INSTANCE_KEYS = {"demand_points", "stations", "charger_types", "costs", "travel", "options", "meta"}
+_SOLUTION_KEYS = {"active_stations", "assignments", "chargers", "waits", "cost"}
 _DEFAULTS = {
     cls: {f.name: f.default for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING}
     for cls in (ChargerType, DemandPoint, CandidateStation, Instance)
@@ -589,17 +609,6 @@ def _entries(data, name: str, default=None, kind: type = list):
     return value
 
 
-def _fields(record, name: str, **kinds: type) -> tuple:
-    """The number fields of the object ``record``, named ``name`` in
-    messages, each as its kind."""
-    if not isinstance(record, dict):
-        raise ParseError(f"{name}: expected an object, got {record!r}")
-    for key in kinds:
-        if key not in record:
-            raise ParseError(f"missing required field '{name}.{key}'")
-    return tuple(_number(record[key], f"{name}.{key}", kind) for key, kind in kinds.items())
-
-
 def _type_key(key: str, name: str) -> int:
     """A charger type id written as a JSON object key."""
     try:
@@ -624,14 +633,24 @@ def _value(value, name: str, kind: type):
     return value
 
 
-def _record(record, name: str, table: Mapping[str, type], cls: type) -> dict:
-    """The fields ``table`` lists of the JSON object ``record``, named
-    ``name`` in messages, each read as its kind: keyword arguments for
-    ``cls``. A field left out must have a default in ``cls``; a null is
-    read as left out where that default is None."""
+def _known_keys(record, name: str, keys) -> None:
+    """Check that ``record`` is a JSON object holding no key but ``keys``:
+    a key that nothing reads would be dropped without a word."""
     if not isinstance(record, dict):
         raise ParseError(f"{name}: expected an object, got {record!r}")
-    defaults = _DEFAULTS[cls]
+    for key in record:
+        if key not in keys:
+            raise ParseError(f"{name}: unknown field {key!r}")
+
+
+def _record(record, name: str, table: Mapping[str, type], cls: type | None = None) -> dict:
+    """The fields ``table`` lists of the JSON object ``record``, named
+    ``name`` in messages, each read as its kind: keyword arguments for
+    ``cls``. A field left out must have a default in ``cls`` (none without
+    it); a null is read as left out where that default is None. A key the
+    table does not list is a ParseError."""
+    _known_keys(record, name, table)
+    defaults = _DEFAULTS[cls] if cls else {}
     out = {}
     for key, kind in table.items():
         if key not in record:
@@ -647,6 +666,7 @@ def instance_from_dict(data: dict) -> Instance:
     ParseError that names it (``stations[0].max_chargers``)."""
     if not isinstance(data, dict):
         raise ParseError(f"an instance must be a JSON object, got {type(data).__name__}")
+    _known_keys(data, "instance", _INSTANCE_KEYS)
     options = _record(_entries(data, "options", {}, dict), "options", OPTION_FIELDS, Instance)
     if "epsilon" in options:
         _check_epsilon(options["epsilon"], "options.epsilon")
@@ -680,6 +700,60 @@ def instance_from_dict(data: dict) -> Instance:
     return make_instance(dps, sts, kinds, travel=travel, **costs, **options)
 
 
+def _rows(data, name: str, table: Mapping[str, type], default=None) -> list[tuple]:
+    """Each record of the list at ``name``: its ``table`` fields, in order."""
+    return [tuple(_record(r, f"{name}[{n}]", table).values()) for n, r in enumerate(_entries(data, name, default))]
+
+
+def _by_pair(rows: list[tuple], name: str) -> dict[tuple[int, int], object]:
+    """{(station, charger_type): value} of such rows; a second row for one
+    pair would silently replace the first, so it is a ParseError."""
+    out = {}
+    for n, (j, k, value) in enumerate(rows):
+        if (j, k) in out:
+            raise ParseError(f"{name}[{n}]: duplicate (station, charger_type) {(j, k)}")
+        out[(j, k)] = value
+    return out
+
+
+def solution_to_dict(solution: Solution) -> dict:
+    """The JSON object of a report's solution; a charger count of 0 is left out."""
+    return {
+        "active_stations": sorted(solution.active),
+        "assignments": [dict(zip(ASSIGNMENT_FIELDS, a)) for a in sorted(solution.assignments)],
+        "chargers": [dict(zip(CHARGER_FIELDS, (j, k, s))) for (j, k), s in sorted(solution.chargers.items()) if s > 0],
+        "waits": [dict(zip(WAIT_FIELDS, (j, k, w))) for (j, k), w in sorted(solution.waits.items())],
+        "cost": None if solution.cost is None else _record_to_dict(solution.cost, BREAKDOWN_FIELDS),
+    }
+
+
+def solution_from_dict(data) -> Solution:
+    """The solution of a report; a missing, malformed or unknown field, or a
+    second charger or wait row for one pair, is a ParseError that names it
+    (``solution.chargers[0].count``). A null or absent cost reads as none."""
+    _known_keys(data, "solution", _SOLUTION_KEYS)
+    waits = _by_pair(_rows(data, "solution.waits", WAIT_FIELDS, []), "solution.waits")
+    cost = data.get("cost")
+    return Solution(
+        active=frozenset(_number(j, f"solution.active_stations[{n}]", int)
+                         for n, j in enumerate(_entries(data, "solution.active_stations"))),
+        assignments=frozenset(_rows(data, "solution.assignments", ASSIGNMENT_FIELDS)),
+        chargers=_by_pair(_rows(data, "solution.chargers", CHARGER_FIELDS), "solution.chargers"),
+        waits=waits,
+        cost=None if cost is None else CostBreakdown(**_record(cost, "solution.cost", BREAKDOWN_FIELDS), waits=waits),
+    )
+
+
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that is not JSON is a
+    ParseError that names the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"not a JSON file: {exc}", path=path) from exc
+
+
 def write_json(path, payload) -> None:
     """Write a JSON output file: indented, keys sorted and newline-ended, so
     equal payloads give byte-identical files."""
@@ -693,13 +767,9 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    """The instance in a JSON file; a file that is not JSON, or a missing or
-    malformed field, is a ParseError that names the file."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"not a JSON file: {exc}", path=path) from exc
+    """The instance in a JSON file; a file that is not JSON, or a missing,
+    malformed or unknown field, is a ParseError that names the file."""
+    data = read_json(path)
     try:
         return instance_from_dict(data)
     except ParseError as exc:

@@ -324,6 +324,20 @@ class TestValidate:
         assert rc == 2
         assert "inactive_station" in capsys.readouterr().out
 
+    def test_misstated_cost_flagged(self, unit_instance_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        assert main(["solve", unit_instance_file, "--method", "bnb", "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        data["solution"]["cost"]["total"] = data["bounds"]["upper"] = 0.0
+        out.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["validate", unit_instance_file, str(out)]) == 2
+        assert "violation cost_mismatch ('total',)" in capsys.readouterr().out
+        # a null cost states nothing to check
+        data["solution"]["cost"] = None
+        out.write_text(json.dumps(data))
+        assert main(["validate", unit_instance_file, str(out)]) == 0
+
 
 
 class TestBadInput:
@@ -440,6 +454,13 @@ class TestBadInput:
         (lambda d: d["travel"].__setitem__(0, 5), "travel[0]: expected [demand, station, minutes]"),
         # a second row would replace the first without a word
         (lambda d: d["travel"].append([0, 0, 1002.0]), "travel[1]: duplicate entry for demand 0, station 0"),
+        # a key that nothing reads, which would be dropped without a word
+        (lambda d: d["options"].update(max_travel_minute=-5), "options: unknown field 'max_travel_minute'"),
+        (lambda d: d["demand_points"][0].update(ratee=0.5), "demand_points[0]: unknown field 'ratee'"),
+        (lambda d: d.update(option={}), "instance: unknown field 'option'"),
+        # a cap for a type the catalog lacks, which nothing would read
+        (lambda d: d["stations"][0]["max_chargers"].update({"99": 3}),
+         "station 0: max_chargers names unknown charger type 99"),
     ])
     def test_malformed_instance_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
         report = tmp_path / "report.json"
@@ -461,6 +482,10 @@ class TestBadInput:
          "solution.chargers[1]: duplicate (station, charger_type) (0, 0)"),
         (lambda s: s["waits"].insert(0, dict(s["waits"][0], minutes=1e-6)),
          "solution.waits[1]: duplicate (station, charger_type) (0, 0)"),
+        (lambda s: s["chargers"][0].update(cuont=1), "solution.chargers[0]: unknown field 'cuont'"),
+        (lambda s: s.update(extra=1), "solution: unknown field 'extra'"),
+        (lambda s: s["cost"].update(total="0"), "solution.cost.total"),
+        (lambda s: s["cost"].pop("waiting"), "missing required field 'solution.cost.waiting'"),
     ])
     def test_malformed_report_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
         report = tmp_path / "report.json"

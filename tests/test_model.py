@@ -28,6 +28,8 @@ from chargeplan.model import (
     load_instance,
     make_instance,
     save_instance,
+    solution_from_dict,
+    solution_to_dict,
 )
 
 from gen import random_instance
@@ -370,6 +372,23 @@ class TestInstanceSchema:
         for d in inst.demand_points:
             for j in d.reachable:
                 assert math.isfinite(inst.travel[(d.id, j)])
+
+
+class TestReportSchema:
+    def test_round_trip(self):
+        # two equipped pairs and a cost, so that every field of every report
+        # table is written and must be read back
+        kinds = [ChargerType(id=k, power_kw=100.0, unit_cost_rate=1.0 + k, recharge_time_min=1.0 + k)
+                 for k in (0, 1)]
+        dps = [DemandPoint(id=i, lat=41.88, lon=-87.68, rate=0.2 + 0.1 * i) for i in (0, 1)]
+        st = CandidateStation(id=0, lat=41.9, lon=-87.7, fixed_cost_rate=5.0, max_chargers={0: 3, 1: 3})
+        inst = make_instance(dps, [st], kinds, travel_cost_rate=1.0, wait_cost_rate=2.0,
+                             travel={(0, 0): 2.0, (1, 0): 3.0})
+        sol = build_solution(inst, assignment_vector(inst, [(0, 0, 0), (1, 0, 1)]), {(0, 0): 1, (0, 1): 2})
+        assert len(sol.chargers) == len(sol.waits) == 2 and sol.cost is not None
+        data = json.loads(json.dumps(solution_to_dict(sol)))
+        assert solution_from_dict(data) == sol
+        assert solution_to_dict(solution_from_dict(data)) == data
 
 
 class TestCoverageDerivation:
