@@ -344,7 +344,10 @@ def cmd_validate(args) -> int:
     payload = mdl.read_json(args.report)
     if not isinstance(payload, dict) or payload.get("solution") is None:
         raise ParseError("report carries no solution", path=args.report)
-    solution = mdl.solution_from_dict(payload["solution"])
+    try:
+        solution = mdl.solution_from_dict(payload["solution"])
+    except ParseError as exc:
+        raise ParseError(str(exc), path=args.report) from exc
     violations = mdl.check_feasibility(instance, solution)
     if not violations:
         print("solution is feasible")

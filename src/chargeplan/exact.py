@@ -15,8 +15,14 @@ building it: the child's sum is the parent's with the moved pair's old floor
 replaced by its new one. An open node is stored as (parent node, pair, floor
 sum) and rebuilt from its parent when popped; it is bounded again, from a
 fresh sum, only if a cut was added after its parent's expansion, since no
-floor can change otherwise. A bound of ``inf`` means the node has no stable
-completion.
+floor can change otherwise. A node's children are bounded only until the
+incumbent rules out the rest: its options are walked cheapest myopic cost
+first, and each child's bound is at least the node's station and floor sums
+plus the option's committed cost and the suffix floor, a sum that grows with
+the myopic cost, since floors are nonnegative and nondecreasing in load and
+a station sum only grows when a station opens. Once that sum reaches the
+incumbent, no later child can be kept. A bound of ``inf`` means the node has
+no stable completion.
 """
 
 from __future__ import annotations
@@ -34,6 +40,10 @@ from .construction import _PairSizer, best_chargers, build_solution
 from .errors import InfeasibleError, InstanceTooLargeError, TimeLimitError
 
 _PRUNE_MARGIN = 1e-9
+# an optimistic child bound is shrunk by this factor before it stops
+# :meth:`_TreeSearch._children`, so that the rounding of a carried floor sum
+# (a few ulps) cannot stop the walk before a child bounded below the limit
+_LIMIT_SLACK = 1.0 - 1e-12
 
 
 @dataclass(frozen=True)
@@ -228,20 +238,37 @@ class _TreeSearch:
     floor, and so no bound or floor sum, can change: a parent records the cut
     count when it is expanded, and a popped node is bounded again, from a
     fresh sum, only if the count grew. A node's carried sum is therefore the
-    sum of the floors it holds whenever it is expanded."""
+    sum of the floors it holds whenever it is expanded.
+
+    An expansion bounds children only until the incumbent rules out the
+    rest: :meth:`_children` gets ``upper - _PRUNE_MARGIN`` and stops at the
+    first option, in ascending myopic cost, whose optimistic bound reaches
+    it, since every later child's bound is at least as large. ``steps`` is
+    the option table that :meth:`_children` and :meth:`_child` read."""
 
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
         self.config = config
         self.demands = instance.demand_order
         self.n = len(self.demands)
-        # per depth, each reachable pair, cheapest first -> (rate, committed
-        # increment, travel increment); a choice's myopic cost is its
+        # each (station, type) pair: (service rate, charger cap, unit cost)
+        self.pair_params = {
+            (s.id, k.id): (k.service_rate, instance.station_cap(s.id, k.id), k.unit_cost_rate)
+            for s in instance.stations
+            for k in instance.charger_types
+        }
+        self.station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
+        # the option table: per depth, each reachable pair, cheapest myopic
+        # cost first -> (rate, committed increment, travel increment, the
+        # pair's largest stable load); a choice's myopic cost is its
         # committed increment
         tcr = instance.travel_cost_rate
+        capacity = {
+            pair: queueing.capacity(mu, cap, instance.epsilon) for pair, (mu, cap, _) in self.pair_params.items()
+        }
         self.steps = [
             {
-                (j, k): (d.rate, myopic, d.rate * tcr * instance.travel[(d.id, j)])
+                (j, k): (d.rate, myopic, d.rate * tcr * instance.travel[(d.id, j)], capacity[(j, k)])
                 for (j, k, myopic) in _choices_for(instance, d)
             }
             for d in self.demands
@@ -249,24 +276,13 @@ class _TreeSearch:
         # cheapest committed cost of the demands from each depth on
         self.suffix = [0.0] * (self.n + 1)
         for d in range(self.n - 1, -1, -1):
-            self.suffix[d] = self.suffix[d + 1] + min((c for (_, c, _) in self.steps[d].values()), default=0.0)
+            self.suffix[d] = self.suffix[d + 1] + min((c for (_, c, _, _) in self.steps[d].values()), default=0.0)
         self.sizer = _PairSizer(instance)
         # cut pool: (station, type, servers) -> list of (intercept, slope)
         self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
         self.cut_keys: set[tuple[int, int, int, float]] = set()
         self.floors: dict[tuple[int, int], dict[float, float]] = {}
-        self.station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
         self.station_sums: dict[frozenset[int], float] = {}
-        # each (station, type) pair: (service rate, charger cap, unit cost), and
-        # the largest stable load at its cap
-        self.pair_params = {
-            (s.id, k.id): (k.service_rate, instance.station_cap(s.id, k.id), k.unit_cost_rate)
-            for s in instance.stations
-            for k in instance.charger_types
-        }
-        self.capacity = {
-            pair: queueing.capacity(mu, cap, instance.epsilon) for pair, (mu, cap, _) in self.pair_params.items()
-        }
 
     # -- cut plumbing ------------------------------------------------------
 
@@ -289,13 +305,15 @@ class _TreeSearch:
 
     def _child(self, parent: _Node, pair: tuple[int, int]) -> _Node:
         """A new node that extends ``parent``: its next demand goes to
-        ``pair``, a (station, type) tuple the child's path holds itself."""
-        rate, committed, travel = self.steps[len(parent.path)][pair]
+        ``pair``, a (station, type) tuple the child's path holds itself.
+        The parent's station set is reused when the pair's station is open."""
+        rate, committed, travel, _ = self.steps[len(parent.path)][pair]
         node = _Node.__new__(_Node)
         node.path = parent.path + (pair,)
         node.loads = dict(parent.loads)
         node.loads[pair] = node.loads.get(pair, 0.0) + rate
-        node.stations = parent.stations | {pair[0]}
+        stations = parent.stations
+        node.stations = stations if pair[0] in stations else stations | {pair[0]}
         node.committed = parent.committed + committed
         node.travel = parent.travel + travel
         return node
@@ -370,27 +388,43 @@ class _TreeSearch:
 
     # -- search ------------------------------------------------------------
 
-    def _children(self, node: _Node) -> list[tuple[tuple[int, int], float, float]]:
+    def _children(self, node: _Node, limit: float = math.inf) -> list[tuple[tuple[int, int], float, float]]:
         """Feasible extensions of a node, cheapest myopic cost first, each
         as (pair, bound, floor sum) of the child it makes, without building
         it. The child's floor sum is the node's ``floor_sum`` plus the new
         pair's floor, less the pair's old floor if the node holds it (an
         ``inf`` sum stays ``inf``); its bound is its head plus that sum, as
-        :meth:`node_bound` of the child would give up to rounding."""
+        :meth:`node_bound` of the child would give up to rounding.
+
+        The options are walked in table order, ascending myopic cost, and
+        the walk stops at the first whose optimistic bound, the node's
+        station sum + (committed + myopic) + suffix + the node's floor sum,
+        shrunk by :data:`_LIMIT_SLACK` for rounding, is at least ``limit``.
+        Every later option's bound is at least as large: its myopic cost is,
+        a station sum only grows when a station is added, floors are
+        nonnegative and nondecreasing in load, so the child's floor sum is at
+        least the node's, and float addition is monotone. So every child
+        bounded below ``limit`` is listed; with the default every feasible
+        child is."""
         depth = len(node.path)
         d = self.demands[depth]
         loads, stations, floor_sum = node.loads, node.stations, node.floor_sum
         suffix = self.suffix[depth + 1]
         station_sum = self._station_sum(stations)
         floors, floor_extra = self.floors, self.pair_floor_extra
+        proximity = self.instance.enforce_proximity
         out = []
-        for pair, (rate, myopic, _) in self.steps[depth].items():
+        for pair, (rate, myopic, _, capacity) in self.steps[depth].items():
+            head = node.committed + myopic
+            # ``limit < inf`` keeps the default from stopping at an ``inf`` floor sum
+            if (station_sum + head + suffix + floor_sum) * _LIMIT_SLACK >= limit < math.inf:
+                break
             old = loads.get(pair)
             load = rate if old is None else old + rate
-            if self.capacity[pair] < load:
+            if capacity < load:
                 continue
             j, k = pair
-            if self.instance.enforce_proximity:
+            if proximity:
                 new_active = stations | {j}
                 if mdl.closer_active(self.instance, d.id, j, new_active) is not None:
                     continue
@@ -419,9 +453,9 @@ class _TreeSearch:
                 if was is None:
                     was = memo[old] = floor_extra(j, k, old)
                 child_sum = floor_sum - was + new
-            out.append((dyn, j, k, opened + (node.committed + myopic) + suffix + child_sum, child_sum))
-        out.sort()  # (dyn, j, k) is unique, so neither the bound nor the sum decides
-        return [((j, k), bound, child_sum) for (_, j, k, bound, child_sum) in out]
+            out.append((dyn, pair, opened + head + suffix + child_sum, child_sum))
+        out.sort()  # (dyn, pair) is unique, so neither the bound nor the sum decides
+        return [(pair, bound, child_sum) for (_, pair, bound, child_sum) in out]
 
     def solve(self) -> SolverReport:
         t0 = time.perf_counter()
@@ -477,8 +511,9 @@ class _TreeSearch:
                 register(node)
                 continue
             node.cuts = len(self.cut_keys)
-            for pair, child_bound, child_sum in self._children(node):
-                if child_bound < upper - _PRUNE_MARGIN:
+            limit = upper - _PRUNE_MARGIN
+            for pair, child_bound, child_sum in self._children(node, limit):
+                if child_bound < limit:
                     heapq.heappush(heap, (child_bound, next(seq), node, pair, child_sum))
 
             if (

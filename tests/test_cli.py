@@ -497,6 +497,17 @@ class TestBadInput:
         assert main(["validate", unit_instance_file, str(report)]) == 3
         assert named in capsys.readouterr().err
 
+    def test_malformed_solution_names_the_report(self, unit_instance_file, tmp_path, capsys):
+        report = tmp_path / "report.json"
+        assert main(["solve", unit_instance_file, "--method", "brute", "--out", str(report)]) == 0
+        payload = json.loads(report.read_text())
+        payload["solution"]["chargers"][0]["cuont"] = 1
+        report.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["validate", unit_instance_file, str(report)]) == 3
+        err = capsys.readouterr().err.rstrip()
+        assert "solution.chargers[0]: unknown field 'cuont'" in err and err.endswith(f"[{report}]")
+
     @pytest.mark.parametrize("text, named", [
         ("[]", "an instance must be a JSON object, got list"),
         ("{bad", "not a JSON file"),

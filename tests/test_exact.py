@@ -28,6 +28,7 @@ from chargeplan.model import (
     DemandPoint,
     Solution,
     check_feasibility,
+    closer_active,
     compute_waits,
     make_instance,
     pair_loads,
@@ -355,7 +356,8 @@ class _Unmemoized(_TreeSearch):
     parent: every node bound, a child's included, is taken on the built node
     from a fresh floor sum that calls ``pair_floor_extra`` for each of its
     pairs, and is ``inf`` when one of them is. It also forgets the cut count
-    of each node it expands, so every child is bounded again when popped."""
+    of each node it expands, so every child is bounded again when popped,
+    and it ignores the search's limit, so every child is bounded."""
 
     def node_bound(self, node):
         node.floor_sum = 0.0
@@ -364,7 +366,7 @@ class _Unmemoized(_TreeSearch):
         head = sum(self.station_cost[j] for j in sorted(node.stations)) + node.committed + self.suffix[len(node.path)]
         return head + node.floor_sum
 
-    def _children(self, node):
+    def _children(self, node, limit=math.inf):
         node.cuts = -1
         kids = []
         for pair, _, _ in super()._children(node):
@@ -465,8 +467,8 @@ class _CheckedChildren(_TreeSearch):
         super().__init__(*args)
         self.placed = {"held": 0, "first": 0, "inside": 0, "last": 0}
 
-    def _children(self, node):
-        kids = super()._children(node)
+    def _children(self, node, limit=math.inf):
+        kids = super()._children(node, limit)
         held = sorted(node.loads)
         for pair, bound, floor_sum in kids:
             child = self._child(node, pair)
@@ -534,6 +536,114 @@ def test_child_bounds_are_valid_after_cuts(proximity):
         root = _Node()
         cheapest_leaf(root, search.node_bound(root))
     assert checked > 1000 and held > 0, (checked, held)
+
+
+def bits(kids):
+    """A children list with each float as its exact bits."""
+    return [(pair, bound.hex(), floor_sum.hex()) for pair, bound, floor_sum in kids]
+
+
+def feasible_extension(search, node, pair):
+    """Whether the child by ``pair`` keeps every load within its pair's
+    capacity and, under the proximity rule, sends no demand of its path past
+    a closer open station: the test :meth:`_children` filters options by."""
+    child = search._child(node, pair)
+    mu, cap, _ = search.pair_params[pair]
+    if child.loads[pair] > capacity(mu, cap, search.instance.epsilon):
+        return False
+    return not search.instance.enforce_proximity or all(
+        closer_active(search.instance, search.demands[d].id, j, child.stations) is None
+        for d, (j, _) in enumerate(child.path)
+    )
+
+
+class _LimitChecked(_TreeSearch):
+    """Checks, at every expansion, :meth:`_children` under limits at, just
+    below and just above each child's bound against the full list, and
+    keeps each expanded node for a second check once the cut pool is full."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.expanded = []
+        self.stopped = 0  # limited lists shorter than the full one
+
+    def check(self, node):
+        full = super()._children(node)
+        depth = len(node.path)
+        assert sorted(pair for pair, _, _ in full) == sorted(
+            pair for pair in self.steps[depth] if feasible_extension(self, node, pair)
+        ), node.path
+        for limit in sorted({
+            edge for _, bound, _ in full if bound < math.inf
+            for edge in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))
+        }):
+            got = super()._children(node, limit)
+            assert bits(c for c in got if c[1] < limit) == bits(c for c in full if c[1] < limit), (node.path, limit)
+            self.stopped += len(got) < len(full)
+
+    def _children(self, node, limit=math.inf):
+        self.expanded.append(node)
+        self.check(node)
+        return super()._children(node, limit)
+
+
+@pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
+def test_children_stop_only_past_the_limit(proximity):
+    """A limit drops only children bounded at or above it, at every
+    expansion of a solve and again at each once the solve has filled the
+    cut pool; the default limit lists every feasible child."""
+    stopped = rechecked = 0
+    for seed in range(8):
+        inst = replace(feasible_instance(seed, n_demand=9, n_station=4), enforce_proximity=proximity)
+        search = _LimitChecked(inst, SolverConfig())
+        assert search.solve().nodes_explored == PINNED_SEARCH[(seed, proximity)][0]
+        assert search.cut_keys
+        stopped += search.stopped
+        search.stopped = 0
+        for node in search.expanded:
+            search.node_bound(node)  # the floor sum under the filled pool
+            search.check(node)
+        rechecked += search.stopped
+    assert stopped > 0 and rechecked > 0, (stopped, rechecked)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    recharge=st.floats(0.2, 20.0),
+    unit=st.floats(0.01, 100.0),
+    wait=st.floats(0.01, 100.0),
+    cap=st.integers(1, 30),
+    eps=st.floats(1e-9, 0.5),
+    anchors=st.lists(st.tuples(st.integers(1, 30), st.floats(0.001, 0.999)), max_size=12),
+    shares=st.lists(st.floats(0.0, 1.2), min_size=2, max_size=10),
+)
+def test_floor_is_monotone_in_load(recharge, unit, wait, cap, eps, anchors, shares):
+    """``pair_floor_extra`` is nonnegative and nondecreasing in load under
+    any pool of tangent cuts: the premise of the early stop in
+    :meth:`_children`. Loads run from 0 to past the pair's capacity."""
+    kt = ChargerType(id=0, power_kw=50.0, unit_cost_rate=unit, recharge_time_min=recharge)
+    dp = DemandPoint(id=0, lat=0.0, lon=0.0, rate=1.0)
+    station = CandidateStation(id=0, lat=0.0, lon=0.0, fixed_cost_rate=1.0, max_chargers={0: cap})
+    inst = make_instance(
+        [dp], [station], [kt], travel_cost_rate=1.0, wait_cost_rate=wait, travel={(0, 0): 1.0}, epsilon=eps
+    )
+    search = _TreeSearch(inst, SolverConfig())
+    for servers, rho in anchors:
+        search.cuts.setdefault((0, 0, servers), []).append(tangent_cut(rho, servers))
+    top = capacity(kt.service_rate, cap, eps)
+    floors = [search.pair_floor_extra(0, 0, share * top) for share in sorted(shares)]
+    assert floors[0] >= 0.0
+    assert floors == sorted(floors), floors
+
+
+def test_steps_list_options_in_myopic_order():
+    """Each depth's options are walked cheapest myopic cost first, the
+    order the early stop in :meth:`_children` relies on."""
+    for seed in range(8):
+        search = _TreeSearch(feasible_instance(seed, n_demand=9, n_station=4), SolverConfig())
+        for options in search.steps:
+            myopic = [myopic for (_, myopic, _, _) in options.values()]
+            assert myopic == sorted(myopic) and len(myopic) > 1
 
 
 # (seed, proximity) -> (nodes_explored, cuts_added, lower_bound.hex(),
