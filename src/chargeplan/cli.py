@@ -1,10 +1,15 @@
 """Command-line pipeline: ingest, cluster, solve, compare, sweep, validate.
 
-Exit codes: 0 success, 2 infeasible, 3 parse/usage error, 4 solver hit its
+Exit codes: 0 success, 2 infeasible, 3 parse/usage error (brute force on
+an instance with too many assignment vectors included), 4 solver hit its
 time limit (a result file is still written when it had a deployment, and
 none when it stopped before finding one). All volatile values (wall times,
 timestamps) are confined to the ``meta`` object of JSON outputs so
 fixed-seed runs are byte-identical elsewhere.
+
+A ``--config`` file is read by the record reader of :mod:`chargeplan.model`,
+each section through a field table taken from its parameter class, so
+unknown keys, kinds and nulls follow the instance rules.
 """
 
 from __future__ import annotations
@@ -58,59 +63,53 @@ def _meta(args, extra: dict | None = None) -> dict:
     return meta
 
 
-# every key a --config file may hold: each section's keys are the fields of
-# its parameter class (the seed comes from --seed) or the instance's costs
-_SECTION_KEYS = {
-    **{name: {f.name for f in fields(cls)} - {"seed"}
-       for name, cls in (("sa", SAParams), ("ga", GAParams), ("solver", SolverConfig))},
-    "costs": set(mdl.COST_FIELDS),
-}
-_CONFIG_KEYS = {"": {*_SECTION_KEYS, "n_runs"}, **_SECTION_KEYS}  # the top level is checked first
+# the --config sections: "sa", "ga" and "solver" read the fields of their
+# parameter class but the seed, which comes from --seed (an int field as an
+# int, any other as a float); "costs" reads the instance's cost fields, the
+# presets standing in for those left out
+_PARAMS = {"sa": SAParams, "ga": GAParams, "solver": SolverConfig}
+_COSTS = {"travel_cost_rate": presets.TRAVEL_COST_PER_MIN, "wait_cost_rate": presets.WAIT_COST_PER_MIN}
 
 
 def _load_config(path: str | None) -> dict:
-    """Read a --config file, rejecting any key nothing would read."""
-    if not path:
-        return {}
-    cfg = mdl.read_json(path)
-    for name, allowed in _CONFIG_KEYS.items():
-        section = cfg.get(name, {}) if name else cfg
-        if not isinstance(section, dict):
-            raise ParseError(f"config {name or 'file'} must be a JSON object", path=path)
-        unknown = sorted(set(section) - allowed)
-        if unknown:
-            keys = ", ".join(repr(f"{name}.{k}" if name else k) for k in unknown)
-            raise ParseError(f"unknown config key {keys}", path=path)
+    """The settings of a --config file, or the defaults without one: an
+    SAParams, GAParams and SolverConfig by section name, the instance
+    ``costs`` and ``n_runs``. Each section is read through its field table
+    as an instance record is; any error names the file."""
+    data = mdl.read_json(path) if path else {}
+    try:
+        mdl._known_keys(data, "config", {*_PARAMS, "costs", "n_runs"})
+        cfg = {
+            name: cls(**mdl._record(
+                data.get(name, {}), name,
+                {f.name: int if f.type == "int" else float for f in fields(cls) if f.name != "seed"},
+                mdl.defaults(cls),
+            ))
+            for name, cls in _PARAMS.items()
+        }
+        cfg["costs"] = {**_COSTS, **mdl._record(data.get("costs", {}), "costs", mdl.COST_FIELDS, _COSTS)}
+        cfg["n_runs"] = mdl._number(data.get("n_runs", 1), "n_runs", int)
+        if cfg["n_runs"] < 1:
+            raise ValueError("n_runs must be >= 1")
+    except (ParseError, ValueError) as exc:
+        raise ParseError(str(exc), path=path) from exc
     return cfg
 
 
-def _config_number(cfg: dict, name: str, default, kind: type = float):
-    """The number at ``name`` (``section.key`` or a top-level key) of a
-    --config, or ``default`` when the key is absent; a value that is present
-    must be a JSON number of ``kind``."""
-    section, _, key = name.rpartition(".")
-    values = cfg.get(section, {}) if section else cfg
-    return mdl._number(values[key], name, kind) if key in values else default
-
-
-def _resolve_time_limit(args, cfg: dict, instance: mdl.Instance | None) -> float | None:
-    """Seconds from ``--time-limit``, else from the config's
-    ``solver.time_limit``, else None; a limit must be positive and finite."""
-    if args.time_limit == "auto":
-        if instance is None:
-            raise ParseError("--time-limit auto needs an instance")
+def _time_limit_flag(args, instance: mdl.Instance) -> float | None:
+    """Seconds from ``--time-limit``, or None without it; 'auto' picks them
+    by instance size, and a number must be positive and finite."""
+    value = args.time_limit
+    if value == "auto":
         return presets.auto_time_limit(len(instance.demand_points), len(instance.stations))
-    name, value = "--time-limit", args.time_limit
     if value is None:
-        name, value = "solver.time_limit", cfg.get("solver", {}).get("time_limit")
-        if value is None:
-            return None
+        return None
     try:
-        seconds = float(value)  # a string from the flag, a JSON value from the config
-    except (TypeError, ValueError):
+        seconds = float(value)
+    except ValueError:
         seconds = math.nan
-    if isinstance(value, bool) or not 0.0 < seconds < math.inf:
-        raise ParseError(f"bad {name} {value!r}: need a positive, finite number of seconds")
+    if not 0.0 < seconds < math.inf:
+        raise ParseError(f"bad --time-limit {value!r}: need a positive, finite number of seconds")
     return seconds
 
 
@@ -126,27 +125,11 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
 # solve plumbing shared by solve/scenarios/sensitivity
 
 
-def _solver_config(args, cfg: dict, instance: mdl.Instance | None) -> SolverConfig:
-    gap = args.gap_threshold
-    return SolverConfig(
-        gap_threshold=_config_number(cfg, "solver.gap_threshold", 0.0) if gap is None else gap,
-        time_limit=_resolve_time_limit(args, cfg, instance),
-    )
-
-
-def _meta_params(args, cfg: dict):
-    """SA or GA parameters: ``--seed`` and the config section's numbers, each
-    as its field's type."""
-    method = args.method
-    cls = SAParams if method == "sa" else GAParams
-    ints = {f.name for f in fields(cls) if f.type in ("int", int)}
-    return cls(
-        seed=args.seed,
-        **{
-            key: mdl._number(value, f"{method}.{key}", int if key in ints else float)
-            for key, value in cfg.get(method, {}).items()
-        },
-    )
+def _solver_config(args, cfg: dict, instance: mdl.Instance) -> SolverConfig:
+    """The config's solver section with ``--gap-threshold`` and
+    ``--time-limit`` put over it."""
+    flags = {"gap_threshold": args.gap_threshold, "time_limit": _time_limit_flag(args, instance)}
+    return replace(cfg["solver"], **{k: v for k, v in flags.items() if v is not None})
 
 
 # the solver flags a method never reads; --seed is taken by every method
@@ -172,8 +155,8 @@ def _run_method(instance: mdl.Instance, args, cfg: dict):
         return brute_force(instance)
     if method == "bnb":
         return branch_and_bound(instance, config)
-    n_runs = args.n_runs if args.n_runs is not None else _config_number(cfg, "n_runs", 1, int)
-    params = _meta_params(args, cfg)
+    n_runs = args.n_runs if args.n_runs is not None else cfg["n_runs"]
+    params = replace(cfg[method], seed=args.seed)
     if n_runs != 1:  # multi_run rejects a count below 1
         return multi_run(instance, method, params, n_runs, time_limit=config.time_limit)
     solver = simulated_annealing if method == "sa" else genetic_algorithm
@@ -188,7 +171,7 @@ def cmd_gen_demand(args) -> int:
     cfg = _load_config(args.config)
     blocks = dm.read_blocks_csv(args.blocks)
     kinds = presets.baseline_charger_types()
-    caps = {k.id: int(args.max_chargers_per_type) for k in kinds}
+    caps = {k.id: args.max_chargers_per_type for k in kinds}
     stations = dm.read_stations_csv(args.stations, max_chargers=caps)
     added = dm.ensure_garages(
         blocks, stations, fixed_cost_rate=presets.station_cost_rate(), max_chargers=caps
@@ -209,8 +192,7 @@ def cmd_gen_demand(args) -> int:
         points,
         stations,
         kinds,
-        travel_cost_rate=_config_number(cfg, "costs.travel_cost_rate", presets.TRAVEL_COST_PER_MIN),
-        wait_cost_rate=_config_number(cfg, "costs.wait_cost_rate", presets.WAIT_COST_PER_MIN),
+        **cfg["costs"],
         travel=travel,
         speed_kmh=args.speed_kmh,
         max_travel_minutes=args.max_travel_min,
@@ -277,9 +259,7 @@ def cmd_scenarios(args) -> int:
     rows = run_scenarios(instance, partial(_run_method, args=args, cfg=cfg))
     labels = charger_count_labels(instance)
     type_ids = sorted(labels)
-    baseline = next(
-        r for r in rows if r.scenario.joint and r.scenario.allow_garage and r.scenario.allow_other
-    )
+    baseline = rows[-1]  # scenario_matrix puts joint-mixed last
     if not baseline.feasible:
         print("baseline scenario infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -437,9 +417,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, InvalidKError, ValueError, OSError) as exc:  # OSError: an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (InfeasibleError, InfeasibleDemandError, UncoveredDemandError, InstanceTooLargeError) as exc:
+    except (InfeasibleError, InfeasibleDemandError, UncoveredDemandError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except InstanceTooLargeError as exc:  # too many to enumerate says nothing of feasibility
+        print(f"error: {exc}; --method bnb solves it without enumerating them", file=sys.stderr)
+        return EXIT_PARSE
     except TimeLimitError as exc:
         print(f"timeout: {exc}", file=sys.stderr)
         return EXIT_TIMEOUT

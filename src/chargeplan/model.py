@@ -9,7 +9,8 @@ solver runs.
 All money is normalized to currency per minute and all times to minutes.
 The JSON fields of each record are declared once, in the field tables at
 the JSON section; the instance and report writers and readers all follow
-them.
+them, and the CLI reads its ``--config`` sections with the same record
+reader, their optional fields given by :func:`defaults`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields, replace
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Mapping, Sequence
 
 from . import geo, queueing
@@ -541,11 +542,11 @@ def check_feasibility(instance: Instance, solution: Solution) -> list[Violation]
 # travel, options, meta}; a report's solution: {active_stations, assignments,
 # chargers, waits, cost}. The JSON fields of each record, by kind: int,
 # float, bool, str, or dict (a station's charger type id -> cap). A field is
-# optional exactly when its dataclass field has a default (in _DEFAULTS;
-# MISSING for a factory), and may be null exactly when that default is None;
-# costs and options are fields of Instance, and every field of a report row
-# or cost is required. Derived fields (reachable, served) and ingest-only
-# ones (source_id) are not written. A key that no table lists is an error.
+# optional exactly when its dataclass field has a default (see defaults()),
+# and may be null exactly when that default is None; costs and options are
+# fields of Instance, and every field of a report row or cost is required.
+# Derived fields (reachable, served) and ingest-only ones (source_id) are not
+# written. A key that no table lists is an error.
 CHARGER_TYPE_FIELDS = {"id": int, "power_kw": float, "unit_cost_rate": float, "recharge_time_min": float}
 DEMAND_POINT_FIELDS = {"id": int, "lat": float, "lon": float, "rate": float, "agency": str}
 STATION_FIELDS = {"id": int, "lat": float, "lon": float, "fixed_cost_rate": float, "max_chargers": dict,
@@ -558,10 +559,14 @@ WAIT_FIELDS = {"station": int, "charger_type": int, "minutes": float}
 BREAKDOWN_FIELDS = {"station": float, "charger": float, "travel": float, "waiting": float, "total": float}
 _INSTANCE_KEYS = {"demand_points", "stations", "charger_types", "costs", "travel", "options", "meta"}
 _SOLUTION_KEYS = {"active_stations", "assignments", "chargers", "waits", "cost"}
-_DEFAULTS = {
-    cls: {f.name: f.default for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING}
-    for cls in (ChargerType, DemandPoint, CandidateStation, Instance)
-}
+
+
+@cache
+def defaults(cls: type) -> dict:
+    """{field: default} of each field of the dataclass ``cls`` that has a
+    default (MISSING for a default factory): the fields a record of it may
+    leave out."""
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING or f.default_factory is not MISSING}
 
 
 def _record_to_dict(record, table: Mapping[str, type]) -> dict:
@@ -643,20 +648,20 @@ def _known_keys(record, name: str, keys) -> None:
             raise ParseError(f"{name}: unknown field {key!r}")
 
 
-def _record(record, name: str, table: Mapping[str, type], cls: type | None = None) -> dict:
+def _record(record, name: str, table: Mapping[str, type], optional: Mapping[str, object] = {}) -> dict:
     """The fields ``table`` lists of the JSON object ``record``, named
-    ``name`` in messages, each read as its kind: keyword arguments for
-    ``cls``. A field left out must have a default in ``cls`` (none without
-    it); a null is read as left out where that default is None. A key the
-    table does not list is a ParseError."""
+    ``name`` in messages, each read as its kind: the keyword arguments of
+    the fields given. Only a field of ``optional`` (a field -> default
+    mapping, such as :func:`defaults`) may be left out, and a null is read
+    as left out where its default is None. A key the table does not list is
+    a ParseError."""
     _known_keys(record, name, table)
-    defaults = _DEFAULTS[cls] if cls else {}
     out = {}
     for key, kind in table.items():
         if key not in record:
-            if key not in defaults:
+            if key not in optional:
                 raise ParseError(f"missing required field '{name}.{key}'")
-        elif record[key] is not None or defaults.get(key, MISSING) is not None:
+        elif record[key] is not None or optional.get(key, MISSING) is not None:
             out[key] = _value(record[key], f"{name}.{key}", kind)
     return out
 
@@ -667,11 +672,11 @@ def instance_from_dict(data: dict) -> Instance:
     if not isinstance(data, dict):
         raise ParseError(f"an instance must be a JSON object, got {type(data).__name__}")
     _known_keys(data, "instance", _INSTANCE_KEYS)
-    options = _record(_entries(data, "options", {}, dict), "options", OPTION_FIELDS, Instance)
+    options = _record(_entries(data, "options", {}, dict), "options", OPTION_FIELDS, defaults(Instance))
     if "epsilon" in options:
         _check_epsilon(options["epsilon"], "options.epsilon")
     kinds, dps, sts = (
-        [cls(**_record(r, f"{name}[{n}]", table, cls)) for n, r in enumerate(_entries(data, name))]
+        [cls(**_record(r, f"{name}[{n}]", table, defaults(cls))) for n, r in enumerate(_entries(data, name))]
         for name, cls, table in (
             ("charger_types", ChargerType, CHARGER_TYPE_FIELDS),
             ("demand_points", DemandPoint, DEMAND_POINT_FIELDS),
@@ -696,7 +701,7 @@ def instance_from_dict(data: dict) -> Instance:
             if (i, j) in travel:
                 raise ParseError(f"travel[{n}]: duplicate entry for demand {i}, station {j}")
             travel[(i, j)] = _number(t, f"travel[{n}][2]")
-    costs = _record(_entries(data, "costs", kind=dict), "costs", COST_FIELDS, Instance)
+    costs = _record(_entries(data, "costs", kind=dict), "costs", COST_FIELDS, defaults(Instance))
     return make_instance(dps, sts, kinds, travel=travel, **costs, **options)
 
 

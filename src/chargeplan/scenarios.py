@@ -104,27 +104,6 @@ class ScenarioRow:
         return self.scenario.label
 
 
-def _solution_stats(instance: mdl.Instance, sol: mdl.Solution):
-    loads = mdl.pair_loads(instance, mdl.assignment_vector(instance, sol.assignments))
-    per_type: dict[int, int] = {k.id: 0 for k in instance.charger_types}
-    waits = []
-    utils = []
-    for (j, k), s in sorted(sol.chargers.items()):
-        if s <= 0:
-            continue
-        per_type[k] += s
-        waits.append(sol.waits[(j, k)])
-        mu = instance.type_by_id[k].service_rate
-        utils.append(loads.get((j, k), 0.0) / (mu * s))
-    return {
-        "stations": len(sol.active),
-        "per_type": per_type,
-        "waits": waits,
-        "utils": utils,
-        "cost": sol.cost.total,
-    }
-
-
 def run_scenario(instance: mdl.Instance, spec: ScenarioSpec, solve: SolveFn) -> ScenarioRow:
     """Solve one scenario.
 
@@ -149,15 +128,22 @@ def run_scenario(instance: mdl.Instance, spec: ScenarioSpec, solve: SolveFn) -> 
     except (InfeasibleDemandError, InfeasibleError):
         return ScenarioRow(spec, False, None, None, None, None, None)
 
-    stats = _solution_stats(pool, sol)
+    loads = mdl.pair_loads(pool, mdl.assignment_vector(pool, sol.assignments))
+    per_type = {k.id: 0 for k in pool.charger_types}
+    waits, utils = [], []
+    for (j, k), s in sorted(sol.chargers.items()):
+        if s > 0:
+            per_type[k] += s
+            waits.append(sol.waits[(j, k)])
+            utils.append(loads.get((j, k), 0.0) / (pool.type_by_id[k].service_rate * s))
     return ScenarioRow(
         scenario=spec,
         feasible=True,
-        total_cost=stats["cost"],
-        stations_active=stats["stations"],
-        chargers_per_type=stats["per_type"],
-        mean_wait=sum(stats["waits"]) / len(stats["waits"]) if stats["waits"] else 0.0,
-        mean_utilization=sum(stats["utils"]) / len(stats["utils"]) if stats["utils"] else 0.0,
+        total_cost=sol.cost.total,
+        stations_active=len(sol.active),
+        chargers_per_type=per_type,
+        mean_wait=sum(waits) / len(waits) if waits else 0.0,
+        mean_utilization=sum(utils) / len(utils) if utils else 0.0,
     )
 
 

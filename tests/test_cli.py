@@ -3,10 +3,11 @@ import json
 
 import pytest
 
+from chargeplan import presets
 from chargeplan.cli import main
 from chargeplan.model import instance_to_dict, load_instance, save_instance
 
-from gen import feasible_instance, two_agency_instance
+from gen import feasible_instance, random_instance, two_agency_instance
 
 
 def strip_meta(path):
@@ -49,6 +50,19 @@ class TestGenDemand:
         assert len(inst.demand_points) == 2
         assert all(d.rate == pytest.approx(1 / 1440.0) for d in inst.demand_points)
         assert len(inst.stations) == 4
+
+    def test_config_costs_with_presets_for_the_rest(self, data_dir, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"costs": {"wait_cost_rate": 9.5}}))
+        out = tmp_path / "instance.json"
+        assert main([
+            "gen-demand",
+            "--blocks", str(data_dir / "sample_blocks.csv"),
+            "--stations", str(data_dir / "sample_stations.csv"),
+            "--range-min", "360", "--config", str(cfg), "--out", str(out),
+        ]) == 0
+        inst = load_instance(out)
+        assert (inst.travel_cost_rate, inst.wait_cost_rate) == (presets.TRAVEL_COST_PER_MIN, 9.5)
 
     def test_empty_blocks_warns(self, data_dir, tmp_path, capsys):
         blocks = tmp_path / "empty.csv"
@@ -213,6 +227,16 @@ class TestSolve:
         assert data["bounds"]["upper"] == pytest.approx(8.0)
         assert data["bounds"]["gap"] == 0.0
         assert "cost=8.0" in capsys.readouterr().out
+
+    def test_brute_on_a_large_instance_is_not_called_infeasible(self, tmp_path, capsys):
+        # 10 (station, type) options for each of 30 demands: far past brute force's leaf cap,
+        # which says nothing of feasibility
+        src = write_instance(random_instance(1, n_demand=30, n_station=5, sparse=False), tmp_path / "big.json")
+        out = tmp_path / "report.json"
+        assert main(["solve", src, "--method", "brute", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "exceed the cap" in err and "--method bnb" in err
+        assert not out.exists()
 
     def test_all_methods_produce_valid_reports(self, tmp_path):
         inst = feasible_instance(504, n_demand=3, n_station=3)
@@ -561,16 +585,17 @@ class TestBadInput:
         rc = main(["solve", unit_instance_file, "--method", "bnb", "--config", str(path),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 3
-        assert "bad solver.time_limit" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "time_limit" in err and f"[{path}]" in err
 
     @pytest.mark.parametrize("cfg, named", [
-        ({"sa": {"max_iteration": 10}}, "'sa.max_iteration'"),
-        ({"ga": {"pop_size": 4}}, "'ga.pop_size'"),
-        ({"solver": {"gap": 0.1}}, "'solver.gap'"),
-        ({"n_run": 2}, "'n_run'"),
-        ({"solver": {"max_chargers": 1}}, "'solver.max_chargers'"),
-        ({"sa": {"seed": 5}}, "'sa.seed'"),
-        ({"ga": {"seed": 5}}, "'ga.seed'"),
+        ({"sa": {"max_iteration": 10}}, "sa: unknown field 'max_iteration'"),
+        ({"ga": {"pop_size": 4}}, "ga: unknown field 'pop_size'"),
+        ({"solver": {"gap": 0.1}}, "solver: unknown field 'gap'"),
+        ({"n_run": 2}, "config: unknown field 'n_run'"),
+        ({"solver": {"max_chargers": 1}}, "solver: unknown field 'max_chargers'"),
+        ({"sa": {"seed": 5}}, "sa: unknown field 'seed'"),
+        ({"ga": {"seed": 5}}, "ga: unknown field 'seed'"),
     ])
     def test_unknown_config_key_rejected(self, unit_instance_file, tmp_path, capsys, cfg, named):
         path = tmp_path / "cfg.json"
@@ -578,7 +603,8 @@ class TestBadInput:
         rc = main(["solve", unit_instance_file, "--method", "sa", "--config", str(path),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 3
-        assert f"unknown config key {named}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and f"[{path}]" in err
 
     @pytest.mark.parametrize("method, cfg, named", [
         ("sa", {"sa": {"max_iterations": None}}, "sa.max_iterations: expected a number"),
@@ -588,6 +614,10 @@ class TestBadInput:
         ("sa", {"sa": {"initial_temperature": float("nan")}}, "initial_temperature must be positive and finite"),
         ("sa", {"sa": {"initial_temperature": float("inf")}}, "initial_temperature must be positive and finite"),
         ("ga", {"n_runs": 0}, "n_runs must be >= 1"),
+        # a null reads as the default only where that default is None
+        ("bnb", {"solver": {"gap_threshold": None}}, "solver.gap_threshold: expected a number, got None"),
+        ("bnb", {"costs": {"wait_cost_rate": None}}, "costs.wait_cost_rate: expected a number"),
+        ("bnb", {"sa": []}, "sa: expected an object"),
     ])
     def test_bad_config_number_named(self, unit_instance_file, tmp_path, capsys, method, cfg, named):
         path = tmp_path / "cfg.json"
@@ -595,7 +625,24 @@ class TestBadInput:
         rc = main(["solve", unit_instance_file, "--method", method, "--config", str(path),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 3
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert named in err and f"[{path}]" in err
+
+    @pytest.mark.parametrize("method, cfg", [
+        ("sa", {"sa": {"initial_temperature": None, "max_iterations": 20}}),
+        ("bnb", {"solver": {"time_limit": None}}),
+    ])
+    def test_null_config_value_reads_as_a_none_default(self, unit_instance_file, tmp_path, method, cfg):
+        # as in an instance: a null stands for a default that is None
+        path = tmp_path / "cfg.json"
+        reports = []
+        for config in (cfg, {name: {k: v for k, v in sec.items() if v is not None} for name, sec in cfg.items()}):
+            path.write_text(json.dumps(config))
+            out = tmp_path / f"r{len(reports)}.json"
+            assert main(["solve", unit_instance_file, "--method", method, "--config", str(path),
+                         "--out", str(out)]) == 0
+            reports.append({k: v for k, v in json.loads(out.read_text()).items() if k != "meta"})
+        assert reports[0] == reports[1]
 
     @pytest.mark.parametrize("argv", [
         ["solve"],
