@@ -88,6 +88,7 @@ def _load_config(path: str | None) -> dict:
             for name, cls in _PARAMS.items()
         }
         cfg["costs"] = {**_COSTS, **mdl._record(data.get("costs", {}), "costs", mdl.COST_FIELDS, _COSTS)}
+        mdl.check_cost_rates(cfg["costs"])
         cfg["n_runs"] = mdl._number(data.get("n_runs", 1), "n_runs", int)
         if cfg["n_runs"] < 1:
             raise ValueError("n_runs must be >= 1")

@@ -166,11 +166,7 @@ class Instance:
             for k in s.max_chargers:
                 if k not in types:  # a cap that no pair would ever read
                     raise ValueError(f"station {s.id}: max_chargers names unknown charger type {k}")
-        # the tangent-cut wait floors bound the objective from below only
-        # when both rates are nonnegative
-        for name in ("travel_cost_rate", "wait_cost_rate"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be nonnegative and finite")
+        check_cost_rates({name: getattr(self, name) for name in COST_FIELDS})
         # checked before coverage, which a NaN cutoff would empty
         if not 0 < self.speed_kmh < math.inf:
             raise ValueError(f"speed_kmh must be positive and finite, got {self.speed_kmh!r}")
@@ -559,6 +555,14 @@ WAIT_FIELDS = {"station": int, "charger_type": int, "minutes": float}
 BREAKDOWN_FIELDS = {"station": float, "charger": float, "travel": float, "waiting": float, "total": float}
 _INSTANCE_KEYS = {"demand_points", "stations", "charger_types", "costs", "travel", "options", "meta"}
 _SOLUTION_KEYS = {"active_stations", "assignments", "chargers", "waits", "cost"}
+
+
+def check_cost_rates(rates: Mapping[str, float]) -> None:
+    """Each rate must be nonnegative and finite: the tangent-cut wait floors
+    bound the objective from below only then."""
+    for name, rate in rates.items():
+        if not 0 <= rate < math.inf:
+            raise ValueError(f"{name} must be nonnegative and finite")
 
 
 @cache

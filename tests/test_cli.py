@@ -578,15 +578,20 @@ class TestBadInput:
         assert rc == 3
         assert f"bad --time-limit {value!r}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("value", [float("nan"), -5, 0, "x"])
-    def test_config_time_limit_must_be_positive_and_finite(self, unit_instance_file, tmp_path, capsys, value):
+    @pytest.mark.parametrize("value, named", [
+        (float("nan"), "time_limit must be None or lie in (0, inf)"),
+        (-5, "time_limit must be None or lie in (0, inf)"),
+        (0, "time_limit must be None or lie in (0, inf)"),
+        ("x", "solver.time_limit: expected a number"),
+    ])
+    def test_config_time_limit_must_be_positive_and_finite(self, unit_instance_file, tmp_path, capsys, value, named):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"solver": {"time_limit": value}}))
         rc = main(["solve", unit_instance_file, "--method", "bnb", "--config", str(path),
                    "--out", str(tmp_path / "r.json")])
         assert rc == 3
         err = capsys.readouterr().err
-        assert "time_limit" in err and f"[{path}]" in err
+        assert named in err and f"[{path}]" in err
 
     @pytest.mark.parametrize("cfg, named", [
         ({"sa": {"max_iteration": 10}}, "sa: unknown field 'max_iteration'"),
@@ -617,6 +622,8 @@ class TestBadInput:
         # a null reads as the default only where that default is None
         ("bnb", {"solver": {"gap_threshold": None}}, "solver.gap_threshold: expected a number, got None"),
         ("bnb", {"costs": {"wait_cost_rate": None}}, "costs.wait_cost_rate: expected a number"),
+        ("bnb", {"costs": {"wait_cost_rate": -1}}, "wait_cost_rate must be nonnegative and finite"),
+        ("bnb", {"costs": {"travel_cost_rate": float("inf")}}, "travel_cost_rate must be nonnegative and finite"),
         ("bnb", {"sa": []}, "sa: expected an object"),
     ])
     def test_bad_config_number_named(self, unit_instance_file, tmp_path, capsys, method, cfg, named):
