@@ -6,15 +6,17 @@ small covers, randomized demand assignment, and optimal charger sizing for a
 fixed assignment, given as an assignment vector: the (station, type) pair
 of each demand in ``instance.demand_order``. Every solver hands its answer
 to :func:`build_solution` as such a vector, and nothing else turns one into
-a Solution. All are pure given an RNG.
+a Solution. All are pure given an RNG. Every per-run cache of every solver,
+sizing included, is a self-filling :class:`Memo`.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import replace
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import model as mdl
 from . import queueing
@@ -106,10 +108,13 @@ def cover_sets(instance: mdl.Instance, population_size: int, deadline: float | N
 
     S is established by an exact minimum-cover search first; the collection
     pass is then a depth-first backtracking over stations in ascending id
-    order that gathers qualifying subsets until the population is full. With
+    order that gathers qualifying covers until the population is full. With
     a fixed station ordering the output is deterministic. (A single pass that
     resets its collection whenever a strictly smaller cover appears would
-    silently drop qualifying supersets explored before the last reset.)
+    silently drop qualifying covers found before the last reset.) A branch
+    ends at its first cover, so a cover is collected only if dropping one of
+    its stations uncovers a demand: where five stations each cover every
+    demand, the five singletons are returned and none of the ten pairs.
 
     The subtree below a node depends only on its active set: the uncovered
     demands and the remaining station pool both follow from it. A first
@@ -202,7 +207,7 @@ def demand_assignment(
     """
     if not 0.0 <= randomization <= 1.0:
         raise ValueError("randomization must lie in [0, 1]")
-    routes = _routes(instance, active) if context is None else context.routes(active)
+    routes = _routes(instance, active) if context is None else context.routes[active]
     pairs = _pairs(instance) if context is None else context.pairs
     n_types = len(instance.charger_types)
     type_width = n_types.bit_length()
@@ -257,6 +262,23 @@ def size_pair(
     return (s, wait)
 
 
+class Memo(dict):
+    """A dict that fills itself: a missing key's value is worked out as
+    ``make(key)`` and stored, None included. With a ``limit`` it first
+    empties itself in place when it already holds that many entries, which
+    bounds its memory. ``in`` and ``.get`` read it without filling it."""
+
+    def __init__(self, make: Callable, limit: int | None = None):
+        super().__init__()
+        self.make, self.limit = make, limit
+
+    def __missing__(self, key):
+        if self.limit is not None and len(self) >= self.limit:
+            self.clear()
+        value = self[key] = self.make(key)
+        return value
+
+
 class _PairSizer:
     """:func:`size_pair` for one instance, memoized in ``_memo`` by (station,
     type, load); loads are summed in ``instance.demand_order`` wherever they
@@ -266,22 +288,21 @@ class _PairSizer:
 
     def __init__(self, instance: mdl.Instance):
         self.instance = instance
-        self._memo: dict[tuple[int, int, float], tuple[int, float, float] | None] = {}
+        self._memo = Memo(self._size)
 
     def best(self, j: int, k: int, load: float) -> tuple[int, float, float] | None:
         """(charger count, wait, charger + wait cost) for the pair, or None
         when the load cannot be stabilized within the capacity."""
-        key = (j, k, load)
-        try:
-            return self._memo[key]
-        except KeyError:
-            pass
+        return self._memo[(j, k, load)]
+
+    def _size(self, key: tuple[int, int, float]) -> tuple[int, float, float] | None:
+        """What ``_memo`` holds for a (station, type, load) key."""
+        j, k, load = key
         inst, kt = self.instance, self.instance.type_by_id[k]
         sized = size_pair(load, kt, inst.station_cap(j, k), inst.wait_cost_rate, inst.epsilon)
         if sized is not None:
             s, wait = sized
             sized = (s, wait, kt.unit_cost_rate * s + load * inst.wait_cost_rate * wait)
-        self._memo[key] = sized
         return sized
 
 
@@ -294,16 +315,13 @@ class CandidateContext:
     :func:`model.cost_tables` (``tables``) and each station's (station,
     type) tuples (``pairs``), which every drawn vector shares, so a price
     memo key keeps no pair tuple of its own alive. An activation is an int
-    bitmask over ``instance.stations``, station ``n`` being ``bits[n]``;
-    :meth:`covering` memoizes each mask's station set when it covers every
-    demand, and :meth:`routes` each activation's closest stations and
-    exploration options. ``prices`` memoizes each candidate's price by
-    (activation, assignment vector as a tuple): its cost and charger counts,
-    or None when it cannot be sized; :meth:`remember_price` fills it. A memo
-    that reaches ``_MEMO_ENTRIES`` entries is emptied in place, which bounds
-    a run's memory on instances with many stations; SA's walk holds the
-    ``_covering`` dict's ``get`` for its memo hits, so the dict itself is
-    never replaced.
+    bitmask over ``instance.stations``, station ``n`` being ``bits[n]``.
+    Three :class:`Memo` attributes, each bounded at ``_MEMO_ENTRIES``
+    entries for instances with many stations, hold ``covering[mask]``, the
+    mask's stations if they cover every demand, else the empty set;
+    ``routes[active]``, the activation's :func:`_routes`; and
+    ``prices[(active, tuple(vector))]``, a candidate's cost and charger
+    counts, or None when it cannot be sized.
     """
 
     def __init__(self, instance: mdl.Instance):
@@ -314,40 +332,29 @@ class CandidateContext:
         self.bits = [1 << n for n in range(len(instance.stations))]
         self._bit = {s.id: b for s, b in zip(instance.stations, self.bits)}
         self._reach = [self.mask(d.reachable) for d in instance.demand_points]
-        self._covering: dict[int, frozenset[int]] = {}
-        self._routes: dict[frozenset[int], tuple] = {}
-        self.prices: dict[tuple, tuple[float, dict[tuple[int, int], int]] | None] = {}
+        self.covering = Memo(self._cover, _MEMO_ENTRIES)
+        self.routes = Memo(functools.partial(_routes, instance), _MEMO_ENTRIES)
+        self.prices = Memo(self._price, _MEMO_ENTRIES)
 
     def mask(self, stations: Iterable[int]) -> int:
         """The bitmask of a set of distinct stations."""
         return sum(map(self._bit.__getitem__, stations))
 
-    def covering(self, mask: int) -> frozenset[int]:
-        """The stations of ``mask`` when they are nonempty and reach every
-        demand, else the empty set."""
-        active = self._covering.get(mask)
-        if active is None:
-            if len(self._covering) >= _MEMO_ENTRIES:
-                self._covering.clear()
-            covers = mask and all(map(mask.__and__, self._reach))
-            active = frozenset(j for j, b in self._bit.items() if mask & b) if covers else frozenset()
-            self._covering[mask] = active
-        return active
+    def _cover(self, mask: int) -> frozenset[int]:
+        """What ``covering`` holds for ``mask``."""
+        if mask and all(map(mask.__and__, self._reach)):
+            return frozenset(j for j, b in self._bit.items() if mask & b)
+        return frozenset()
 
-    def routes(self, active: frozenset[int]) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
-        """:func:`_routes` of the activation, memoized."""
-        routes = self._routes.get(active)
-        if routes is None:
-            if len(self._routes) >= _MEMO_ENTRIES:
-                self._routes.clear()
-            routes = self._routes[active] = _routes(self.instance, active)
-        return routes
-
-    def remember_price(self, key: tuple, priced: tuple[float, dict[tuple[int, int], int]] | None) -> None:
-        """Record a candidate's (cost, chargers), or None, in ``prices``."""
-        if len(self.prices) >= _MEMO_ENTRIES:
-            self.prices.clear()
-        self.prices[key] = priced
+    def _price(self, key: tuple) -> tuple[float, dict[tuple[int, int], int]] | None:
+        """What ``prices`` holds for a candidate: its vector sized through
+        ``sizer`` and priced by :func:`model.cost_totals`."""
+        active, vector = key
+        try:
+            chargers, waits = best_chargers(self.instance, vector, self.sizer)
+        except InfeasibleError:
+            return None
+        return mdl.cost_totals(self.tables, active, vector, chargers, waits).total, chargers
 
 
 def best_chargers(

@@ -6,27 +6,29 @@ traffic (idle activations only add cost), charger counts come from the convex
 per-pair sizing rule, and waits sit at their steady-state values. The
 branch-and-bound assigns demands in descending-rate order, bounds partial
 assignments with travel and service-time floors, and tightens the waiting
-floors with exact tangent lines of the convex delay factor taken at
-every incumbent. Each pair's waiting floor depends only on its load and on
-the cuts of that pair, so the search memoizes it per pair by load and drops
-a pair's memo whenever a cut is added to that pair. A node carries the sum
-of its pair floors, and an expanded node bounds each child in O(1) without
-building it: the child's sum is the parent's with the moved pair's old floor
-replaced by its new one. An open node is stored as (parent node, pair, floor
-sum) and rebuilt from its parent when popped; it is bounded again, from a
-fresh sum, only if a cut was added after its parent's expansion, since no
-floor can change otherwise. A node's children are bounded only until the
-incumbent rules out the rest: its options are walked cheapest myopic cost
-first, and each child's bound is at least the node's station and floor sums
-plus the option's committed cost and the suffix floor, a sum that grows with
-the myopic cost, since floors are nonnegative and nondecreasing in load and
-a station sum only grows when a station opens. Once that sum reaches the
-incumbent, no later child can be kept. A bound of ``inf`` means the node has
-no stable completion.
+floors with exact tangent lines of the convex delay factor taken at every
+incumbent. Each pair's waiting floor depends only on its load and on the cuts
+of that pair, so the search memoizes it per pair by load, in a
+:class:`~chargeplan.construction.Memo`, and drops a pair's memo whenever a cut
+is added to that pair. A node carries the sum of its pair floors, and an
+expanded node bounds each child in O(1) without building it: the child's sum
+is the parent's with the moved pair's old floor replaced by its new one. An
+open node is stored as (parent node, pair, floor sum) and rebuilt from its
+parent when popped; it is bounded again, from a fresh sum, only if a cut was
+added after its parent's expansion, since no floor can change otherwise. A
+node's children are bounded only until the incumbent rules out the rest: its
+options are walked cheapest myopic cost first, and each child's bound is at
+least the node's station and floor sums plus the option's committed cost and
+the suffix floor, a sum that grows with the myopic cost, since floors are
+nonnegative and nondecreasing in load and a station sum only grows when a
+station opens. Once that sum reaches the incumbent, no later child can be
+kept. The prune margin is relative, so the unit of cost does not move the
+search. A bound of ``inf`` means the node has no stable completion.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -36,10 +38,11 @@ from typing import Mapping, Sequence
 
 from . import model as mdl
 from . import queueing
-from .construction import _PairSizer, best_chargers, build_solution
+from .construction import Memo, _PairSizer, best_chargers, build_solution
 from .errors import InfeasibleError, InstanceTooLargeError, TimeLimitError
 
-_PRUNE_MARGIN = 1e-9
+# prune at the incumbent shrunk by this factor, so the unit of cost moves nothing
+_PRUNE_FACTOR = 1.0 - 1e-11
 # an optimistic child bound is shrunk by this factor before it stops
 # :meth:`_TreeSearch._children`, so that the rounding of a carried floor sum
 # (a few ulps) cannot stop the walk before a child bounded below the limit
@@ -231,17 +234,19 @@ class _TreeSearch:
     alive until its last child is popped. Its bound is the one
     :meth:`_children` gave it when the parent was expanded, equal to its
     :meth:`node_bound` at that moment up to the rounding of the carried sum.
-    ``floors[(j, k)]`` memoizes :meth:`pair_floor_extra` of the pair by load,
-    ``inf`` included. A pair's floor reads only the cuts keyed by that pair,
-    so :meth:`_cuts_at_incumbent` drops the pair's memo when it adds one, and
-    a memoized floor always equals a fresh call. So while no cut is added no
+    ``floors[(j, k)][load]``, a :class:`~chargeplan.construction.Memo` per
+    pair, is :meth:`pair_floor_extra` at that load, ``inf`` included, and
+    ``station_sums`` memoizes each station set's fixed cost in id order. A
+    pair's floor reads only the cuts keyed by that pair, so
+    :meth:`_cuts_at_incumbent` drops the pair's memo when it adds one, and a
+    memoized floor always equals a fresh call. So while no cut is added no
     floor, and so no bound or floor sum, can change: a parent records the cut
     count when it is expanded, and a popped node is bounded again, from a
     fresh sum, only if the count grew. A node's carried sum is therefore the
     sum of the floors it holds whenever it is expanded.
 
     An expansion bounds children only until the incumbent rules out the
-    rest: :meth:`_children` gets ``upper - _PRUNE_MARGIN`` and stops at the
+    rest: :meth:`_children` gets ``upper * _PRUNE_FACTOR`` and stops at the
     first option, in ascending myopic cost, whose optimistic bound reaches
     it, since every later child's bound is at least as large. ``steps`` is
     the option table that :meth:`_children` and :meth:`_child` read."""
@@ -281,8 +286,8 @@ class _TreeSearch:
         # cut pool: (station, type, servers) -> list of (intercept, slope)
         self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
         self.cut_keys: set[tuple[int, int, int, float]] = set()
-        self.floors: dict[tuple[int, int], dict[float, float]] = {}
-        self.station_sums: dict[frozenset[int], float] = {}
+        self.floors = Memo(lambda pair: Memo(functools.partial(self.pair_floor_extra, *pair)))
+        self.station_sums = Memo(lambda stations: sum(map(self.station_cost.__getitem__, sorted(stations))))
 
     # -- cut plumbing ------------------------------------------------------
 
@@ -341,24 +346,6 @@ class _TreeSearch:
             best = min(best, base + c_wait * extra)
         return best
 
-    def _floor(self, pair: tuple[int, int], load: float) -> float:
-        """:meth:`pair_floor_extra` of the pair at ``load``, memoized until the
-        pair's next cut."""
-        memo = self.floors.get(pair)
-        if memo is None:
-            memo = self.floors[pair] = {}
-        floor = memo.get(load)
-        if floor is None:
-            floor = memo[load] = self.pair_floor_extra(*pair, load)
-        return floor
-
-    def _station_sum(self, stations: frozenset[int]) -> float:
-        """The fixed costs of ``stations`` summed in id order, memoized per set."""
-        total = self.station_sums.get(stations)
-        if total is None:
-            total = self.station_sums[stations] = sum(map(self.station_cost.__getitem__, sorted(stations)))
-        return total
-
     def node_bound(self, node: _Node) -> float:
         """Valid lower bound on every completion of a partial assignment:
         committed station costs, per-pair charger/wait floors, committed
@@ -367,16 +354,16 @@ class _TreeSearch:
         completion exists. The floors are summed afresh, one at a time in
         pair order (``sum`` may compensate its rounding on newer Pythons),
         into ``node.floor_sum``, which the node's children start from."""
-        floor_sum = 0.0
+        floor_sum, floors = 0.0, self.floors
         for pair, load in sorted(node.loads.items()):
-            floor_sum += self._floor(pair, load)
+            floor_sum += floors[pair][load]
         node.floor_sum = floor_sum
-        return self._station_sum(node.stations) + node.committed + self.suffix[len(node.path)] + floor_sum
+        return self.station_sums[node.stations] + node.committed + self.suffix[len(node.path)] + floor_sum
 
     # -- leaf evaluation ---------------------------------------------------
 
     def leaf_cost(self, node: _Node) -> tuple[float, dict[tuple[int, int], int]] | None:
-        cost = node.travel + self._station_sum(node.stations)
+        cost = node.travel + self.station_sums[node.stations]
         chargers: dict[tuple[int, int], int] = {}
         for (j, k), load in sorted(node.loads.items()):
             sized = self.sizer.best(j, k, load)
@@ -410,8 +397,8 @@ class _TreeSearch:
         d = self.demands[depth]
         loads, stations, floor_sum = node.loads, node.stations, node.floor_sum
         suffix = self.suffix[depth + 1]
-        station_sum = self._station_sum(stations)
-        floors, floor_extra = self.floors, self.pair_floor_extra
+        floors, station_sums = self.floors, self.station_sums
+        station_sum = station_sums[stations]
         proximity = self.instance.enforce_proximity
         out = []
         for pair, (rate, myopic, _, capacity) in self.steps[depth].items():
@@ -423,7 +410,7 @@ class _TreeSearch:
             load = rate if old is None else old + rate
             if capacity < load:
                 continue
-            j, k = pair
+            j = pair[0]
             if proximity:
                 new_active = stations | {j}
                 if mdl.closer_active(self.instance, d.id, j, new_active) is not None:
@@ -436,23 +423,14 @@ class _TreeSearch:
             if j in stations:
                 dyn, opened = myopic, station_sum
             else:
-                dyn, opened = myopic + self.station_cost[j], self._station_sum(stations | {j})
-            # :meth:`_floor` inline: the pair's memo is fetched once for both loads
-            memo = floors.get(pair)
-            if memo is None:
-                memo = floors[pair] = {}
-            new = memo.get(load)
-            if new is None:
-                new = memo[load] = floor_extra(j, k, load)
+                dyn, opened = myopic + self.station_cost[j], station_sums[stations | {j}]
+            memo = floors[pair]
             if old is None:
-                child_sum = floor_sum + new
+                child_sum = floor_sum + memo[load]
             elif floor_sum == math.inf:
                 child_sum = floor_sum
             else:
-                was = memo.get(old)
-                if was is None:
-                    was = memo[old] = floor_extra(j, k, old)
-                child_sum = floor_sum - was + new
+                child_sum = floor_sum - memo[old] + memo[load]
             out.append((dyn, pair, opened + head + suffix + child_sum, child_sum))
         out.sort()  # (dyn, pair) is unique, so neither the bound nor the sum decides
         return [(pair, bound, child_sum) for (_, pair, bound, child_sum) in out]
@@ -493,25 +471,24 @@ class _TreeSearch:
         while heap:
             if self.config.time_limit is not None and time.perf_counter() - t0 > self.config.time_limit:
                 terminated = "time"
-                if heap:
-                    lower = max(lower, min(heap[0][0], upper))
+                lower = max(lower, min(heap[0][0], upper))
                 break
             key, _, parent, pair, floor_sum = heapq.heappop(heap)
             lower = max(lower, min(key, upper))
-            if key >= upper - _PRUNE_MARGIN:
+            limit = upper * _PRUNE_FACTOR
+            if key >= limit:
                 continue  # drain; monotone bounds make everything left prunable
             node = parent if pair is None else self._child(parent, pair)
             node.floor_sum = floor_sum
             # without a cut since the parent's expansion the bound and the
             # floor sum still hold; after one they may have risen
-            if parent.cuts != len(self.cut_keys) and self.node_bound(node) >= upper - _PRUNE_MARGIN:
+            if parent.cuts != len(self.cut_keys) and self.node_bound(node) >= limit:
                 continue
             nodes += 1
             if len(node.path) == self.n:
                 register(node)
                 continue
             node.cuts = len(self.cut_keys)
-            limit = upper - _PRUNE_MARGIN
             for pair, child_bound, child_sum in self._children(node, limit):
                 if child_bound < limit:
                     heapq.heappush(heap, (child_bound, next(seq), node, pair, child_sum))

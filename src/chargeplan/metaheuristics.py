@@ -3,20 +3,19 @@
 Both methods move through subsets of active stations; for each candidate
 subset the demand assignment is sampled (closest station, with an exploration
 probability of a random one unless the instance enforces proximity), charger
-counts are sized optimally for that assignment, and the candidate is priced
-at the waits that sizing produced; the assignment is the vector that the
-exact searches walk. Each run builds one
-:class:`~chargeplan.construction.CandidateContext` and drops it with the
-run: activations are bitmasks whose coverage it memoizes, it memoizes each
-activation's closest stations and exploration options for the assignment
-draws, it sizes each (station, type, load) once, and ``model.cost_totals``
-prices a candidate's vector from per-run coefficient tables, as
-``model.evaluate`` prices a reported one, so every total is the one
-``model.evaluate`` gives. Its price memo keeps each candidate's cost and
-charger counts (None when unsizable) by (activation, vector), so a
-repeated candidate is neither sized nor summed again. Candidates whose
-sizing is infeasible cost infinity and are never recorded as incumbents.
-Only the reported incumbent becomes a Solution, through
+counts are sized optimally for that assignment, and the candidate is priced at
+the waits that sizing produced; the assignment is the vector that the exact
+searches walk. Each run builds one
+:class:`~chargeplan.construction.CandidateContext` and drops it with the run.
+Its memos, each a self-filling :class:`~chargeplan.construction.Memo`, hold
+each activation bitmask's coverage, each activation's draw options, each
+(station, type, load)'s sizing and each (activation, vector)'s cost and
+charger counts (None when unsizable), so a repeated candidate is neither sized
+nor summed again. ``model.cost_totals`` prices a candidate's vector from
+per-run coefficient tables, as ``model.evaluate`` prices a reported one, so
+every total is the one ``model.evaluate`` gives. Candidates whose sizing is
+infeasible cost infinity and are never recorded as incumbents. Only the
+reported incumbent becomes a Solution, through
 ``construction.build_solution``.
 
 SA prices a candidate only when its cost floor cannot decide the
@@ -43,7 +42,6 @@ from . import model as mdl
 from . import queueing
 from .construction import (
     CandidateContext,
-    best_chargers,
     build_solution,
     cover_sets,
     demand_assignment,
@@ -55,7 +53,7 @@ from .exact import SolverReport, root_lower_bound
 _TEMP_FLOOR = 1e-12
 _TOGGLE_LIMIT = 200_000
 _FLOOR_SLACK = 1.0 - 1e-9  # far above the rounding of either sum
-_UNSIZED = object()  # a key the sizing or price memo does not hold yet
+_UNSIZED = object()  # a key the sizing memo does not hold yet
 
 
 @dataclass(frozen=True)
@@ -103,23 +101,11 @@ class GAParams:
             raise ValueError("max_iterations must be >= 1")
 
 
-def _price(instance: mdl.Instance, vector: list[tuple[int, int]], active: frozenset[int], context: CandidateContext):
-    """(cost, (vector, chargers)) of an assignment vector with ``active``
-    open, sized and priced through the run's ``context``; (inf, None) when
-    sizing is infeasible. The sizing waits equal ``evaluate``'s bit for bit,
-    so the cost is the one ``build_solution`` would give. A candidate is
-    priced once per run: a repeat reads the context's price memo, and the
-    pair returned holds the caller's own ``vector``."""
-    key = (active, tuple(vector))
-    priced = context.prices.get(key, _UNSIZED)
-    if priced is _UNSIZED:  # not try/except: on dense instances most lookups miss
-        try:
-            chargers, waits = best_chargers(instance, vector, context.sizer)
-        except InfeasibleError:
-            priced = None
-        else:
-            priced = (mdl.cost_totals(context.tables, active, vector, chargers, waits).total, chargers)
-        context.remember_price(key, priced)
+def _price(vector: list[tuple[int, int]], active: frozenset[int], context: CandidateContext):
+    """(cost, (vector, chargers)) of ``vector`` with ``active`` open, the
+    cost ``build_solution`` would give, from the run's price memo; (inf,
+    None) when it cannot be sized. The pair holds the caller's ``vector``."""
+    priced = context.prices[(active, tuple(vector))]
     if priced is None:
         return math.inf, None
     return priced[0], (vector, priced[1])
@@ -139,9 +125,9 @@ def _floor(instance: mdl.Instance, vector: list[tuple[int, int]], active: frozen
     floor = sum(map(fixed.__getitem__, active), 0.0)
     for i, r in by_id:
         floor += travel_of[(i, vector[r][0])]
-    memo = context.sizer._memo
+    sized_of = context.sizer._memo.get
     for (j, k), load in mdl.pair_loads(instance, vector).items():
-        sized = memo.get((j, k, load), _UNSIZED)
+        sized = sized_of((j, k, load), _UNSIZED)
         if sized is _UNSIZED:
             kt = instance.type_by_id[k]
             s = queueing.min_chargers(load, kt.service_rate, instance.epsilon)
@@ -159,7 +145,7 @@ def _try_candidate(instance: mdl.Instance, active: frozenset[int], randomness: f
                    context: CandidateContext):
     """Sample an assignment for an activation set and price it with the run's
     ``context``."""
-    return _price(instance, demand_assignment(instance, active, randomness, rng, context), active, context)
+    return _price(demand_assignment(instance, active, randomness, rng, context), active, context)
 
 
 def _report(
@@ -210,7 +196,7 @@ def simulated_annealing(
     rng = random.Random(params.seed)
     context = CandidateContext(instance)
     bits, getrandbits, covering = context.bits, rng.getrandbits, context.covering
-    covered = context._covering.get  # a memo hit without a method call; .clear() keeps the dict
+    covered = covering.get  # on a hit, faster than a dict-subclass subscript
     n_bits, width = len(bits), len(bits).bit_length()
 
     def walk_to_feasible(mask: int) -> tuple[int, frozenset[int]]:
@@ -224,7 +210,7 @@ def simulated_annealing(
             mask ^= bits[x]
             active = covered(mask)
             if active is None:
-                active = covering(mask)
+                active = covering[mask]
             if active:
                 return mask, active
         raise InfeasibleError("random walk could not reach a feasible activation")
@@ -269,11 +255,11 @@ def simulated_annealing(
             # fails against the floor needs no price
             u = rng.random()
             if u < math.exp((cur_cost - floor) / temp):
-                cand_cost, _ = _price(instance, vector, cand, context)
+                cand_cost, _ = _price(vector, cand, context)
                 if u < math.exp((cur_cost - cand_cost) / temp):
                     cur_mask, cur_cost = cand_mask, cand_cost
         else:
-            cand_cost, cand_sol = _price(instance, vector, cand, context)
+            cand_cost, cand_sol = _price(vector, cand, context)
             if cand_cost < best_cost:
                 best_sol, best_cost = cand_sol, cand_cost
                 cur_mask, cur_cost = cand_mask, cand_cost
@@ -379,14 +365,14 @@ def genetic_algorithm(
 
         mask = (p1.mask & first_mask) | (p2.mask & ~first_mask)
         inactive = [b for b in context.bits if not mask & b]
-        child = context.covering(mask)
+        child = context.covering[mask]
         while not child and inactive:
             mask |= inactive.pop(rng.randrange(len(inactive)))
-            child = context.covering(mask)
+            child = context.covering[mask]
 
         vector = demand_assignment(instance, child, params.assignment_randomness, rng, context)
         _inherit(vector, p1, p2, first_half)
-        child_cost, child_sol = _price(instance, vector, child, context)
+        child_cost, child_sol = _price(vector, child, context)
 
         # the last of the costliest, as a (cost, index) maximum picks it
         worst_cost = max(costs)
@@ -433,8 +419,8 @@ def multi_run(
     already made are reported, and with none the error propagates.
 
     The report's ``stats`` add ``run_costs`` (each run's objective),
-    ``distinct_objectives`` (distinct values among them after rounding to
-    1e-6) and ``n_runs``, the number of runs made.
+    ``distinct_objectives`` (distinct values among them to nine significant
+    digits, so that the count does not depend on the unit of cost) and ``n_runs``, the number of runs made.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
@@ -458,6 +444,6 @@ def multi_run(
     stats = dict(best.stats)
     stats.pop("incumbent_trace", None)
     stats.update(
-        {"run_costs": costs, "distinct_objectives": len({round(c, 6) for c in costs}), "n_runs": len(costs)}
+        {"run_costs": costs, "distinct_objectives": len({f"{c:.9g}" for c in costs}), "n_runs": len(costs)}
     )
     return replace(best, stats=stats)

@@ -8,6 +8,7 @@ import pytest
 from chargeplan import construction
 from chargeplan.construction import (
     CandidateContext,
+    Memo,
     best_chargers,
     cover_sets,
     demand_assignment,
@@ -332,6 +333,40 @@ class TestCoverSearch:
         assert "cover_search_cut" not in report.stats
 
 
+class TestMemo:
+    """The one self-filling memo that every per-run cache is."""
+
+    def test_memo_makes_each_key_once_and_keeps_none(self):
+        made = []
+        memo = Memo(lambda key: made.append(key) or (None if key % 3 == 0 else key * key))
+        keys = [4, 3, 4, 0, 7, 3, 7, 0]
+        assert [memo[k] for k in keys] == [16, None, 16, None, 49, None, 49, None]
+        assert made == [4, 3, 0, 7]
+        assert memo == {4: 16, 3: None, 0: None, 7: 49}
+
+    def test_memo_reads_without_filling(self):
+        memo = Memo(lambda key: pytest.fail(f"made {key}"))
+        assert 5 not in memo and memo.get(5) is None and memo.get(5, "absent") == "absent"
+        assert len(memo) == 0
+
+    def test_memo_empties_in_place_at_its_limit(self):
+        memo = Memo(lambda key: -key, limit=3)
+        lookup = memo.__getitem__  # a bound method held across the emptying
+        sizes = []
+        for key in range(8):
+            assert lookup(key) == -key
+            sizes.append(len(memo))
+        assert sizes == [1, 2, 3, 1, 2, 3, 1, 2]
+        assert memo == {6: -6, 7: -7}
+        assert lookup(8) == -8 and lookup(6) == -6  # a hit on a full memo does not empty it
+        assert memo == {6: -6, 7: -7, 8: -8}
+
+    def test_unbounded_memo_keeps_everything(self):
+        memo = Memo(str)
+        assert all(memo[key] == str(key) for key in range(5000))
+        assert len(memo) == 5000
+
+
 class TestCandidateKernel:
     """SA and GA's per-run CandidateContext against plain recomputation."""
 
@@ -360,7 +395,7 @@ class TestCandidateKernel:
                     mask ^= rng.choice(context.bits)
                 active = {j for n, j in enumerate(station_ids) if mask >> n & 1}
                 covers = bool(active) and all(active.intersection(d.reachable) for d in inst.demand_points)
-                assert context.covering(mask) == (frozenset(active) if covers else frozenset())
+                assert context.covering[mask] == (frozenset(active) if covers else frozenset())
                 assert context.mask(active) == mask
                 seen.add(covers)
         assert seen == {False, True}
@@ -378,7 +413,7 @@ class TestCandidateKernel:
             context = CandidateContext(inst)
             cover = context.mask(min_stations(inst))
             # a few activations, each drawn for many times, so most calls hit the memo
-            pool = [context.covering(cover | rng.getrandbits(len(inst.stations))) for _ in range(4)]
+            pool = [context.covering[cover | rng.getrandbits(len(inst.stations))] for _ in range(4)]
             for _ in range(12):
                 active = rng.choice(pool)
                 state = random.Random(rng.random()).getstate()

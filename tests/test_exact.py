@@ -21,7 +21,7 @@ from chargeplan.exact import (
     report_gap,
     root_lower_bound,
 )
-from chargeplan.metaheuristics import GAParams, SAParams, genetic_algorithm, simulated_annealing
+from chargeplan.metaheuristics import GAParams, SAParams, genetic_algorithm, multi_run, simulated_annealing
 from chargeplan.model import (
     CandidateStation,
     ChargerType,
@@ -756,3 +756,58 @@ class TestDifferential:
         assert got.upper_bound == pytest.approx(want.upper_bound, rel=1e-9)
         assert got.lower_bound == got.upper_bound and got.gap == 0.0
         assert check_feasibility(inst, got.best) == []
+
+
+def scaled_costs(instance, a):
+    """The instance with every cost rate (station, charger, travel and wait)
+    multiplied by ``a``."""
+    return replace(
+        instance,
+        stations=tuple(replace(s, fixed_cost_rate=a * s.fixed_cost_rate) for s in instance.stations),
+        charger_types=tuple(replace(k, unit_cost_rate=a * k.unit_cost_rate) for k in instance.charger_types),
+        travel_cost_rate=a * instance.travel_cost_rate,
+        wait_cost_rate=a * instance.wait_cost_rate,
+    )
+
+
+class TestCostUnits:
+    """Multiplying every cost rate by a > 0 multiplies every deployment's
+    cost by a, so no answer may depend on the unit of cost. A power of two
+    scales every float product, quotient and sum exactly, so the scaled
+    solve must give the same deployment and search course, and every cost
+    and bound exactly a times the unscaled one. (SA's cooling pace still
+    depends on the unit of cost, so SA is left out.)"""
+
+    SOLVERS = {
+        "bnb": branch_and_bound,
+        "ga": lambda inst: genetic_algorithm(inst, GAParams(max_iterations=200, seed=1)),
+        "multi-ga": lambda inst: multi_run(inst, "ga", GAParams(max_iterations=100, seed=2), n_runs=3),
+    }
+
+    @staticmethod
+    def course(report):
+        """What the unit of cost must not move: the deployment, the search
+        statistics, the gap, and every stat but the run costs."""
+        best = report.best
+        stats = {k: v for k, v in report.stats.items() if k != "run_costs"}
+        return (best.active, best.assignments, best.chargers, best.waits, report.nodes_explored,
+                report.cuts_added, report.terminated_by, report.gap, stats)
+
+    @staticmethod
+    def costs(report):
+        cost = report.best.cost
+        return [report.lower_bound, report.upper_bound, cost.station, cost.charger, cost.travel, cost.waiting,
+                cost.total, *report.stats.get("run_costs", ())]
+
+    @pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    @pytest.mark.parametrize("seed, n_demand, n_station, caps", [(9011, 9, 4, (6, 14)), (5, 8, 3, (2, 8))])
+    def test_cost_units_scale_every_answer(self, seed, n_demand, n_station, caps, solver, proximity):
+        inst = replace(feasible_instance(seed, n_demand=n_demand, n_station=n_station, cap_range=caps),
+                       enforce_proximity=proximity)
+        solve = self.SOLVERS[solver]
+        base = solve(inst)
+        for a in (2.0 ** -40, 2.0 ** -3, 2.0 ** 20):
+            got = solve(scaled_costs(inst, a))
+            assert self.course(got) == self.course(base), a
+            assert self.costs(got) == [a * c for c in self.costs(base)], a

@@ -320,7 +320,7 @@ class TestCandidatePricing:
                 active = frozenset(rng.sample(stations, rng.randint(1, len(stations))) + [
                     rng.choice(d.reachable) for d in inst.demand_points])
                 a = demand_assignment(inst, active, 0.5, rng)
-                cost, sol = metaheuristics._price(inst, a, active, context)
+                cost, sol = metaheuristics._price(a, active, context)
                 try:
                     want = build_solution(inst, a, best_chargers(inst, a, _PairSizer(inst))[0], active=active)
                 except InfeasibleError:
@@ -379,19 +379,20 @@ class TestCandidatePricing:
         inst = small(7116)
         inst.nearest  # the instance's own closest-station order, built on first use
         before = dict(vars(inst))
-        made = []
-        held = []  # the run's tables and memos, which a weak reference cannot follow
+        made = []  # weak references to the run's context, sizer and memos
+        held = []  # the run's tables, which a weak reference cannot follow
 
         def tracked(instance):
             context = CandidateContext(instance)
-            made.extend((weakref.ref(context), weakref.ref(context.sizer)))
-            held.extend((context.tables, context.sizer._memo, context._covering, context._routes, context.prices))
+            made.extend(map(weakref.ref, (context, context.sizer, context.sizer._memo, context.covering,
+                                          context.routes, context.prices)))
+            held.append(context.tables)
             return context
 
         monkeypatch.setattr(metaheuristics, "CandidateContext", tracked)
         solve(inst, params)
         gc.collect()
-        assert len(made) == 2 and [ref() for ref in made] == [None, None]
+        assert len(made) == 6 and [ref() for ref in made] == [None] * 6
         # nothing but this test holds them
         for n in range(len(held)):
             assert gc.get_referrers(held[n]) == [held]
@@ -420,21 +421,24 @@ class TestPriceMemo:
 
     def reports(self, monkeypatch, memoized):
         """Each run's report bytes, and how many prices were read from the
-        memo (finite, inf)."""
-        remember, price = CandidateContext.remember_price, metaheuristics._price
+        memo (finite, inf). Unmemoized, the memo is emptied before each
+        lookup, so every candidate is priced afresh."""
+        make, price = CandidateContext._price, metaheuristics._price
         counts = Counter()
 
-        def logged_remember(context, key, priced):
+        def logged_make(context, key):
+            priced = make(context, key)
             counts["missed inf" if priced is None else "missed"] += 1
-            if memoized:
-                remember(context, key, priced)
+            return priced
 
-        def logged_price(*args):
-            cost, sol = price(*args)
+        def logged_price(vector, active, context):
+            if not memoized:
+                context.prices.clear()
+            cost, sol = price(vector, active, context)
             counts["inf" if sol is None else "finite"] += 1
             return cost, sol
 
-        monkeypatch.setattr(CandidateContext, "remember_price", logged_remember)
+        monkeypatch.setattr(CandidateContext, "_price", logged_make)
         monkeypatch.setattr(metaheuristics, "_price", logged_price)
         out = [json.dumps(report_to_dict(run(inst))) for inst in self.instances() for run in self.RUNS]
         monkeypatch.undo()
@@ -450,14 +454,16 @@ class TestPriceMemo:
     def test_price_memo_emptied_at_its_bound_keeps_the_runs(self, monkeypatch):
         referee, _ = self.reports(monkeypatch, memoized=False)
         sizes = []  # (context, memo size) after each price recorded
-        remember = CandidateContext.remember_price
+        make = CandidateContext._price
 
-        def watched(context, key, priced):
-            remember(context, key, priced)
-            sizes.append((context, len(context.prices)))
+        def watched(context, key):
+            priced = make(context, key)
+            # the memo was emptied, if full, before the price was worked out
+            sizes.append((context, len(context.prices) + 1))
+            return priced
 
         monkeypatch.setattr(metaheuristics, "CandidateContext", type("Watched", (CandidateContext,), {
-            "remember_price": watched}))
+            "_price": watched}))
         monkeypatch.setattr(construction, "_MEMO_ENTRIES", 5)
         bounded = [json.dumps(report_to_dict(run(inst))) for inst in self.instances() for run in self.RUNS]
         assert bounded == referee
@@ -476,11 +482,11 @@ class TestPriceMemo:
                 active = frozenset(rng.sample(stations, rng.randint(1, len(stations))) + [
                     rng.choice(d.reachable) for d in inst.demand_points])
                 a = demand_assignment(inst, active, 0.5, rng)
-                first = metaheuristics._price(inst, a, active, context)
+                first = metaheuristics._price(a, active, context)
                 b = list(a)
                 with monkeypatch.context() as m:
-                    m.setattr(metaheuristics, "best_chargers", None)  # a hit sizes nothing
-                    cost, sol = metaheuristics._price(inst, b, frozenset(active), context)
+                    m.setattr(construction, "best_chargers", None)  # a hit sizes nothing
+                    cost, sol = metaheuristics._price(b, frozenset(active), context)
                 assert cost == first[0]
                 if sol is None:
                     assert math.isinf(cost)
@@ -513,7 +519,7 @@ class TestLazyPricing:
                 a = demand_assignment(inst, active, 0.5, rng)
                 cold = CandidateContext(inst)
                 floors = [metaheuristics._floor(inst, a, active, context) for context in (cold, shared)]
-                cost, _ = metaheuristics._price(inst, a, active, cold)
+                cost, _ = metaheuristics._price(a, active, cold)
                 warm = metaheuristics._floor(inst, a, active, cold)  # every pair now memoized
                 for floor in (*floors, warm):
                     assert math.isinf(floor) == math.isinf(cost)
