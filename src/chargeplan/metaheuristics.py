@@ -420,7 +420,7 @@ def multi_run(
 
     The report's ``stats`` add ``run_costs`` (each run's objective),
     ``distinct_objectives`` (distinct values among them to nine significant
-    digits, so that the count does not depend on the unit of cost) and ``n_runs``, the number of runs made.
+    digits, whatever the unit of cost) and ``n_runs``, the number of runs.
     """
     if n_runs < 1:
         raise ValueError("n_runs must be >= 1")
