@@ -22,8 +22,14 @@ least the node's station and floor sums plus the option's committed cost and
 the suffix floor, a sum that grows with the myopic cost, since floors are
 nonnegative and nondecreasing in load and a station sum only grows when a
 station opens. Once that sum reaches the incumbent, no later child can be
-kept. The prune margin is relative, so the unit of cost does not move the
-search. A bound of ``inf`` means the node has no stable completion.
+kept. A node with one demand left is not expanded into children: each of
+its leaves is priced in O(1) from one sum of the node's sized pair costs,
+its options are walked in the same order and stopped the same way, at the
+best price found so far, and only the cheapest leaf priced below the
+incumbent is built, to be priced again and registered. So no leaf enters the
+heap, and the node count counts no leaf. The prune margin is relative, so
+the unit of cost does not move the search. A bound of ``inf`` means the node
+has no stable completion.
 """
 
 from __future__ import annotations
@@ -44,8 +50,9 @@ from .errors import InfeasibleError, InstanceTooLargeError, TimeLimitError
 # prune at the incumbent shrunk by this factor, so the unit of cost moves nothing
 _PRUNE_FACTOR = 1.0 - 1e-11
 # an optimistic child bound is shrunk by this factor before it stops
-# :meth:`_TreeSearch._children`, so that the rounding of a carried floor sum
-# (a few ulps) cannot stop the walk before a child bounded below the limit
+# :meth:`_TreeSearch._children` or :meth:`_TreeSearch._cheapest_leaf`, so
+# that the rounding of a carried floor sum (a few ulps) cannot stop the walk
+# before a child bounded, or a leaf priced, below the limit
 _LIMIT_SLACK = 1.0 - 1e-12
 
 
@@ -211,7 +218,9 @@ class _Node:
     follows ``instance.demand_order``, so a full path is an assignment
     vector and its loads equal :func:`model.pair_loads`' bit for bit.
     ``floor_sum`` is the sum of its pair floors: set by :meth:`node_bound`,
-    or taken from the parent's :meth:`_TreeSearch._children` when popped."""
+    or taken from the parent's :meth:`_TreeSearch._children` when popped. A
+    full path is built only to be registered as an incumbent, so no leaf
+    enters the heap."""
 
     __slots__ = ("path", "loads", "stations", "committed", "travel", "cuts", "floor_sum")
 
@@ -248,8 +257,14 @@ class _TreeSearch:
     An expansion bounds children only until the incumbent rules out the
     rest: :meth:`_children` gets ``upper * _PRUNE_FACTOR`` and stops at the
     first option, in ascending myopic cost, whose optimistic bound reaches
-    it, since every later child's bound is at least as large. ``steps`` is
-    the option table that :meth:`_children` and :meth:`_child` read."""
+    it, since every later child's bound is at least as large. A node with one
+    demand left is not expanded by :meth:`_children`: :meth:`_cheapest_leaf`
+    prices its leaves, under the same limit and stop, and only the cheapest
+    leaf priced below the limit is built and registered. So no leaf enters
+    the heap, and ``nodes_explored`` counts the nodes expanded, none of them
+    a leaf. The greedy dive that gives the first incumbent takes its last
+    step the same way. ``steps`` is the option table that :meth:`_children`,
+    :meth:`_cheapest_leaf` and :meth:`_child` read."""
 
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
@@ -363,6 +378,11 @@ class _TreeSearch:
     # -- leaf evaluation ---------------------------------------------------
 
     def leaf_cost(self, node: _Node) -> tuple[float, dict[tuple[int, int], int]] | None:
+        """The cost of a full assignment and the charger count of each of
+        its pairs: travel, the station sum, and each pair's sized charger
+        and waiting cost, summed in pair order. None when some pair cannot be
+        stabilized within its cap. It prices every incumbent, so the upper
+        bound is always its float."""
         cost = node.travel + self.station_sums[node.stations]
         chargers: dict[tuple[int, int], int] = {}
         for (j, k), load in sorted(node.loads.items()):
@@ -394,7 +414,6 @@ class _TreeSearch:
         bounded below ``limit`` is listed; with the default every feasible
         child is."""
         depth = len(node.path)
-        d = self.demands[depth]
         loads, stations, floor_sum = node.loads, node.stations, node.floor_sum
         suffix = self.suffix[depth + 1]
         floors, station_sums = self.floors, self.station_sums
@@ -411,15 +430,8 @@ class _TreeSearch:
             if capacity < load:
                 continue
             j = pair[0]
-            if proximity:
-                new_active = stations | {j}
-                if mdl.closer_active(self.instance, d.id, j, new_active) is not None:
-                    continue
-                if j not in stations and any(
-                    mdl.closer_active(self.instance, self.demands[dd].id, jj, new_active) is not None
-                    for dd, (jj, _) in enumerate(node.path)
-                ):
-                    continue
+            if proximity and self._breaks_proximity(node, j):
+                continue
             if j in stations:
                 dyn, opened = myopic, station_sum
             else:
@@ -434,6 +446,58 @@ class _TreeSearch:
             out.append((dyn, pair, opened + head + suffix + child_sum, child_sum))
         out.sort()  # (dyn, pair) is unique, so neither the bound nor the sum decides
         return [(pair, bound, child_sum) for (_, pair, bound, child_sum) in out]
+
+    def _breaks_proximity(self, node: _Node, j: int) -> bool:
+        """Whether sending the node's next demand to station ``j`` breaks the
+        closest-station rule: a station closer to that demand is open, or
+        opening ``j`` puts it closer to a demand already assigned."""
+        stations = node.stations
+        new_active = stations | {j}
+        if mdl.closer_active(self.instance, self.demands[len(node.path)].id, j, new_active) is not None:
+            return True
+        return j not in stations and any(
+            mdl.closer_active(self.instance, self.demands[d].id, jj, new_active) is not None
+            for d, (jj, _) in enumerate(node.path)
+        )
+
+    def _cheapest_leaf(self, node: _Node, limit: float) -> tuple[tuple[int, int], float] | None:
+        """The cheapest leaf of a node with one demand left, as (pair,
+        price), or None when no stable leaf is priced below ``limit``. No
+        leaf is built: each is priced in O(1) from one sum per node, the
+        node's travel plus the sized cost of each of its pairs, less the
+        moved pair's old sized cost, plus its new one, the travel increment
+        and the leaf's station sum. That is :meth:`leaf_cost` of the leaf up
+        to rounding. A load within its pair's capacity can always be sized,
+        so the capacity filter is what skips an unsizable leaf.
+
+        The options are walked as :meth:`_children` walks them, with its
+        capacity and proximity filters, and the walk stops at the first whose
+        optimistic bound, the same sum as there shrunk by the same
+        :data:`_LIMIT_SLACK`, reaches the best price so far (``limit`` to
+        start): a leaf costs at least its bound, and every later bound is at
+        least as large."""
+        loads, stations, floor_sum, committed = node.loads, node.stations, node.floor_sum, node.committed
+        sized = {pair: self.sizer.best(*pair, load)[2] for pair, load in loads.items()}
+        base = node.travel + sum(sized.values())
+        station_sum = self.station_sums[stations]
+        proximity = self.instance.enforce_proximity
+        best, cheapest = limit, None
+        for pair, (rate, myopic, travel, capacity) in self.steps[len(node.path)].items():
+            if (station_sum + (committed + myopic) + floor_sum) * _LIMIT_SLACK >= best:
+                break
+            old = loads.get(pair)
+            load = rate if old is None else old + rate
+            if capacity < load:
+                continue
+            j = pair[0]
+            if proximity and self._breaks_proximity(node, j):
+                continue
+            new = self.sizer.best(j, pair[1], load)[2]
+            opened = station_sum if j in stations else station_sum + self.station_cost[j]
+            price = base - (0.0 if old is None else sized[pair]) + new + travel + opened
+            if price < best:
+                best, cheapest = price, (pair, price)
+        return cheapest
 
     def solve(self) -> SolverReport:
         t0 = time.perf_counter()
@@ -451,14 +515,19 @@ class _TreeSearch:
                 time_to_best = time.perf_counter() - t0
                 self._cuts_at_incumbent(leaf.loads, res[1])
 
-        # greedy myopic dive for an initial incumbent
+        # greedy myopic dive for an initial incumbent, ending at the
+        # cheapest leaf of the last node it reaches
         node = _Node()
-        while len(node.path) < self.n:
+        while len(node.path) < self.n - 1:
             kids = self._children(node)
             if not kids:
                 break
             node = self._child(node, kids[0][0])
             node.floor_sum = kids[0][2]
+        if len(node.path) == self.n - 1:
+            leaf = self._cheapest_leaf(node, math.inf)
+            if leaf is not None:
+                node = self._child(node, leaf[0])
         if len(node.path) == self.n:
             register(node)
 
@@ -485,13 +554,15 @@ class _TreeSearch:
             if parent.cuts != len(self.cut_keys) and self.node_bound(node) >= limit:
                 continue
             nodes += 1
-            if len(node.path) == self.n:
-                register(node)
-                continue
-            node.cuts = len(self.cut_keys)
-            for pair, child_bound, child_sum in self._children(node, limit):
-                if child_bound < limit:
-                    heapq.heappush(heap, (child_bound, next(seq), node, pair, child_sum))
+            if len(node.path) == self.n - 1:
+                leaf = self._cheapest_leaf(node, limit)
+                if leaf is not None:
+                    register(self._child(node, leaf[0]))
+            else:
+                node.cuts = len(self.cut_keys)
+                for pair, child_bound, child_sum in self._children(node, limit):
+                    if child_bound < limit:
+                        heapq.heappush(heap, (child_bound, next(seq), node, pair, child_sum))
 
             if (
                 self.config.gap_threshold > 0.0

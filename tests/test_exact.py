@@ -607,6 +607,63 @@ def test_children_stop_only_past_the_limit(proximity):
     assert stopped > 0 and rechecked > 0, (stopped, rechecked)
 
 
+class _CheckedLeaves(_TreeSearch):
+    """Checks, at every expansion of a node with one demand left, the O(1)
+    price :meth:`_cheapest_leaf` gives each option (read by walking a table
+    of that option alone) against :meth:`leaf_cost` of the built leaf, and
+    the pair it returns against the cheapest of those prices below the
+    limit. It counts how each priced leaf's pair and station sit among the
+    node's, and fails if :meth:`_children` is asked to expand such a node."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.branches = dict.fromkeys(("held", "new", "open", "opened"), 0)
+
+    def _children(self, node, limit=math.inf):
+        assert len(node.path) < self.n - 1, node.path
+        return super()._children(node, limit)
+
+    def _cheapest_leaf(self, node, limit):
+        depth = len(node.path)
+        options, prices = self.steps[depth], {}
+        try:
+            for pair, step in options.items():
+                self.steps[depth] = {pair: step}
+                alone = super()._cheapest_leaf(node, math.inf)
+                res = self.leaf_cost(self._child(node, pair)) if feasible_extension(self, node, pair) else None
+                if res is None:  # infeasible or unsizable: skipped
+                    assert alone is None, (node.path, pair)
+                    continue
+                assert alone[0] == pair and math.isclose(alone[1], res[0], rel_tol=1e-12), (node.path, pair)
+                prices[pair] = alone[1]
+                self.branches["held" if pair in node.loads else "new"] += 1
+                self.branches["open" if pair[0] in node.stations else "opened"] += 1
+        finally:
+            self.steps[depth] = options
+        want = None
+        for pair, price in prices.items():  # in walk order, so the first of equal prices
+            if price < (limit if want is None else want[1]):
+                want = (pair, price)
+        got = super()._cheapest_leaf(node, limit)
+        assert got == want, (node.path, limit, got, want)
+        return got
+
+
+@pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
+def test_leaves_are_priced_as_built_leaves(proximity):
+    """A node with one demand left is never expanded into children; its
+    leaves are priced as :meth:`leaf_cost` prices them, and the cheapest
+    below the limit is the one returned."""
+    branches = dict.fromkeys(("held", "new", "open", "opened"), 0)
+    for seed in range(8):
+        inst = replace(feasible_instance(seed, n_demand=9, n_station=4), enforce_proximity=proximity)
+        search = _CheckedLeaves(inst, SolverConfig())
+        assert search.solve().nodes_explored == PINNED_SEARCH[(seed, proximity)][0]
+        for key, count in search.branches.items():
+            branches[key] += count
+    assert min(branches.values()) > 0, branches
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     recharge=st.floats(0.2, 20.0),
@@ -649,22 +706,22 @@ def test_steps_list_options_in_myopic_order():
 # (seed, proximity) -> (nodes_explored, cuts_added, lower_bound.hex(),
 # upper_bound.hex()) of branch-and-bound on feasible_instance(seed, 9, 4)
 PINNED_SEARCH = {
-    (0, False): (65, 8, '0x1.51f20790c7c70p+6', '0x1.51f20790c7c70p+6'),
-    (1, False): (5573, 13, '0x1.e9e9497587a7cp+5', '0x1.e9e9497587a7cp+5'),
-    (2, False): (46, 5, '0x1.47b294d49c0d9p+5', '0x1.47b294d49c0d9p+5'),
-    (3, False): (9915, 8, '0x1.b51459457f1e4p+5', '0x1.b51459457f1e4p+5'),
-    (4, False): (6181, 18, '0x1.213f676e5a7e4p+6', '0x1.213f676e5a7e4p+6'),
-    (5, False): (572, 13, '0x1.0c5c6d10fb8cap+6', '0x1.0c5c6d10fb8cap+6'),
-    (6, False): (737, 14, '0x1.271f93dcb56e4p+6', '0x1.271f93dcb56e4p+6'),
-    (7, False): (3831, 12, '0x1.8d042b91667a0p+5', '0x1.8d042b91667a0p+5'),
-    (0, True): (65, 8, '0x1.51f20790c7c70p+6', '0x1.51f20790c7c70p+6'),
-    (1, True): (386, 15, '0x1.e9e9497587a7cp+5', '0x1.e9e9497587a7cp+5'),
-    (2, True): (18, 3, '0x1.47b294d49c0d9p+5', '0x1.47b294d49c0d9p+5'),
-    (3, True): (906, 4, '0x1.bb19cdb7a05f6p+5', '0x1.bb19cdb7a05f6p+5'),
-    (4, True): (572, 22, '0x1.23c2035bdc990p+6', '0x1.23c2035bdc990p+6'),
-    (5, True): (160, 11, '0x1.24fae4f9148b5p+6', '0x1.24fae4f9148b5p+6'),
-    (6, True): (133, 8, '0x1.2f88b997d9144p+6', '0x1.2f88b997d9144p+6'),
-    (7, True): (501, 10, '0x1.94136715f296fp+5', '0x1.94136715f296fp+5'),
+    (0, False): (50, 8, '0x1.51f20790c7c70p+6', '0x1.51f20790c7c70p+6'),
+    (1, False): (2971, 13, '0x1.e9e9497587a7cp+5', '0x1.e9e9497587a7cp+5'),
+    (2, False): (34, 5, '0x1.47b294d49c0d9p+5', '0x1.47b294d49c0d9p+5'),
+    (3, False): (5937, 8, '0x1.b51459457f1e4p+5', '0x1.b51459457f1e4p+5'),
+    (4, False): (3137, 13, '0x1.213f676e5a7e4p+6', '0x1.213f676e5a7e4p+6'),
+    (5, False): (244, 12, '0x1.0c5c6d10fb8cap+6', '0x1.0c5c6d10fb8cap+6'),
+    (6, False): (417, 10, '0x1.271f93dcb56e4p+6', '0x1.271f93dcb56e4p+6'),
+    (7, False): (2096, 11, '0x1.8d042b91667a0p+5', '0x1.8d042b91667a0p+5'),
+    (0, True): (50, 8, '0x1.51f20790c7c70p+6', '0x1.51f20790c7c70p+6'),
+    (1, True): (280, 13, '0x1.e9e9497587a7cp+5', '0x1.e9e9497587a7cp+5'),
+    (2, True): (16, 3, '0x1.47b294d49c0d9p+5', '0x1.47b294d49c0d9p+5'),
+    (3, True): (677, 4, '0x1.bb19cdb7a05f6p+5', '0x1.bb19cdb7a05f6p+5'),
+    (4, True): (355, 17, '0x1.23c2035bdc990p+6', '0x1.23c2035bdc990p+6'),
+    (5, True): (97, 11, '0x1.24fae4f9148b5p+6', '0x1.24fae4f9148b5p+6'),
+    (6, True): (108, 8, '0x1.2f88b997d9144p+6', '0x1.2f88b997d9144p+6'),
+    (7, True): (321, 9, '0x1.94136715f296fp+5', '0x1.94136715f296fp+5'),
 }
 
 
@@ -681,15 +738,15 @@ def test_search_course_is_pinned(seed, proximity):
 # (n_demand, n_station, seed, proximity) -> (nodes_explored, cuts_added,
 # lower_bound.hex(), upper_bound.hex()) of branch-and-bound on
 # feasible_instance(seed, n_demand, n_station, cap_range=(6, 14)). Cuts land
-# mid-search here, so a node popped after one must be bounded again: in three
+# mid-search here, so a node popped after one must be bounded again: in five
 # of the six, a search that never re-bounds explores more nodes.
 PINNED_LARGER_SEARCH = {
-    (12, 5, 1, True): (5443, 8, '0x1.2c86860da3243p+6', '0x1.2c86860da3243p+6'),
-    (14, 4, 1, True): (12085, 13, '0x1.88534fd8ee786p+6', '0x1.88534fd8ee786p+6'),
-    (16, 4, 0, False): (4574, 16, '0x1.9043d3b6de2ddp+6', '0x1.9043d3b6de2ddp+6'),
-    (16, 4, 0, True): (733, 5, '0x1.b5d66009172bdp+6', '0x1.b5d66009172bdp+6'),
-    (16, 5, 0, True): (21687, 31, '0x1.ca434dc0ad570p+6', '0x1.ca434dc0ad570p+6'),
-    (16, 5, 2, False): (3061, 7, '0x1.ef42f87a4b2aap+5', '0x1.ef42f87a4b2aap+5'),
+    (12, 5, 1, True): (4373, 9, '0x1.2c86860da3243p+6', '0x1.2c86860da3243p+6'),
+    (14, 4, 1, True): (7822, 10, '0x1.88534fd8ee786p+6', '0x1.88534fd8ee786p+6'),
+    (16, 4, 0, False): (3212, 15, '0x1.9043d3b6de2ddp+6', '0x1.9043d3b6de2ddp+6'),
+    (16, 4, 0, True): (596, 5, '0x1.b5d66009172bdp+6', '0x1.b5d66009172bdp+6'),
+    (16, 5, 0, True): (16859, 29, '0x1.ca434dc0ad570p+6', '0x1.ca434dc0ad570p+6'),
+    (16, 5, 2, False): (2548, 7, '0x1.ef42f87a4b2aap+5', '0x1.ef42f87a4b2aap+5'),
 }
 
 
