@@ -35,6 +35,7 @@ has no stable completion.
 from __future__ import annotations
 
 import functools
+import gc
 import heapq
 import itertools
 import math
@@ -598,8 +599,23 @@ class _TreeSearch:
 
 def branch_and_bound(instance: mdl.Instance, config: SolverConfig | None = None) -> SolverReport:
     """Exact best-first search; equals :func:`brute_force` when run to
-    completion, and reports an honest bound gap when stopped early."""
-    return _TreeSearch(instance, config or SolverConfig()).solve()
+    completion, and reports an honest bound gap when stopped early.
+
+    The cyclic garbage collector is paused for the search and restored on
+    return. Reference counting frees every node and heap entry the search
+    drops; its one cycle, the search object with the memos that hold its
+    bound methods, waits for the collector's next pass. The collector's full
+    passes would only rescan the growing heap: about a quarter of a 5 s
+    search, in pauses of up to 0.3 s that land wherever the allocation count
+    puts them, so that a timed search's reach, and its gap, would jump with
+    the machine's speed."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _TreeSearch(instance, config or SolverConfig()).solve()
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def report_to_dict(report: SolverReport) -> dict:

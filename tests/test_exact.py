@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import math
 import random
@@ -202,6 +203,29 @@ class TestBranchAndBound:
         with pytest.raises(TimeLimitError, match="1e-09 s"):
             branch_and_bound(inst, SolverConfig(time_limit=1e-9))
         assert branch_and_bound(inst).upper_bound == pytest.approx(73.0366, abs=1e-4)
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_is_paused_for_the_search_and_restored(self, enabled, monkeypatch):
+        # paused while leaves are priced, and left as found on return and on
+        # a time-out raised before any incumbent; the instances are built
+        # first, since feasible_instance runs a search of its own
+        inst = feasible_instance(3, n_demand=6, n_station=3)
+        slow = feasible_instance(66, n_demand=10, n_station=4, cap_range=(1, 4))
+        seen = []
+        leaf_cost = _TreeSearch.leaf_cost
+        monkeypatch.setattr(_TreeSearch, "leaf_cost",
+                            lambda self, node: seen.append(gc.isenabled()) or leaf_cost(self, node))
+        was = gc.isenabled()
+        try:
+            gc.enable() if enabled else gc.disable()
+            branch_and_bound(inst)
+            assert gc.isenabled() is enabled
+            with pytest.raises(TimeLimitError):
+                branch_and_bound(slow, SolverConfig(time_limit=1e-9))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable() if was else gc.disable()
+        assert seen and not any(seen)
 
     @pytest.mark.parametrize("limit", [math.nan, 0.0, -1.0, math.inf])
     def test_time_limit_must_be_positive_and_finite(self, limit):
