@@ -22,14 +22,13 @@ least the node's station and floor sums plus the option's committed cost and
 the suffix floor, a sum that grows with the myopic cost, since floors are
 nonnegative and nondecreasing in load and a station sum only grows when a
 station opens. Once that sum reaches the incumbent, no later child can be
-kept. A node with one demand left is not expanded into children: each of
-its leaves is priced in O(1) from one sum of the node's sized pair costs,
-its options are walked in the same order and stopped the same way, at the
-best price found so far, and only the cheapest leaf priced below the
-incumbent is built, to be priced again and registered. So no leaf enters the
-heap, and the node count counts no leaf. The prune margin is relative, so
-the unit of cost does not move the search. A bound of ``inf`` means the node
-has no stable completion.
+kept. The children of a node with one demand left are leaves, and the same
+walk prices each in O(1) from one sum of the node's sized pair costs, stops
+at the best price found so far, and returns only the cheapest leaf priced
+below the incumbent, which is built, priced again and registered. So no leaf
+enters the heap, and the node count counts no leaf. The prune margin is
+relative, so the unit of cost does not move the search. A bound of ``inf``
+means the node has no stable completion.
 """
 
 from __future__ import annotations
@@ -50,10 +49,10 @@ from .errors import InfeasibleError, InstanceTooLargeError, TimeLimitError
 
 # prune at the incumbent shrunk by this factor, so the unit of cost moves nothing
 _PRUNE_FACTOR = 1.0 - 1e-11
-# an optimistic child bound is shrunk by this factor before it stops
-# :meth:`_TreeSearch._children` or :meth:`_TreeSearch._cheapest_leaf`, so
-# that the rounding of a carried floor sum (a few ulps) cannot stop the walk
-# before a child bounded, or a leaf priced, below the limit
+# an optimistic child bound is shrunk by this factor before it stops the walk
+# of :meth:`_TreeSearch._children`, so that the rounding of a carried floor
+# sum (a few ulps) cannot stop it before a child bounded, or a leaf priced,
+# below the limit or the best price so far
 _LIMIT_SLACK = 1.0 - 1e-12
 
 
@@ -220,7 +219,8 @@ class _Node:
     vector and its loads equal :func:`model.pair_loads`' bit for bit.
     ``floor_sum`` is the sum of its pair floors: set by :meth:`node_bound`,
     or taken from the parent's :meth:`_TreeSearch._children` when popped. A
-    full path is built only to be registered as an incumbent, so no leaf
+    full path, a leaf that :meth:`_TreeSearch._children` returns with floor
+    sum None, is built only to be registered as an incumbent, so no leaf
     enters the heap."""
 
     __slots__ = ("path", "loads", "stations", "committed", "travel", "cuts", "floor_sum")
@@ -258,14 +258,15 @@ class _TreeSearch:
     An expansion bounds children only until the incumbent rules out the
     rest: :meth:`_children` gets ``upper * _PRUNE_FACTOR`` and stops at the
     first option, in ascending myopic cost, whose optimistic bound reaches
-    it, since every later child's bound is at least as large. A node with one
-    demand left is not expanded by :meth:`_children`: :meth:`_cheapest_leaf`
-    prices its leaves, under the same limit and stop, and only the cheapest
-    leaf priced below the limit is built and registered. So no leaf enters
-    the heap, and ``nodes_explored`` counts the nodes expanded, none of them
-    a leaf. The greedy dive that gives the first incumbent takes its last
-    step the same way. ``steps`` is the option table that :meth:`_children`,
-    :meth:`_cheapest_leaf` and :meth:`_child` read."""
+    it, since every later child's bound is at least as large. At the last
+    depth the same walk prices each leaf, stops at the best price so far and
+    returns at most the cheapest leaf priced below the limit, with floor sum
+    None; the search builds and registers it and pushes every other child.
+    So no leaf enters the heap, and ``nodes_explored`` counts the nodes
+    expanded, none of them a leaf. The greedy dive that gives the first
+    incumbent follows each expansion's first child down to a leaf.
+    ``steps`` is the option table that :meth:`_children` and :meth:`_child`
+    read, :meth:`_children` being its only walk."""
 
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
@@ -396,35 +397,49 @@ class _TreeSearch:
 
     # -- search ------------------------------------------------------------
 
-    def _children(self, node: _Node, limit: float = math.inf) -> list[tuple[tuple[int, int], float, float]]:
-        """Feasible extensions of a node, cheapest myopic cost first, each
-        as (pair, bound, floor sum) of the child it makes, without building
-        it. The child's floor sum is the node's ``floor_sum`` plus the new
-        pair's floor, less the pair's old floor if the node holds it (an
-        ``inf`` sum stays ``inf``); its bound is its head plus that sum, as
-        :meth:`node_bound` of the child would give up to rounding.
+    def _children(self, node: _Node, limit: float = math.inf) -> list[tuple[tuple[int, int], float, float | None]]:
+        """The children of a node that can still beat ``limit``, cheapest
+        myopic cost first, each as (pair, bound, floor sum) of the child it
+        makes, without building it; the bound is at most the cost of every
+        leaf below the child. Below the last depth the child's floor sum is
+        the node's ``floor_sum`` plus the new pair's floor, less the pair's
+        old floor if the node holds it, and its bound is its head plus that
+        sum, as :meth:`node_bound` of the child would give up to rounding;
+        it is finite, since every child's load is within its pair's capacity.
+
+        At the last depth a child is a leaf, and its bound is its price, in
+        O(1) from one sum per node: the node's travel plus the sized cost of
+        each of its pairs, less the moved pair's old sized cost, plus its new
+        one, the travel increment and the leaf's station sum. That is
+        :meth:`leaf_cost` of the leaf up to rounding, and a load within its
+        pair's capacity can always be sized. At most the cheapest leaf priced
+        below ``limit`` is returned, the first of equal prices, with floor
+        sum None.
 
         The options are walked in table order, ascending myopic cost, and
         the walk stops at the first whose optimistic bound, the node's
         station sum + (committed + myopic) + suffix + the node's floor sum,
-        shrunk by :data:`_LIMIT_SLACK` for rounding, is at least ``limit``.
-        Every later option's bound is at least as large: its myopic cost is,
-        a station sum only grows when a station is added, floors are
-        nonnegative and nondecreasing in load, so the child's floor sum is at
-        least the node's, and float addition is monotone. So every child
-        bounded below ``limit`` is listed; with the default every feasible
-        child is."""
+        shrunk by :data:`_LIMIT_SLACK` for rounding, is at least ``limit``,
+        or at the last depth the best price so far. Every later option's
+        bound is at least as large: its myopic cost is, a station sum only
+        grows when a station is added, floors are nonnegative and
+        nondecreasing in load, so the child's floor sum is at least the
+        node's, and float addition is monotone. With the default limit every
+        feasible child, or the cheapest leaf, is listed."""
         depth = len(node.path)
         loads, stations, floor_sum = node.loads, node.stations, node.floor_sum
         suffix = self.suffix[depth + 1]
         floors, station_sums = self.floors, self.station_sums
         station_sum = station_sums[stations]
         proximity = self.instance.enforce_proximity
+        last = depth == self.n - 1
+        if last:
+            sized = {pair: self.sizer.best(*pair, load)[2] for pair, load in loads.items()}
+            base = node.travel + sum(sized.values())
         out = []
-        for pair, (rate, myopic, _, capacity) in self.steps[depth].items():
+        for pair, (rate, myopic, travel, capacity) in self.steps[depth].items():
             head = node.committed + myopic
-            # ``limit < inf`` keeps the default from stopping at an ``inf`` floor sum
-            if (station_sum + head + suffix + floor_sum) * _LIMIT_SLACK >= limit < math.inf:
+            if (station_sum + head + suffix + floor_sum) * _LIMIT_SLACK >= limit:
                 break
             old = loads.get(pair)
             load = rate if old is None else old + rate
@@ -433,6 +448,13 @@ class _TreeSearch:
             j = pair[0]
             if proximity and self._breaks_proximity(node, j):
                 continue
+            if last:
+                opened = station_sum if j in stations else station_sum + self.station_cost[j]
+                new = self.sizer.best(j, pair[1], load)[2]
+                price = base - (0.0 if old is None else sized[pair]) + new + travel + opened
+                if price < limit:
+                    limit, out = price, [(myopic, pair, price, None)]
+                continue
             if j in stations:
                 dyn, opened = myopic, station_sum
             else:
@@ -440,11 +462,11 @@ class _TreeSearch:
             memo = floors[pair]
             if old is None:
                 child_sum = floor_sum + memo[load]
-            elif floor_sum == math.inf:
-                child_sum = floor_sum
             else:
                 child_sum = floor_sum - memo[old] + memo[load]
-            out.append((dyn, pair, opened + head + suffix + child_sum, child_sum))
+            bound = opened + head + suffix + child_sum
+            if bound < limit:
+                out.append((dyn, pair, bound, child_sum))
         out.sort()  # (dyn, pair) is unique, so neither the bound nor the sum decides
         return [(pair, bound, child_sum) for (_, pair, bound, child_sum) in out]
 
@@ -460,45 +482,6 @@ class _TreeSearch:
             mdl.closer_active(self.instance, self.demands[d].id, jj, new_active) is not None
             for d, (jj, _) in enumerate(node.path)
         )
-
-    def _cheapest_leaf(self, node: _Node, limit: float) -> tuple[tuple[int, int], float] | None:
-        """The cheapest leaf of a node with one demand left, as (pair,
-        price), or None when no stable leaf is priced below ``limit``. No
-        leaf is built: each is priced in O(1) from one sum per node, the
-        node's travel plus the sized cost of each of its pairs, less the
-        moved pair's old sized cost, plus its new one, the travel increment
-        and the leaf's station sum. That is :meth:`leaf_cost` of the leaf up
-        to rounding. A load within its pair's capacity can always be sized,
-        so the capacity filter is what skips an unsizable leaf.
-
-        The options are walked as :meth:`_children` walks them, with its
-        capacity and proximity filters, and the walk stops at the first whose
-        optimistic bound, the same sum as there shrunk by the same
-        :data:`_LIMIT_SLACK`, reaches the best price so far (``limit`` to
-        start): a leaf costs at least its bound, and every later bound is at
-        least as large."""
-        loads, stations, floor_sum, committed = node.loads, node.stations, node.floor_sum, node.committed
-        sized = {pair: self.sizer.best(*pair, load)[2] for pair, load in loads.items()}
-        base = node.travel + sum(sized.values())
-        station_sum = self.station_sums[stations]
-        proximity = self.instance.enforce_proximity
-        best, cheapest = limit, None
-        for pair, (rate, myopic, travel, capacity) in self.steps[len(node.path)].items():
-            if (station_sum + (committed + myopic) + floor_sum) * _LIMIT_SLACK >= best:
-                break
-            old = loads.get(pair)
-            load = rate if old is None else old + rate
-            if capacity < load:
-                continue
-            j = pair[0]
-            if proximity and self._breaks_proximity(node, j):
-                continue
-            new = self.sizer.best(j, pair[1], load)[2]
-            opened = station_sum if j in stations else station_sum + self.station_cost[j]
-            price = base - (0.0 if old is None else sized[pair]) + new + travel + opened
-            if price < best:
-                best, cheapest = price, (pair, price)
-        return cheapest
 
     def solve(self) -> SolverReport:
         t0 = time.perf_counter()
@@ -519,16 +502,12 @@ class _TreeSearch:
         # greedy myopic dive for an initial incumbent, ending at the
         # cheapest leaf of the last node it reaches
         node = _Node()
-        while len(node.path) < self.n - 1:
+        while len(node.path) < self.n:
             kids = self._children(node)
             if not kids:
                 break
             node = self._child(node, kids[0][0])
             node.floor_sum = kids[0][2]
-        if len(node.path) == self.n - 1:
-            leaf = self._cheapest_leaf(node, math.inf)
-            if leaf is not None:
-                node = self._child(node, leaf[0])
         if len(node.path) == self.n:
             register(node)
 
@@ -555,15 +534,12 @@ class _TreeSearch:
             if parent.cuts != len(self.cut_keys) and self.node_bound(node) >= limit:
                 continue
             nodes += 1
-            if len(node.path) == self.n - 1:
-                leaf = self._cheapest_leaf(node, limit)
-                if leaf is not None:
-                    register(self._child(node, leaf[0]))
-            else:
-                node.cuts = len(self.cut_keys)
-                for pair, child_bound, child_sum in self._children(node, limit):
-                    if child_bound < limit:
-                        heapq.heappush(heap, (child_bound, next(seq), node, pair, child_sum))
+            node.cuts = len(self.cut_keys)
+            for pair, child_bound, child_sum in self._children(node, limit):
+                if child_sum is None:
+                    register(self._child(node, pair))
+                else:
+                    heapq.heappush(heap, (child_bound, next(seq), node, pair, child_sum))
 
             if (
                 self.config.gap_threshold > 0.0

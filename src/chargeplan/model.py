@@ -688,8 +688,8 @@ def instance_from_dict(data: dict) -> Instance:
         )
     )
     travel = None
-    rows = _entries(data, "travel", [])
-    if rows:
+    if "travel" in data:  # derived from the coordinates only when absent
+        rows = _entries(data, "travel")
         # a twin record is named before any travel row that it doubles
         demand_ids, station_ids = _by_id("demand", dps), _by_id("station", sts)
         travel = {}
@@ -776,10 +776,10 @@ def save_instance(instance: Instance, path) -> None:
 
 
 def load_instance(path) -> Instance:
-    """The instance in a JSON file; a file that is not JSON, or a missing,
-    malformed or unknown field, is a ParseError that names the file."""
+    """The instance in a JSON file; a file that is not JSON, or a field that
+    is missing, malformed, unknown or out of range, is a ParseError naming the file."""
     data = read_json(path)
     try:
         return instance_from_dict(data)
-    except ParseError as exc:
+    except (ParseError, ValueError) as exc:
         raise ParseError(str(exc), path=path) from exc

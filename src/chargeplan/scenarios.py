@@ -10,7 +10,7 @@ scenario is the baseline every row is compared against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -104,30 +104,34 @@ class ScenarioRow:
         return self.scenario.label
 
 
-def run_scenario(instance: mdl.Instance, spec: ScenarioSpec, solve: SolveFn) -> ScenarioRow:
-    """Solve one scenario.
-
-    Separate mode solves one sub-instance per agency; the per-agency
-    solutions are then merged (agency station pools are disjoint) and priced
-    by ``construction.build_solution`` on the pool-restricted instance the
-    joint scenario uses, so joint and separate totals are directly comparable.
-    """
+def _deploy(
+    instance: mdl.Instance, spec: ScenarioSpec, solve: SolveFn
+) -> tuple[mdl.Instance | None, mdl.Solution | None]:
+    """One scenario's pool and its solver's deployment, None for either
+    that does not exist. Separate mode merges one solve per agency (agency
+    station pools are disjoint) and prices it with ``build_solution`` on the
+    pool the joint scenario uses, so joint and separate totals compare."""
+    pool = None
     try:
         restrict = partial(restrict_instance, instance, allow_garage=spec.allow_garage, allow_other=spec.allow_other)
         pool = restrict()
         if spec.joint:
-            sol = solve(pool).best
-        else:
-            parts = [solve(restrict(agency=agency)).best for agency in _agencies(instance)]
-            sol = build_solution(
-                pool,
-                mdl.assignment_vector(pool, frozenset().union(*(p.assignments for p in parts))),
-                {pair: s for p in parts for pair, s in p.chargers.items()},
-                active=frozenset().union(*(p.active for p in parts)),
-            )
+            return pool, solve(pool).best
+        parts = [solve(restrict(agency=agency)).best for agency in _agencies(instance)]
     except (InfeasibleDemandError, InfeasibleError):
-        return ScenarioRow(spec, False, None, None, None, None, None)
+        return pool, None
+    return pool, build_solution(
+        pool,
+        mdl.assignment_vector(pool, frozenset().union(*(p.assignments for p in parts))),
+        {pair: s for p in parts for pair, s in p.chargers.items()},
+        active=frozenset().union(*(p.active for p in parts)),
+    )
 
+
+def _row(spec: ScenarioSpec, pool: mdl.Instance | None, sol: mdl.Solution | None) -> ScenarioRow:
+    """The table row of a scenario's deployment on its pool."""
+    if sol is None:
+        return ScenarioRow(spec, False, None, None, None, None, None)
     loads = mdl.pair_loads(pool, mdl.assignment_vector(pool, sol.assignments))
     per_type = {k.id: 0 for k in pool.charger_types}
     waits, utils = [], []
@@ -148,7 +152,26 @@ def run_scenario(instance: mdl.Instance, spec: ScenarioSpec, solve: SolveFn) -> 
 
 
 def run_scenarios(instance: mdl.Instance, solve: SolveFn) -> list[ScenarioRow]:
-    return [run_scenario(instance, spec, solve) for spec in scenario_matrix()]
+    """A row per scenario: the cheapest of its own deployment and those of
+    the scenarios it contains (pool X includes pool Y: joint-X contains
+    joint-Y and separate-Y, separate-X contains separate-Y), re-priced on its
+    pool and kept only if feasible there; a tie keeps its own. So no row
+    costs more than one it contains, whatever the solver."""
+    specs = scenario_matrix()
+    found = {spec: _deploy(instance, spec, solve) for spec in specs}
+    rows = []
+    for spec in specs:
+        pool, best = found[spec]
+        for other in specs:
+            sol = found[other][1]
+            # ``spec`` contains ``other`` when it sets every flag ``other`` sets
+            if other == spec or sol is None or any(o > s for o, s in zip(astuple(other), astuple(spec))):
+                continue
+            sol = build_solution(pool, mdl.assignment_vector(pool, sol.assignments), sol.chargers, active=sol.active)
+            if (best is None or sol.cost.total < best.cost.total) and not mdl.check_feasibility(pool, sol):
+                best = sol
+        rows.append(_row(spec, pool, best))
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ import pytest
 
 from chargeplan import presets
 from chargeplan.cli import main
-from chargeplan.model import instance_to_dict, load_instance, save_instance
+from chargeplan.errors import InfeasibleDemandError
+from chargeplan.model import instance_to_dict, load_instance, save_instance, travel_times
 
 from gen import feasible_instance, random_instance, two_agency_instance
 
@@ -364,10 +365,30 @@ class TestValidate:
 
 
 
+class TestTravelKey:
+    """An instance file's times come from its coordinates only when it has
+    no ``travel`` key: an empty list is a matrix with no entry."""
+
+    def test_empty_travel_list_covers_no_demand(self, unit_instance_file, tmp_path, capsys):
+        src = TestBadInput.edited(unit_instance_file, tmp_path, lambda d: d.update(travel=[]))
+        with pytest.raises(InfeasibleDemandError):
+            load_instance(src)
+        assert main(["solve", src, "--out", str(tmp_path / "r.json")]) == 2
+        assert "infeasible: no reachable candidate station for demand points [0]" in capsys.readouterr().err
+
+    def test_omitted_travel_is_derived_from_coordinates(self, unit_instance_file, tmp_path):
+        src = TestBadInput.edited(unit_instance_file, tmp_path, lambda d: d.pop("travel"))
+        inst = load_instance(src)
+        assert inst.travel == travel_times(inst.demand_points, inst.stations, inst.speed_kmh, inst.max_travel_minutes)
+        assert inst.travel and inst.travel != load_instance(unit_instance_file).travel
+        assert main(["solve", src, "--out", str(tmp_path / "r.json")]) == 0
+
+
 class TestBadInput:
     """Bad input ends with exit 3 and a message naming the bad field."""
 
-    def edited(self, unit_instance_file, tmp_path, edit):
+    @staticmethod
+    def edited(unit_instance_file, tmp_path, edit):
         with open(unit_instance_file, encoding="utf-8") as fh:
             data = json.load(fh)
         edit(data)
@@ -485,13 +506,21 @@ class TestBadInput:
         # a cap for a type the catalog lacks, which nothing would read
         (lambda d: d["stations"][0]["max_chargers"].update({"99": 3}),
          "station 0: max_chargers names unknown charger type 99"),
+        # a record's own range check
+        (lambda d: d["demand_points"][0].update(rate=0), "demand point 0: rate must be positive and finite"),
+        (lambda d: d["stations"][0]["max_chargers"].update({"0": -1}), "station 0: negative cap for type 0"),
+        (lambda d: d["options"].update(epsilon=1.5), "options.epsilon must lie in (0, 1)"),
+        (lambda d: d["options"].update(speed_kmh=0), "speed_kmh must be positive and finite"),
+        (lambda d: d["charger_types"].append(dict(d["charger_types"][0])), "duplicate charger type id 0"),
     ])
     def test_malformed_instance_is_a_parse_error(self, unit_instance_file, tmp_path, capsys, edit, named):
+        """Each names the field or the record, and the instance file."""
         report = tmp_path / "report.json"
         assert main(["solve", unit_instance_file, "--method", "brute", "--out", str(report)]) == 0
         src = self.edited(unit_instance_file, tmp_path, edit)
         assert main(["validate", src, str(report)]) == 3
-        assert named in capsys.readouterr().err
+        err = capsys.readouterr().err.rstrip()
+        assert named in err and err.endswith(f"[{src}]"), err
 
     @pytest.mark.parametrize("edit, named", [
         (lambda s: s.pop("chargers"), "solution.chargers"),

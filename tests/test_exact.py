@@ -381,7 +381,9 @@ class _Unmemoized(_TreeSearch):
     from a fresh floor sum that calls ``pair_floor_extra`` for each of its
     pairs, and is ``inf`` when one of them is. It also forgets the cut count
     of each node it expands, so every child is bounded again when popped,
-    and it ignores the search's limit, so every child is bounded."""
+    and it ignores the search's limit, so every child is bounded and pushed
+    (one bounded at or above the limit only to be dropped when popped).
+    Leaves, priced at their parent, pass through."""
 
     def node_bound(self, node):
         node.floor_sum = 0.0
@@ -391,6 +393,8 @@ class _Unmemoized(_TreeSearch):
         return head + node.floor_sum
 
     def _children(self, node, limit=math.inf):
+        if len(node.path) == self.n - 1:
+            return super()._children(node, limit)
         node.cuts = -1
         kids = []
         for pair, _, _ in super()._children(node):
@@ -484,8 +488,9 @@ def equal_up_to_rounding(carried, fresh):
 
 class _CheckedChildren(_TreeSearch):
     """Checks, at every expansion, each child's bound and floor sum from
-    :meth:`_children` against :meth:`node_bound` of the built child, and
-    counts how the child's pair sits among its parent's pairs."""
+    :meth:`_children` against :meth:`node_bound` of the built child, or a
+    leaf's price against :meth:`leaf_cost` of the built leaf, and counts how
+    the child's pair sits among its parent's pairs."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -496,9 +501,12 @@ class _CheckedChildren(_TreeSearch):
         held = sorted(node.loads)
         for pair, bound, floor_sum in kids:
             child = self._child(node, pair)
-            fresh = self.node_bound(child)
-            assert equal_up_to_rounding(bound, fresh), (node.path, pair)
-            assert equal_up_to_rounding(floor_sum, child.floor_sum), (node.path, pair)
+            if floor_sum is None:
+                assert math.isclose(bound, self.leaf_cost(child)[0], rel_tol=1e-12), (node.path, pair)
+            else:
+                fresh = self.node_bound(child)
+                assert equal_up_to_rounding(bound, fresh), (node.path, pair)
+                assert equal_up_to_rounding(floor_sum, child.floor_sum), (node.path, pair)
             if pair in node.loads:
                 self.placed["held"] += 1
             elif not held or pair < held[0]:
@@ -540,11 +548,23 @@ def test_child_bounds_are_valid_after_cuts(proximity):
 
         def cheapest_leaf(node, bound):
             """The cost of the cheapest stable leaf below ``node``, ``inf``
-            if none, checking each child's bound on the way down."""
+            if none, checking each child's bound on the way down. Below a
+            node with one demand left every leaf is built and priced, and the
+            one leaf :meth:`_children` returns must cost the least of them."""
             nonlocal checked, held
-            if len(node.path) == search.n:
-                res = search.leaf_cost(node)
-                return math.inf if res is None else res[0]
+            depth = len(node.path)
+            if depth == search.n - 1:
+                leaves = [search._child(node, pair) for pair in search.steps[depth]
+                          if feasible_extension(search, node, pair)]
+                costs = [search.leaf_cost(leaf)[0] for leaf in leaves]
+                kids = search._children(node)
+                assert len(kids) == min(1, len(costs)), node.path
+                for pair, price, floor_sum in kids:
+                    assert floor_sum is None and price >= bound - 1e-9, (node.path, pair)
+                    assert math.isclose(price, min(costs), rel_tol=1e-12), (node.path, pair, price, min(costs))
+                    held += pair in node.loads
+                checked += len(costs)
+                return min(costs, default=math.inf)
             cheapest = math.inf
             for pair, child_bound, floor_sum in search._children(node):
                 assert child_bound >= bound - 1e-9, (node.path, pair)
@@ -563,8 +583,9 @@ def test_child_bounds_are_valid_after_cuts(proximity):
 
 
 def bits(kids):
-    """A children list with each float as its exact bits."""
-    return [(pair, bound.hex(), floor_sum.hex()) for pair, bound, floor_sum in kids]
+    """A children list with each float as its exact bits (a leaf's floor
+    sum is None)."""
+    return [(pair, bound.hex(), None if floor_sum is None else floor_sum.hex()) for pair, bound, floor_sum in kids]
 
 
 def feasible_extension(search, node, pair):
@@ -594,15 +615,17 @@ class _LimitChecked(_TreeSearch):
     def check(self, node):
         full = super()._children(node)
         depth = len(node.path)
-        assert sorted(pair for pair, _, _ in full) == sorted(
-            pair for pair in self.steps[depth] if feasible_extension(self, node, pair)
-        ), node.path
+        feasible = sorted(pair for pair in self.steps[depth] if feasible_extension(self, node, pair))
+        if depth == self.n - 1:  # only the cheapest leaf, checked by _CheckedLeaves
+            assert len(full) == min(1, len(feasible)) and {pair for pair, _, _ in full} <= set(feasible), node.path
+        else:
+            assert sorted(pair for pair, _, _ in full) == feasible, node.path
         for limit in sorted({
             edge for _, bound, _ in full if bound < math.inf
             for edge in (math.nextafter(bound, -math.inf), bound, math.nextafter(bound, math.inf))
         }):
             got = super()._children(node, limit)
-            assert bits(c for c in got if c[1] < limit) == bits(c for c in full if c[1] < limit), (node.path, limit)
+            assert bits(got) == bits(c for c in full if c[1] < limit), (node.path, limit)
             self.stopped += len(got) < len(full)
 
     def _children(self, node, limit=math.inf):
@@ -613,9 +636,10 @@ class _LimitChecked(_TreeSearch):
 
 @pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
 def test_children_stop_only_past_the_limit(proximity):
-    """A limit drops only children bounded at or above it, at every
+    """A limit drops exactly the children bounded at or above it, at every
     expansion of a solve and again at each once the solve has filled the
-    cut pool; the default limit lists every feasible child."""
+    cut pool; the default limit lists every feasible child, or at the last
+    depth the cheapest leaf."""
     stopped = rechecked = 0
     for seed in range(8):
         inst = replace(feasible_instance(seed, n_demand=9, n_station=4), enforce_proximity=proximity)
@@ -633,51 +657,51 @@ def test_children_stop_only_past_the_limit(proximity):
 
 class _CheckedLeaves(_TreeSearch):
     """Checks, at every expansion of a node with one demand left, the O(1)
-    price :meth:`_cheapest_leaf` gives each option (read by walking a table
-    of that option alone) against :meth:`leaf_cost` of the built leaf, and
-    the pair it returns against the cheapest of those prices below the
+    price :meth:`_children` gives each option (read by walking a table of
+    that option alone) against :meth:`leaf_cost` of the built leaf, and the
+    one leaf it returns against the cheapest of those prices below the
     limit. It counts how each priced leaf's pair and station sit among the
-    node's, and fails if :meth:`_children` is asked to expand such a node."""
+    node's."""
 
     def __init__(self, *args):
         super().__init__(*args)
         self.branches = dict.fromkeys(("held", "new", "open", "opened"), 0)
 
     def _children(self, node, limit=math.inf):
-        assert len(node.path) < self.n - 1, node.path
-        return super()._children(node, limit)
-
-    def _cheapest_leaf(self, node, limit):
         depth = len(node.path)
+        if depth < self.n - 1:
+            return super()._children(node, limit)
         options, prices = self.steps[depth], {}
         try:
             for pair, step in options.items():
                 self.steps[depth] = {pair: step}
-                alone = super()._cheapest_leaf(node, math.inf)
+                alone = super()._children(node)
                 res = self.leaf_cost(self._child(node, pair)) if feasible_extension(self, node, pair) else None
                 if res is None:  # infeasible or unsizable: skipped
-                    assert alone is None, (node.path, pair)
+                    assert alone == [], (node.path, pair)
                     continue
-                assert alone[0] == pair and math.isclose(alone[1], res[0], rel_tol=1e-12), (node.path, pair)
-                prices[pair] = alone[1]
+                [(priced, price, floor_sum)] = alone
+                assert priced == pair and floor_sum is None, (node.path, pair)
+                assert math.isclose(price, res[0], rel_tol=1e-12), (node.path, pair)
+                prices[pair] = price
                 self.branches["held" if pair in node.loads else "new"] += 1
                 self.branches["open" if pair[0] in node.stations else "opened"] += 1
         finally:
             self.steps[depth] = options
-        want = None
+        want = []
         for pair, price in prices.items():  # in walk order, so the first of equal prices
-            if price < (limit if want is None else want[1]):
-                want = (pair, price)
-        got = super()._cheapest_leaf(node, limit)
+            if price < (want[0][1] if want else limit):
+                want = [(pair, price, None)]
+        got = super()._children(node, limit)
         assert got == want, (node.path, limit, got, want)
         return got
 
 
 @pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
 def test_leaves_are_priced_as_built_leaves(proximity):
-    """A node with one demand left is never expanded into children; its
-    leaves are priced as :meth:`leaf_cost` prices them, and the cheapest
-    below the limit is the one returned."""
+    """The children of a node with one demand left are its leaves, priced
+    as :meth:`leaf_cost` prices them, and only the first cheapest below the
+    limit is returned."""
     branches = dict.fromkeys(("held", "new", "open", "opened"), 0)
     for seed in range(8):
         inst = replace(feasible_instance(seed, n_demand=9, n_station=4), enforce_proximity=proximity)
@@ -715,6 +739,37 @@ def test_floor_is_monotone_in_load(recharge, unit, wait, cap, eps, anchors, shar
     floors = [search.pair_floor_extra(0, 0, share * top) for share in sorted(shares)]
     assert floors[0] >= 0.0
     assert floors == sorted(floors), floors
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    recharge=st.floats(0.2, 20.0),
+    unit=st.floats(0.01, 100.0),
+    wait=st.floats(0.01, 100.0),
+    cap=st.integers(1, 30),
+    eps=st.floats(1e-9, 0.5),
+    shares=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=10),
+)
+def test_sized_extra_is_monotone_in_load(recharge, unit, wait, cap, eps, shares):
+    """A pair's exact extra cost, its sized charger and waiting cost less the
+    service-time floor ``load * c_w / mu``, is nonnegative and nondecreasing
+    in load up to the pair's capacity, within a relative 1e-12 of the pair's
+    cost, the scale of ``_LIMIT_SLACK``: the premise of bounding each pair by
+    it. Each load is also paired with the next float above it, where the
+    rounding of the wait alone can make the extra fall by about 1e-14."""
+    kt = ChargerType(id=0, power_kw=50.0, unit_cost_rate=unit, recharge_time_min=recharge)
+    dp = DemandPoint(id=0, lat=0.0, lon=0.0, rate=1.0)
+    station = CandidateStation(id=0, lat=0.0, lon=0.0, fixed_cost_rate=1.0, max_chargers={0: cap})
+    inst = make_instance(
+        [dp], [station], [kt], travel_cost_rate=1.0, wait_cost_rate=wait, travel={(0, 0): 1.0}, epsilon=eps
+    )
+    sizer, mu = construction._PairSizer(inst), kt.service_rate
+    top = capacity(mu, cap, eps)
+    loads = sorted({x for share in shares for x in (share * top, math.nextafter(share * top, math.inf)) if x <= top})
+    costs = [sizer.best(0, 0, load)[2] for load in loads]
+    extras = [cost - load * wait / mu for cost, load in zip(costs, loads)]
+    assert all(extra >= -1e-12 * cost for cost, extra in zip(costs, extras)), extras
+    assert all(e1 >= e0 - 1e-12 * c1 for e0, e1, c1 in zip(extras, extras[1:], costs[1:])), (loads, extras)
 
 
 def test_steps_list_options_in_myopic_order():

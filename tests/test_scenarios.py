@@ -4,6 +4,7 @@ import pytest
 
 from chargeplan.errors import ChargePlanError, InfeasibleDemandError
 from chargeplan.exact import SolverConfig, branch_and_bound
+from chargeplan.metaheuristics import GAParams, genetic_algorithm
 from chargeplan.model import make_instance
 from chargeplan.scenarios import (
     ScenarioSpec,
@@ -170,3 +171,18 @@ class TestSweep:
             SweepSpec("wait_cost", ())
         with pytest.raises(ValueError):
             SweepSpec("wait_cost", (0.0,))
+
+
+def test_default_ga_tables_pass_the_dominance_checks():
+    """c07's eight dominance checks per table (joint-mixed against every
+    other row, joint against separate on each pool) hold on the tables that
+    the default GA, the ``scenarios`` command's default method, fills for
+    twenty two-agency instances: no row costs more than a row it contains."""
+    pairs = [("joint-mixed", spec.label) for spec in scenario_matrix()[:-1]]
+    pairs += [(f"joint-{pool}", f"separate-{pool}") for pool in ("garage", "other", "mixed")]
+    failed = []
+    for seed in range(100, 120):
+        rows = {r.label: r for r in run_scenarios(two_agency_instance(seed), lambda i: genetic_algorithm(i, GAParams(seed=0)))}
+        assert all(r.feasible for r in rows.values()), seed
+        failed += [(seed, cheap, dear) for cheap, dear in pairs if rows[cheap].total_cost > rows[dear].total_cost]
+    assert len(pairs) == 8 and failed == [], failed
