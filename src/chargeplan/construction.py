@@ -284,7 +284,9 @@ class _PairSizer:
     type, load); loads are summed in ``instance.demand_order`` wherever they
     are formed, so one assignment's pair always meets the same key. Each
     solve or SA/GA run makes its own and drops it, so no cache outlives it.
-    SA's cost floor reads ``_memo`` for the pairs already sized."""
+    SA's cost floor reads ``_memo`` for the pairs already sized, and
+    branch-and-bound reads sized costs through its own per-pair tables,
+    which call :meth:`best` only for a load they do not hold yet."""
 
     def __init__(self, instance: mdl.Instance):
         self.instance = instance

@@ -9,26 +9,26 @@ assignments with travel and service-time floors, and tightens the waiting
 floors with exact tangent lines of the convex delay factor taken at every
 incumbent. Each pair's waiting floor depends only on its load and on the cuts
 of that pair, so the search memoizes it per pair by load, in a
-:class:`~chargeplan.construction.Memo`, and drops a pair's memo whenever a cut
-is added to that pair. A node carries the sum of its pair floors, and an
-expanded node bounds each child in O(1) without building it: the child's sum
-is the parent's with the moved pair's old floor replaced by its new one. An
-open node is stored as (parent node, pair, floor sum) and rebuilt from its
-parent when popped; it is bounded again, from a fresh sum, only if a cut was
-added after its parent's expansion, since no floor can change otherwise. A
-node's children are bounded only until the incumbent rules out the rest: its
-options are walked cheapest myopic cost first, and each child's bound is at
-least the node's station and floor sums plus the option's committed cost and
-the suffix floor, a sum that grows with the myopic cost, since floors are
-nonnegative and nondecreasing in load and a station sum only grows when a
-station opens. Once that sum reaches the incumbent, no later child can be
-kept. The children of a node with one demand left are leaves, and the same
-walk prices each in O(1) from one sum of the node's sized pair costs, stops
-at the best price found so far, and returns only the cheapest leaf priced
-below the incumbent, which is built, priced again and registered. So no leaf
-enters the heap, and the node count counts no leaf. The prune margin is
-relative, so the unit of cost does not move the search. A bound of ``inf``
-means the node has no stable completion.
+:class:`~chargeplan.construction.Memo` that a cut added to that pair clears in
+place, and prices leaves from a like table of sized costs. A node carries its
+station sum and the sum of its pair floors, and an expanded node bounds each
+child in O(1) without building it: the child's floor sum is the parent's with
+the moved pair's old floor replaced by its new one. An open node is stored as
+(parent node, pair, floor sum) and rebuilt from its parent when popped; it is
+bounded again, from a fresh sum, only if a cut was added after its parent's
+expansion, since no floor can change otherwise. A node's children are bounded
+only until the incumbent rules out the rest: its options are walked cheapest
+myopic cost first, and each child's bound is at least the node's station and
+floor sums plus the option's committed cost and the suffix floor, a sum that
+grows with the myopic cost, since floors are nonnegative and nondecreasing in
+load and a station sum only grows when a station opens. Once that sum reaches
+the incumbent, no later child can be kept. The children of a node with one
+demand left are leaves, and the same walk prices each in O(1) from one sum of
+the node's sized pair costs, stops at the best price found so far, and returns
+only the cheapest leaf priced below the incumbent, which is built, priced again
+and registered. So no leaf enters the heap, and the node count counts no leaf.
+The prune margin is relative, so the unit of cost does not move the search. A
+bound of ``inf`` means the node has no stable completion.
 """
 
 from __future__ import annotations
@@ -217,18 +217,20 @@ class _Node:
     sums are accumulated in path order however it was reached. The path
     follows ``instance.demand_order``, so a full path is an assignment
     vector and its loads equal :func:`model.pair_loads`' bit for bit.
-    ``floor_sum`` is the sum of its pair floors: set by :meth:`node_bound`,
-    or taken from the parent's :meth:`_TreeSearch._children` when popped. A
-    full path, a leaf that :meth:`_TreeSearch._children` returns with floor
-    sum None, is built only to be registered as an incumbent, so no leaf
-    enters the heap."""
+    ``station_sum`` is the parent's, or the new set's ``station_sums`` entry
+    when its step opens a station. ``floor_sum`` is the sum of its pair
+    floors: set by :meth:`node_bound`, or taken from the parent's
+    :meth:`_TreeSearch._children` when popped. A full path, a leaf that
+    :meth:`_TreeSearch._children` returns with floor sum None, is built only
+    to be registered as an incumbent, so no leaf enters the heap."""
 
-    __slots__ = ("path", "loads", "stations", "committed", "travel", "cuts", "floor_sum")
+    __slots__ = ("path", "loads", "stations", "station_sum", "committed", "travel", "cuts", "floor_sum")
 
     def __init__(self) -> None:
         self.path: tuple[tuple[int, int], ...] = ()
         self.loads: dict[tuple[int, int], float] = {}
         self.stations: frozenset[int] = frozenset()
+        self.station_sum = 0.0  # the stations' fixed cost, summed in id order
         self.committed = 0.0  # travel + service-time cost of the assigned demands
         self.travel = 0.0  # travel cost of the assigned demands
         self.cuts = -1  # the search's cut count when this node was expanded
@@ -245,28 +247,30 @@ class _TreeSearch:
     :meth:`_children` gave it when the parent was expanded, equal to its
     :meth:`node_bound` at that moment up to the rounding of the carried sum.
     ``floors[(j, k)][load]``, a :class:`~chargeplan.construction.Memo` per
-    pair, is :meth:`pair_floor_extra` at that load, ``inf`` included, and
-    ``station_sums`` memoizes each station set's fixed cost in id order. A
-    pair's floor reads only the cuts keyed by that pair, so
-    :meth:`_cuts_at_incumbent` drops the pair's memo when it adds one, and a
-    memoized floor always equals a fresh call. So while no cut is added no
-    floor, and so no bound or floor sum, can change: a parent records the cut
-    count when it is expanded, and a popped node is bounded again, from a
-    fresh sum, only if the count grew. A node's carried sum is therefore the
-    sum of the floors it holds whenever it is expanded.
+    pair, is :meth:`pair_floor_extra` at that load, ``inf`` included,
+    ``sized[(j, k)][load]`` the sizer's charger and waiting cost at a stable
+    load, and ``station_sums`` memoizes each station set's fixed cost in id
+    order. A pair's floor reads only the cuts keyed by that pair, so
+    :meth:`_cuts_at_incumbent` clears the pair's memo in place when it adds
+    one, and a memoized floor always equals a fresh call. So while no cut is
+    added no floor, and so no bound or floor sum, can change: a parent records
+    the cut count when it is expanded, and a popped node is bounded again,
+    from a fresh sum, only if the count grew. A node's carried sum is
+    therefore the sum of the floors it holds whenever it is expanded.
 
-    An expansion bounds children only until the incumbent rules out the
-    rest: :meth:`_children` gets ``upper * _PRUNE_FACTOR`` and stops at the
-    first option, in ascending myopic cost, whose optimistic bound reaches
-    it, since every later child's bound is at least as large. At the last
-    depth the same walk prices each leaf, stops at the best price so far and
-    returns at most the cheapest leaf priced below the limit, with floor sum
-    None; the search builds and registers it and pushes every other child.
-    So no leaf enters the heap, and ``nodes_explored`` counts the nodes
-    expanded, none of them a leaf. The greedy dive that gives the first
-    incumbent follows each expansion's first child down to a leaf.
-    ``steps`` is the option table that :meth:`_children` and :meth:`_child`
-    read, :meth:`_children` being its only walk."""
+    An expansion bounds children only until the incumbent rules out the rest:
+    :meth:`_children` gets ``upper * _PRUNE_FACTOR`` and stops at the first
+    option, in ascending myopic cost, whose optimistic bound reaches it, since
+    every later child's bound is at least as large. At the last depth the same
+    walk prices each leaf, stops at the best price so far and returns at most
+    the cheapest leaf priced below the limit, with floor sum None; the search
+    builds and registers it and pushes every other child. So no leaf enters
+    the heap, and ``nodes_explored`` counts the nodes expanded, none of them a
+    leaf. The greedy dive that gives the first incumbent follows each
+    expansion's first child down to a leaf. ``steps`` is the option table that
+    :meth:`_children` and :meth:`_child` read, :meth:`_children` being its
+    only walk; a row holds the pair's ``floors`` and ``sized`` tables
+    themselves, so a cut must clear a memo, not replace it."""
 
     def __init__(self, instance: mdl.Instance, config: SolverConfig):
         self.instance = instance
@@ -280,17 +284,27 @@ class _TreeSearch:
             for k in instance.charger_types
         }
         self.station_cost = {s.id: s.fixed_cost_rate for s in instance.stations}
+        self.sizer = _PairSizer(instance)
+        # cut pool: (station, type, servers) -> list of (intercept, slope)
+        self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
+        self.cut_keys: set[tuple[int, int, int, float]] = set()
+        # per pair: load -> floor, and load -> sized charger and wait cost
+        self.floors = {pair: Memo(functools.partial(self.pair_floor_extra, *pair)) for pair in self.pair_params}
+        self.sized = {pair: Memo(lambda load, pair=pair: self.sizer.best(*pair, load)[2]) for pair in self.pair_params}
+        self.station_sums = Memo(lambda stations: sum(map(self.station_cost.__getitem__, sorted(stations))))
         # the option table: per depth, each reachable pair, cheapest myopic
         # cost first -> (rate, committed increment, travel increment, the
-        # pair's largest stable load); a choice's myopic cost is its
-        # committed increment
+        # pair's largest stable load, its station's fixed cost, its floor
+        # and sized-cost tables); a choice's myopic cost is its committed
+        # increment
         tcr = instance.travel_cost_rate
         capacity = {
             pair: queueing.capacity(mu, cap, instance.epsilon) for pair, (mu, cap, _) in self.pair_params.items()
         }
         self.steps = [
             {
-                (j, k): (d.rate, myopic, d.rate * tcr * instance.travel[(d.id, j)], capacity[(j, k)])
+                (j, k): (d.rate, myopic, d.rate * tcr * instance.travel[(d.id, j)], capacity[(j, k)],
+                         self.station_cost[j], self.floors[(j, k)], self.sized[(j, k)])
                 for (j, k, myopic) in _choices_for(instance, d)
             }
             for d in self.demands
@@ -298,20 +312,14 @@ class _TreeSearch:
         # cheapest committed cost of the demands from each depth on
         self.suffix = [0.0] * (self.n + 1)
         for d in range(self.n - 1, -1, -1):
-            self.suffix[d] = self.suffix[d + 1] + min((c for (_, c, _, _) in self.steps[d].values()), default=0.0)
-        self.sizer = _PairSizer(instance)
-        # cut pool: (station, type, servers) -> list of (intercept, slope)
-        self.cuts: dict[tuple[int, int, int], list[tuple[float, float]]] = {}
-        self.cut_keys: set[tuple[int, int, int, float]] = set()
-        self.floors = Memo(lambda pair: Memo(functools.partial(self.pair_floor_extra, *pair)))
-        self.station_sums = Memo(lambda stations: sum(map(self.station_cost.__getitem__, sorted(stations))))
+            self.suffix[d] = self.suffix[d + 1] + min((row[1] for row in self.steps[d].values()), default=0.0)
 
     # -- cut plumbing ------------------------------------------------------
 
     def _cuts_at_incumbent(self, loads: Mapping[tuple[int, int], float], chargers: Mapping[tuple[int, int], int]) -> None:
         """Add the tangent line of each equipped pair's delay factor at the
-        incumbent's utilization, once per (pair, servers, anchor), and drop
-        the floor memo of each pair that gains a cut."""
+        incumbent's utilization, once per (pair, servers, anchor), and clear
+        in place the floor memo of each pair that gains a cut."""
         for (j, k), s in sorted(chargers.items()):
             load = loads.get((j, k), 0.0)
             if s < 1 or load <= 0:
@@ -321,21 +329,25 @@ class _TreeSearch:
             if 0.0 < rho < 1.0 and key not in self.cut_keys:
                 self.cut_keys.add(key)
                 self.cuts.setdefault((j, k, s), []).append(queueing.tangent_cut(rho, s))
-                self.floors.pop((j, k), None)
+                self.floors[(j, k)].clear()
 
     # -- node state --------------------------------------------------------
 
     def _child(self, parent: _Node, pair: tuple[int, int]) -> _Node:
         """A new node that extends ``parent``: its next demand goes to
         ``pair``, a (station, type) tuple the child's path holds itself.
-        The parent's station set is reused when the pair's station is open."""
-        rate, committed, travel, _ = self.steps[len(parent.path)][pair]
+        The parent's station set and sum are kept when the pair's is open."""
+        rate, committed, travel, _, _, _, _ = self.steps[len(parent.path)][pair]
         node = _Node.__new__(_Node)
         node.path = parent.path + (pair,)
         node.loads = dict(parent.loads)
         node.loads[pair] = node.loads.get(pair, 0.0) + rate
         stations = parent.stations
-        node.stations = stations if pair[0] in stations else stations | {pair[0]}
+        if pair[0] in stations:
+            node.stations, node.station_sum = stations, parent.station_sum
+        else:
+            node.stations = stations = stations | {pair[0]}
+            node.station_sum = self.station_sums[stations]
         node.committed = parent.committed + committed
         node.travel = parent.travel + travel
         return node
@@ -375,7 +387,7 @@ class _TreeSearch:
         for pair, load in sorted(node.loads.items()):
             floor_sum += floors[pair][load]
         node.floor_sum = floor_sum
-        return self.station_sums[node.stations] + node.committed + self.suffix[len(node.path)] + floor_sum
+        return node.station_sum + node.committed + self.suffix[len(node.path)] + floor_sum
 
     # -- leaf evaluation ---------------------------------------------------
 
@@ -385,7 +397,7 @@ class _TreeSearch:
         and waiting cost, summed in pair order. None when some pair cannot be
         stabilized within its cap. It prices every incumbent, so the upper
         bound is always its float."""
-        cost = node.travel + self.station_sums[node.stations]
+        cost = node.travel + node.station_sum
         chargers: dict[tuple[int, int], int] = {}
         for (j, k), load in sorted(node.loads.items()):
             sized = self.sizer.best(j, k, load)
@@ -427,18 +439,17 @@ class _TreeSearch:
         node's, and float addition is monotone. With the default limit every
         feasible child, or the cheapest leaf, is listed."""
         depth = len(node.path)
-        loads, stations, floor_sum = node.loads, node.stations, node.floor_sum
+        loads, stations, committed = node.loads, node.stations, node.committed
+        station_sum, floor_sum = node.station_sum, node.floor_sum
         suffix = self.suffix[depth + 1]
-        floors, station_sums = self.floors, self.station_sums
-        station_sum = station_sums[stations]
         proximity = self.instance.enforce_proximity
         last = depth == self.n - 1
         if last:
-            sized = {pair: self.sizer.best(*pair, load)[2] for pair, load in loads.items()}
-            base = node.travel + sum(sized.values())
+            sized = self.sized
+            base = node.travel + sum([sized[pair][load] for pair, load in loads.items()])
         out = []
-        for pair, (rate, myopic, travel, capacity) in self.steps[depth].items():
-            head = node.committed + myopic
+        for pair, (rate, myopic, travel, capacity, fixed, floors, costs) in self.steps[depth].items():
+            head = committed + myopic
             if (station_sum + head + suffix + floor_sum) * _LIMIT_SLACK >= limit:
                 break
             old = loads.get(pair)
@@ -449,25 +460,24 @@ class _TreeSearch:
             if proximity and self._breaks_proximity(node, j):
                 continue
             if last:
-                opened = station_sum if j in stations else station_sum + self.station_cost[j]
-                new = self.sizer.best(j, pair[1], load)[2]
-                price = base - (0.0 if old is None else sized[pair]) + new + travel + opened
+                opened = station_sum if j in stations else station_sum + fixed
+                price = base - (0.0 if old is None else costs[old]) + costs[load] + travel + opened
                 if price < limit:
                     limit, out = price, [(myopic, pair, price, None)]
                 continue
             if j in stations:
                 dyn, opened = myopic, station_sum
             else:
-                dyn, opened = myopic + self.station_cost[j], station_sums[stations | {j}]
-            memo = floors[pair]
+                dyn, opened = myopic + fixed, self.station_sums[stations | {j}]
             if old is None:
-                child_sum = floor_sum + memo[load]
+                child_sum = floor_sum + floors[load]
             else:
-                child_sum = floor_sum - memo[old] + memo[load]
+                child_sum = floor_sum - floors[old] + floors[load]
             bound = opened + head + suffix + child_sum
             if bound < limit:
                 out.append((dyn, pair, bound, child_sum))
-        out.sort()  # (dyn, pair) is unique, so neither the bound nor the sum decides
+        if len(out) > 1:
+            out.sort()  # (dyn, pair) is unique, so neither the bound nor the sum decides
         return [(pair, bound, child_sum) for (_, pair, bound, child_sum) in out]
 
     def _breaks_proximity(self, node: _Node, j: int) -> bool:
@@ -516,36 +526,40 @@ class _TreeSearch:
         # (bound, seq, parent, pair, floor sum); the root is the one entry without a pair
         heap: list[tuple[float, int, _Node, tuple[int, int] | None, float]] = [(self.node_bound(root), 0, root, None, 0.0)]
         seq = itertools.count(1)
+        heappop, heappush = heapq.heappop, heapq.heappush
+        children, child, cut_keys = self._children, self._child, self.cut_keys
+        time_limit, gap_threshold = self.config.time_limit, self.config.gap_threshold
 
         while heap:
-            if self.config.time_limit is not None and time.perf_counter() - t0 > self.config.time_limit:
+            if time_limit is not None and time.perf_counter() - t0 > time_limit:
                 terminated = "time"
                 lower = max(lower, min(heap[0][0], upper))
                 break
-            key, _, parent, pair, floor_sum = heapq.heappop(heap)
-            lower = max(lower, min(key, upper))
+            key, _, parent, pair, floor_sum = heappop(heap)
+            if lower < key and lower < upper:  # lower = max(lower, min(key, upper))
+                lower = key if key < upper else upper
             limit = upper * _PRUNE_FACTOR
             if key >= limit:
                 continue  # drain; monotone bounds make everything left prunable
-            node = parent if pair is None else self._child(parent, pair)
+            node = parent if pair is None else child(parent, pair)
             node.floor_sum = floor_sum
             # without a cut since the parent's expansion the bound and the
             # floor sum still hold; after one they may have risen
-            if parent.cuts != len(self.cut_keys) and self.node_bound(node) >= limit:
+            if parent.cuts != len(cut_keys) and self.node_bound(node) >= limit:
                 continue
             nodes += 1
-            node.cuts = len(self.cut_keys)
-            for pair, child_bound, child_sum in self._children(node, limit):
+            node.cuts = len(cut_keys)
+            for pair, child_bound, child_sum in children(node, limit):
                 if child_sum is None:
-                    register(self._child(node, pair))
+                    register(child(node, pair))
                 else:
-                    heapq.heappush(heap, (child_bound, next(seq), node, pair, child_sum))
+                    heappush(heap, (child_bound, next(seq), node, pair, child_sum))
 
             if (
-                self.config.gap_threshold > 0.0
+                gap_threshold > 0.0
                 and upper < math.inf
                 and heap
-                and 1.0 - min(heap[0][0], upper) / upper <= self.config.gap_threshold
+                and 1.0 - min(heap[0][0], upper) / upper <= gap_threshold
             ):
                 lower = max(lower, min(heap[0][0], upper))
                 terminated = "gap"

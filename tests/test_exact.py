@@ -372,7 +372,9 @@ class TestLoadOrder:
             inst = feasible_instance(seed, n_demand=5, n_station=2)
             search = _TreeSearch(inst, SolverConfig())
             for path in itertools.product(*search.steps):
-                assert node_of(search, path).loads == pair_loads(inst, path)
+                node = node_of(search, path)
+                assert node.loads == pair_loads(inst, path)
+                assert node.station_sum == sum(search.station_cost[j] for j in sorted(node.stations)), path
 
 
 class _Unmemoized(_TreeSearch):
@@ -475,6 +477,33 @@ class TestFloorMemo:
             )
             solved += 1
         assert solved >= 10
+
+    @pytest.mark.parametrize("proximity", [False, True], ids=["free", "proximity"])
+    def test_pair_tables_equal_fresh_values(self, proximity):
+        """After a solve, each pair's sized-cost table holds a fresh sizer's
+        cost bit for bit, each floor memo a fresh ``pair_floor_extra`` under
+        the final cut pool, and every option-table row the search's own
+        tables of its pair: a cut clears a floor memo in place, so no row
+        keeps a stale one."""
+        sized = floored = 0
+        for seed in range(8):
+            inst = replace(feasible_instance(seed, n_demand=9, n_station=4), enforce_proximity=proximity)
+            search = _TreeSearch(inst, SolverConfig())
+            search.solve()
+            assert search.cut_keys
+            fresh = construction._PairSizer(inst)
+            for (j, k), table in search.sized.items():
+                for load, cost in table.items():
+                    assert cost.hex() == fresh.best(j, k, load)[2].hex(), (seed, j, k, load)
+                    sized += 1
+            for (j, k), memo in search.floors.items():
+                for load, floor in memo.items():
+                    assert floor.hex() == search.pair_floor_extra(j, k, load).hex(), (seed, j, k, load)
+                    floored += 1
+            for options in search.steps:
+                for pair, (*_, floors, costs) in options.items():
+                    assert floors is search.floors[pair] and costs is search.sized[pair], (seed, pair)
+        assert sized > 0 and floored > 0, (sized, floored)
 
 
 def equal_up_to_rounding(carried, fresh):
@@ -778,7 +807,7 @@ def test_steps_list_options_in_myopic_order():
     for seed in range(8):
         search = _TreeSearch(feasible_instance(seed, n_demand=9, n_station=4), SolverConfig())
         for options in search.steps:
-            myopic = [myopic for (_, myopic, _, _) in options.values()]
+            myopic = [myopic for (_, myopic, *_) in options.values()]
             assert myopic == sorted(myopic) and len(myopic) > 1
 
 
