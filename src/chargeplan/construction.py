@@ -7,7 +7,8 @@ fixed assignment, given as an assignment vector: the (station, type) pair
 of each demand in ``instance.demand_order``. Every solver hands its answer
 to :func:`build_solution` as such a vector, and nothing else turns one into
 a Solution. All are pure given an RNG. Every per-run cache of every solver,
-sizing included, is a self-filling :class:`Memo`.
+sizing included, is a self-filling :class:`Memo`, but for the GA's cover
+lists, which a context keeps only from a search that no deadline cut.
 """
 
 from __future__ import annotations
@@ -198,8 +199,8 @@ def demand_assignment(
     (ties: lowest id), as it always does when the instance enforces
     proximity (the exploration draw is still taken). The charger type is
     always uniform random; each index draw is ``rng.choice``'s own, inline.
-    With a run's :class:`CandidateContext` each activation's closest
-    stations and options are worked out once per run (``active`` must then
+    With a :class:`CandidateContext` each activation's closest stations
+    and options are worked out once per context (``active`` must then
     be a frozenset), with the same draws, and its ``pairs`` supply the
     vector's tuples, so vectors share them rather than each making its own.
     A demand that reaches no active station raises UncoveredDemandError
@@ -283,7 +284,8 @@ class _PairSizer:
     """:func:`size_pair` for one instance, memoized in ``_memo`` by (station,
     type, load); loads are summed in ``instance.demand_order`` wherever they
     are formed, so one assignment's pair always meets the same key. Each
-    solve or SA/GA run makes its own and drops it, so no cache outlives it.
+    solve makes its own and drops it, and SA and GA use their context's, so
+    no cache outlives the solve or ``multi_run`` that made it.
     SA's cost floor reads ``_memo`` for the pairs already sized, and
     branch-and-bound reads sized costs through its own per-pair tables,
     which call :meth:`best` only for a load they do not hold yet."""
@@ -309,11 +311,13 @@ class _PairSizer:
 
 
 class CandidateContext:
-    """What the candidates of one SA or GA run share: built at the start of
-    the run and dropped with it, so nothing outlives the run or hangs off
-    the shared instance.
+    """What the candidates of an SA or GA run share: built at the start of
+    the run, or of a ``multi_run`` whose runs all share it, and dropped
+    with it, so nothing outlives the solve or hangs off the shared instance.
+    Every memo value is a pure function of its key, so a run gives the same
+    answer on a warm context as on a fresh one.
 
-    It holds the run's :class:`_PairSizer` (``sizer``),
+    It holds the :class:`_PairSizer` (``sizer``),
     :func:`model.cost_tables` (``tables``) and each station's (station,
     type) tuples (``pairs``), which every drawn vector shares, so a price
     memo key keeps no pair tuple of its own alive. An activation is an int
@@ -323,7 +327,9 @@ class CandidateContext:
     mask's stations if they cover every demand, else the empty set;
     ``routes[active]``, the activation's :func:`_routes`; and
     ``prices[(active, tuple(vector))]``, a candidate's cost and charger
-    counts, or None when it cannot be sized.
+    counts, or None when it cannot be sized. ``covers`` maps a GA
+    population size to the :func:`cover_sets` list of a search that no
+    deadline cut.
     """
 
     def __init__(self, instance: mdl.Instance):
@@ -337,6 +343,7 @@ class CandidateContext:
         self.covering = Memo(self._cover, _MEMO_ENTRIES)
         self.routes = Memo(functools.partial(_routes, instance), _MEMO_ENTRIES)
         self.prices = Memo(self._price, _MEMO_ENTRIES)
+        self.covers: dict[int, list[frozenset[int]]] = {}
 
     def mask(self, stations: Iterable[int]) -> int:
         """The bitmask of a set of distinct stations."""

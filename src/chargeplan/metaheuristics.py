@@ -5,13 +5,14 @@ subset the demand assignment is sampled (closest station, with an exploration
 probability of a random one unless the instance enforces proximity), charger
 counts are sized optimally for that assignment, and the candidate is priced at
 the waits that sizing produced; the assignment is the vector that the exact
-searches walk. Each run builds one
-:class:`~chargeplan.construction.CandidateContext` and drops it with the run.
+searches walk. A run prices through one
+:class:`~chargeplan.construction.CandidateContext`, its own or its caller's.
 Its memos, each a self-filling :class:`~chargeplan.construction.Memo`, hold
 each activation bitmask's coverage, each activation's draw options, each
 (station, type, load)'s sizing and each (activation, vector)'s cost and
 charger counts (None when unsizable), so a repeated candidate is neither sized
-nor summed again. ``model.cost_totals`` prices a candidate's vector from
+nor summed again; each value is a pure function of its key, so a warm context
+changes no course. ``model.cost_totals`` prices a candidate's vector from
 per-run coefficient tables, as ``model.evaluate`` prices a reported one, so
 every total is the one ``model.evaluate`` gives. Candidates whose sizing is
 infeasible cost infinity and are never recorded as incumbents. Only the
@@ -26,9 +27,9 @@ the course is the one that pricing every candidate gives. The GA prices
 every child once per distinct (activation, vector), since its admission
 rule takes most of them.
 
-A multi-run driver launches independently seeded runs within one shared
-time limit and reports the best, plus how many distinct final objective
-values the runs produced.
+A multi-run driver launches independently seeded runs on one context within
+one shared time limit and reports the best, plus how many distinct final
+objective values the runs produced.
 """
 
 from __future__ import annotations
@@ -177,6 +178,8 @@ def simulated_annealing(
     instance: mdl.Instance,
     params: SAParams,
     time_limit: float | None = None,
+    *,
+    context: CandidateContext | None = None,
 ) -> SolverReport:
     """Station-toggling SA with Metropolis acceptance and linear cooling.
 
@@ -190,11 +193,12 @@ def simulated_annealing(
     first and is dropped unsized when the draw fails against the floor.
     The temperature follows T *= (1 - C * T0 / L) clamped at a tiny floor.
     ``time_limit`` bounds the walk to a first stable sizing as well; when it
-    runs out there, :class:`TimeLimitError` is raised.
+    runs out there, :class:`TimeLimitError` is raised. With no ``context``
+    the run builds its own.
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
-    context = CandidateContext(instance)
+    context = CandidateContext(instance) if context is None else context
     bits, getrandbits, covering = context.bits, rng.getrandbits, context.covering
     covered = covering.get  # on a hit, faster than a dict-subclass subscript
     n_bits, width = len(bits), len(bits).bit_length()
@@ -286,6 +290,19 @@ class _Chromosome:
     priced: tuple[list[tuple[int, int]], dict[tuple[int, int], int]] | None  # (vector, chargers) unless inf
 
 
+def _two_best(pool: list[int], costs: list[float]) -> tuple[int, int]:
+    """The first two of ``pool`` sorted by (``costs[i]``, i), in one pass; a
+    pool of one gives its entry twice."""
+    first = second = None
+    for i in pool:
+        key = (costs[i], i)
+        if first is None or key < first:
+            first, second = key, first
+        elif second is None or key < second:
+            second = key
+    return first[1], (second or first)[1]
+
+
 def _inherit(vector: list[tuple[int, int]], p1: _Chromosome, p2: _Chromosome, first_half: set[int]) -> None:
     """Give each demand of the child ``vector`` the pair of its parent (``p1``
     on ``first_half``, else ``p2``) where that parent routed it to the same
@@ -301,6 +318,8 @@ def genetic_algorithm(
     instance: mdl.Instance,
     params: GAParams,
     time_limit: float | None = None,
+    *,
+    context: CandidateContext | None = None,
 ) -> SolverReport:
     """Cover-set GA: tournament selection, positional crossover, coverage
     repair, parental charger-type inheritance, and worst-replacement.
@@ -318,17 +337,27 @@ def genetic_algorithm(
     first generation. It bounds the pricing of the initial population too:
     past the deadline, pricing stops once one chromosome has a finite cost,
     and ``population_size`` in the stats counts the chromosomes priced.
+    With no ``context`` the run builds its own; a context keeps, by
+    population size, the cover list of a search no deadline cut, and a later
+    run on it reuses the list in place of searching again.
     """
     t0 = time.perf_counter()
     rng = random.Random(params.seed)
-    context = CandidateContext(instance)
+    context = CandidateContext(instance) if context is None else context
+    covering, bits = context.covering, context.bits
     station_order = [s.id for s in instance.stations]
     first_half = set(station_order[: len(station_order) // 2])
     first_mask = context.mask(first_half)
 
     deadline = None if time_limit is None else t0 + time_limit
-    covers = cover_sets(instance, params.population_size, deadline)
-    stats = {"cover_search_cut": True} if deadline is not None and time.perf_counter() > deadline else {}
+    covers = context.covers.get(params.population_size)
+    stats = {}
+    if covers is None:
+        covers = cover_sets(instance, params.population_size, deadline)
+        if deadline is not None and time.perf_counter() > deadline:
+            stats["cover_search_cut"] = True
+        else:
+            context.covers[params.population_size] = covers
     population: list[_Chromosome] = []
     idx = 0
     priced = False  # some chromosome has a finite cost
@@ -351,24 +380,24 @@ def genetic_algorithm(
     terminated = "optimality"
 
     # no station means no demand and no other child: the start is the answer
-    for it in range(1, params.max_iterations + 1 if context.bits else 1):
+    indices = range(len(population))
+    pool_size = min(max(2, math.ceil(params.tournament_fraction * len(population))), len(population))
+    for it in range(1, params.max_iterations + 1 if bits else 1):
         if deadline is not None and time.perf_counter() > deadline:
             terminated = "time"
             break
         iterations = it
 
-        pool_size = min(max(2, math.ceil(params.tournament_fraction * len(population))), len(population))
-        pool_idx = rng.sample(range(len(population)), pool_size)
-        ranked = sorted(pool_idx, key=lambda i: (costs[i], i))
-        p1 = population[ranked[0]]
-        p2 = population[ranked[1]] if len(ranked) > 1 else p1
+        i1, i2 = _two_best(rng.sample(indices, pool_size), costs)
+        p1, p2 = population[i1], population[i2]
 
         mask = (p1.mask & first_mask) | (p2.mask & ~first_mask)
-        inactive = [b for b in context.bits if not mask & b]
-        child = context.covering[mask]
-        while not child and inactive:
-            mask |= inactive.pop(rng.randrange(len(inactive)))
-            child = context.covering[mask]
+        child = covering[mask]
+        if not child:
+            inactive = [b for b in bits if not mask & b]
+            while not child and inactive:
+                mask |= inactive.pop(rng.randrange(len(inactive)))
+                child = covering[mask]
 
         vector = demand_assignment(instance, child, params.assignment_randomness, rng, context)
         _inherit(vector, p1, p2, first_half)
@@ -382,10 +411,8 @@ def genetic_algorithm(
             time_to_best = time.perf_counter() - t0
             admit = True
         elif child_cost > worst_cost:
-            m = worst_cost / child_cost if child_cost > 0 else 0.0
-            if math.isinf(child_cost) and math.isinf(worst_cost):
-                m = 1.0
-            admit = rng.random() < m
+            # worst_cost is finite and child_cost > 0 here; an inf child gets 0.0
+            admit = rng.random() < worst_cost / child_cost
         else:
             admit = True
         if admit:
@@ -410,10 +437,11 @@ def multi_run(
     time_limit: float | None = None,
 ) -> SolverReport:
     """Launch ``n_runs`` independent runs seeded ``params.seed`` + 0..n-1 and
-    report the cheapest. Runs share only the immutable instance, so they may
-    execute in any order; they are executed sequentially here for exact
-    reproducibility of the aggregate. ``time_limit`` bounds all the runs
-    together: each run gets what is left of it when it starts, and once
+    report the cheapest. Runs share the instance and one
+    :class:`CandidateContext`, dropped on return, and each gives what a run
+    on a fresh context gives, so they may execute in any order; they are
+    executed sequentially here for exact reproducibility of the aggregate.
+    ``time_limit`` bounds all the runs together: each run gets what is left of it when it starts, and once
     nothing is left no further run starts. A run that runs out of time
     before any deployment (:class:`TimeLimitError`) ends the loop; the runs
     already made are reported, and with none the error propagates.
@@ -427,6 +455,7 @@ def multi_run(
     if method not in ("sa", "ga"):
         raise ValueError("method must be 'sa' or 'ga'")
     solve = simulated_annealing if method == "sa" else genetic_algorithm
+    context = CandidateContext(instance)
     deadline = None if time_limit is None else time.perf_counter() + time_limit
     reports = []
     for r in range(n_runs):
@@ -434,7 +463,7 @@ def multi_run(
         if reports and left is not None and left <= 0.0:
             break
         try:
-            reports.append(solve(instance, replace(params, seed=params.seed + r), left))
+            reports.append(solve(instance, replace(params, seed=params.seed + r), left, context=context))
         except TimeLimitError:
             if not reports:
                 raise

@@ -154,6 +154,19 @@ class TestGeneticAlgorithm:
             rep = genetic_algorithm(inst, GAParams(max_iterations=400, seed=seed))
             assert check_feasibility(inst, rep.best) == []
 
+    def test_two_best_equals_a_sort(self):
+        rng = random.Random(29)
+        ties = 0
+        for n in range(1, 13):
+            for _ in range(40):
+                costs = [rng.choice((1.0, 2.0, math.inf, rng.random())) for _ in range(n)]
+                for size in range(1, n + 1):
+                    pool = rng.sample(range(n), size)
+                    want = sorted(pool, key=lambda i: (costs[i], i))[:2]
+                    assert metaheuristics._two_best(pool, costs) == (want[0], want[-1])
+                    ties += len(want) == 2 and costs[want[0]] == costs[want[1]]
+        assert ties >= 200, ties
+
     def test_degenerate_population_single_cover(self):
         # an instance with exactly one cover: crossover can only reproduce it
 
@@ -280,16 +293,59 @@ class TestMultiRun:
         inst = small(7113)
         made = []
 
-        def later_runs_time_out(instance, params, time_limit=None):
+        def later_runs_time_out(instance, params, time_limit=None, *, context=None):
             if made:
                 raise TimeLimitError("time limit ran out before any deployment")
-            made.append(genetic_algorithm(instance, params, time_limit))
+            made.append(genetic_algorithm(instance, params, time_limit, context=context))
             return made[-1]
 
         monkeypatch.setattr(metaheuristics, "genetic_algorithm", later_runs_time_out)
         rep = multi_run(inst, "ga", GAParams(max_iterations=50, seed=3), n_runs=3)
         assert rep.upper_bound == made[0].upper_bound
         assert rep.stats["run_costs"] == [made[0].upper_bound] and rep.stats["n_runs"] == 1
+
+    @staticmethod
+    def logged_cover_searches(monkeypatch):
+        """The arguments of each cover_sets call the GA makes from now on."""
+        searches, search = [], metaheuristics.cover_sets
+        monkeypatch.setattr(metaheuristics, "cover_sets", lambda *args: searches.append(args) or search(*args))
+        return searches
+
+    @pytest.mark.parametrize("memo_entries", [construction._MEMO_ENTRIES, 5])
+    @pytest.mark.parametrize("method, params", [
+        ("sa", SAParams(max_iterations=150, assignment_randomness=0.2, seed=4)),
+        ("ga", GAParams(max_iterations=150, assignment_randomness=0.2, seed=4)),
+    ])
+    def test_multi_run_shares_one_context(self, monkeypatch, method, params, memo_entries):
+        # each run on the shared context gives what a run on its own gives
+        monkeypatch.setattr(construction, "_MEMO_ENTRIES", memo_entries)
+        solve = simulated_annealing if method == "sa" else genetic_algorithm
+        searches = self.logged_cover_searches(monkeypatch)
+        for inst in TestPriceMemo.instances():
+            fresh = [solve(inst, replace(params, seed=params.seed + r)) for r in range(3)]
+            searches.clear()
+            rep = multi_run(inst, method, params, n_runs=3)
+            assert len(searches) == (method == "ga")
+            assert [c.hex() for c in rep.stats["run_costs"]] == [f.upper_bound.hex() for f in fresh]
+            best = min(fresh, key=lambda f: f.upper_bound)
+            stats = {k: v for k, v in best.stats.items() if k != "incumbent_trace"}
+            stats.update({k: rep.stats[k] for k in ("run_costs", "distinct_objectives", "n_runs")})
+            assert json.dumps(report_to_dict(rep)) == json.dumps(report_to_dict(replace(best, stats=stats)))
+
+    def test_shared_context_keeps_no_cut_cover_search(self, monkeypatch):
+        inst = small()
+        params = GAParams(max_iterations=100, seed=1)
+        searches = self.logged_cover_searches(monkeypatch)
+        context = CandidateContext(inst)
+        cut = genetic_algorithm(inst, params, time_limit=1e-9, context=context)
+        assert cut.stats["cover_search_cut"] is True and context.covers == {}
+        # the next run searches again and keeps what it found
+        rep = genetic_algorithm(inst, params, context=context)
+        assert len(searches) == 2 and list(context.covers) == [params.population_size]
+        assert report_to_dict(rep) == report_to_dict(genetic_algorithm(inst, params))
+        assert genetic_algorithm(inst, replace(params, seed=2), context=context).upper_bound == \
+            genetic_algorithm(inst, replace(params, seed=2)).upper_bound
+        assert len(searches) == 4  # the kept list served one run; the fresh runs searched
 
     def test_a_first_run_out_of_time_raises(self):
         inst = feasible_instance(9011, n_demand=20, n_station=5, cap_range=(6, 14))
@@ -374,6 +430,10 @@ class TestCandidatePricing:
     @pytest.mark.parametrize("solve, params", [
         (simulated_annealing, SAParams(max_iterations=100, seed=2)),
         (genetic_algorithm, GAParams(max_iterations=100, seed=2)),
+        pytest.param(lambda inst, params: multi_run(inst, "sa", params, n_runs=3), SAParams(max_iterations=100, seed=2),
+                     id="multi_run-sa"),
+        pytest.param(lambda inst, params: multi_run(inst, "ga", params, n_runs=3), GAParams(max_iterations=100, seed=2),
+                     id="multi_run-ga"),
     ])
     def test_run_leaves_no_sizing_cache(self, monkeypatch, solve, params):
         inst = small(7116)
@@ -392,6 +452,7 @@ class TestCandidatePricing:
         monkeypatch.setattr(metaheuristics, "CandidateContext", tracked)
         solve(inst, params)
         gc.collect()
+        # one context, which a multi_run's three runs share, freed on return
         assert len(made) == 6 and [ref() for ref in made] == [None] * 6
         # nothing but this test holds them
         for n in range(len(held)):
