@@ -1,7 +1,8 @@
 """Command-line pipeline: ingest, cluster, solve, compare, sweep, validate.
 
-Exit codes: 0 success, 2 infeasible, 3 parse/usage error (brute force on
-an instance with too many assignment vectors included), 4 solver hit its
+Exit codes: 0 success, 2 infeasible (from sa or ga: no deployment found,
+which proves nothing), 3 parse/usage error (brute force on an instance
+with too many assignment vectors included), 4 solver hit its
 time limit (a result file is still written when it had a deployment, and
 none when it stopped before finding one). All volatile values (wall times,
 timestamps) are confined to the ``meta`` object of JSON outputs so
@@ -33,18 +34,13 @@ from .errors import (
     InstanceTooLargeError,
     InvalidKError,
     ParseError,
+    SearchGaveUpError,
     TimeLimitError,
     UncoveredDemandError,
 )
 from .exact import SolverConfig, branch_and_bound, brute_force, save_report
 from .metaheuristics import GAParams, SAParams, genetic_algorithm, multi_run, simulated_annealing
-from .scenarios import (
-    SWEEP_PARAMETERS,
-    SweepSpec,
-    charger_count_labels,
-    run_scenarios,
-    run_sweep,
-)
+from .scenarios import SWEEP_PARAMETERS, SweepSpec, run_scenarios, run_sweep, scenario_table
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -169,6 +165,8 @@ def _run_method(instance: mdl.Instance, args, cfg: dict):
 
 
 def cmd_gen_demand(args) -> int:
+    if args.max_chargers_per_type < 0:
+        raise ParseError(f"bad --max-chargers-per-type {args.max_chargers_per_type}: need a count >= 0")
     cfg = _load_config(args.config)
     blocks = dm.read_blocks_csv(args.blocks)
     kinds = presets.baseline_charger_types()
@@ -210,6 +208,12 @@ def cmd_gen_demand(args) -> int:
 
 def cmd_cluster(args) -> int:
     instance = mdl.load_instance(args.instance)
+    for flag, k, n in (
+        ("--k-demand", args.k_demand, len(instance.demand_points)),
+        ("--k-station", args.k_station, len(instance.stations)),
+    ):
+        if not 1 <= k <= n:
+            raise InvalidKError(f"{flag} {k} outside [1, {n}]")
     if args.k_demand != len(instance.demand_points) or args.k_station != len(instance.stations):
         # full identity keeps the instance, and so its travel matrix, as it is
         dps = dm.cluster_demand_points(list(instance.demand_points), args.k_demand, args.seed)
@@ -258,46 +262,15 @@ def cmd_scenarios(args) -> int:
     cfg = _load_config(args.config)
     instance = mdl.load_instance(args.instance)
     rows = run_scenarios(instance, partial(_run_method, args=args, cfg=cfg))
-    labels = charger_count_labels(instance)
-    type_ids = sorted(labels)
     baseline = rows[-1]  # scenario_matrix puts joint-mixed last
     if not baseline.feasible:
         print("baseline scenario infeasible", file=sys.stderr)
         return EXIT_INFEASIBLE
     if baseline.total_cost <= 0:
         raise ChargePlanError("baseline objective must be positive to compare scenarios against it")
-
-    header = (
-        ["scenario", "joint", "garage", "other", "status", "total_cost", "pct_increase_vs_baseline", "stations"]
-        + [f"chargers_{labels[k]}" for k in type_ids]
-        + ["mean_wait_min", "mean_utilization"]
-    )
-    out_rows = []
-    for r in rows:
-        if r.feasible:
-            pct = 100.0 * (r.total_cost - baseline.total_cost) / baseline.total_cost
-            out_rows.append(
-                [
-                    r.label,
-                    int(r.scenario.joint),
-                    int(r.scenario.allow_garage),
-                    int(r.scenario.allow_other),
-                    "ok",
-                    r.total_cost,
-                    pct,
-                    r.stations_active,
-                ]
-                + [r.chargers_per_type[k] for k in type_ids]
-                + [r.mean_wait, r.mean_utilization]
-            )
-        else:
-            out_rows.append(
-                [r.label, int(r.scenario.joint), int(r.scenario.allow_garage), int(r.scenario.allow_other), "infeasible", "", "", ""]
-                + ["" for _ in type_ids]
-                + ["", ""]
-            )
-    _write_csv(args.out, header, out_rows)
-    for row in out_rows:
+    header, table = scenario_table(instance, rows)
+    _write_csv(args.out, header, table)
+    for row in table:
         print(row[0], row[4], row[5] if row[5] != "" else "-")
     return EXIT_OK
 
@@ -418,6 +391,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, InvalidKError, ValueError, OSError) as exc:  # OSError: an unreadable input file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except SearchGaveUpError as exc:  # SA or GA gave up: no proof of infeasibility
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (InfeasibleError, InfeasibleDemandError, UncoveredDemandError) as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

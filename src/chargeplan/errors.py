@@ -42,6 +42,13 @@ class InfeasibleError(ChargePlanError):
     """No feasible solution exists for the requested configuration."""
 
 
+class SearchGaveUpError(InfeasibleError):
+    """A heuristic search (SA or GA) stopped without a deployment it could
+    size stably. That proves nothing about feasibility; it is an
+    :class:`InfeasibleError` so that callers which only need some
+    deployment treat both alike."""
+
+
 class UncoveredDemandError(ChargePlanError):
     """An activation set leaves some demand point without a reachable station."""
 

@@ -48,11 +48,12 @@ from .construction import (
     demand_assignment,
     min_stations,
 )
-from .errors import InfeasibleError, TimeLimitError
+from .errors import SearchGaveUpError, TimeLimitError
 from .exact import SolverReport, root_lower_bound
 
 _TEMP_FLOOR = 1e-12
 _TOGGLE_LIMIT = 200_000
+_NOT_A_PROOF = "that is not a proof of infeasibility: --method bnb decides it"
 _FLOOR_SLACK = 1.0 - 1e-9  # far above the rounding of either sum
 _UNSIZED = object()  # a key the sizing memo does not hold yet
 
@@ -217,7 +218,10 @@ def simulated_annealing(
                 active = covering[mask]
             if active:
                 return mask, active
-        raise InfeasibleError("random walk could not reach a feasible activation")
+        raise SearchGaveUpError(
+            f"simulated annealing's random walk made {_TOGGLE_LIMIT + 1} station toggles without reaching "
+            f"an activation that covers every demand; {_NOT_A_PROOF}"
+        )
 
     current = frozenset(min_stations(instance))
     cur_mask = context.mask(current)
@@ -230,7 +234,10 @@ def simulated_annealing(
             raise TimeLimitError(f"time limit {time_limit:g} s ran out before any activation admitted a stable sizing")
         retries += 1
         if retries > 1000:
-            raise InfeasibleError("no activation with a stable charger sizing found")
+            raise SearchGaveUpError(
+                "simulated annealing tried the greedy cover and 1000 activations its random walk reached, "
+                f"and none admitted a stable charger sizing; {_NOT_A_PROOF}"
+            )
         cur_mask, current = walk_to_feasible(cur_mask)
         cur_cost, cur_sol = _try_candidate(instance, current, params.assignment_randomness, rng, context)
 
@@ -422,7 +429,10 @@ def genetic_algorithm(
     if best_sol is None:
         if terminated == "time":
             raise TimeLimitError(f"time limit {time_limit:g} s ran out before any cover admitted a stable sizing")
-        raise InfeasibleError("no cover admits a stable charger sizing")
+        raise SearchGaveUpError(
+            f"the genetic algorithm tried {len(population)} initial candidates and {iterations} children, "
+            f"and none admitted a stable charger sizing; {_NOT_A_PROOF}"
+        )
     return _report(
         instance, best_sol, iterations, time_to_best, terminated,
         {"population_size": len(population), **stats},

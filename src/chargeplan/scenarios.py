@@ -4,7 +4,8 @@ Scenarios cross two ownership modes (joint: agencies share stations;
 separate: each agency deploys on its own labeled stations) with three
 station-pool regimes (garages only, non-garages only, both). Separate mode
 solves one sub-instance per agency and sums the costs. The joint mixed-pool
-scenario is the baseline every row is compared against.
+scenario is the baseline every row is compared against; ``scenario_table``
+writes the rows as the scenario CSV.
 """
 
 from __future__ import annotations
@@ -21,7 +22,21 @@ from .exact import SolverReport
 
 SolveFn = Callable[[mdl.Instance], SolverReport]
 
-SWEEP_PARAMETERS = ("wait_cost", "charger_power", "station_cost", "charger_cost")
+# each sweep parameter and how it scales an instance, all else fixed;
+# scaling charger power rescales the service rates with it
+_SCALINGS: dict[str, Callable[[mdl.Instance, float], mdl.Instance]] = {
+    "wait_cost": lambda inst, m: replace(inst, wait_cost_rate=inst.wait_cost_rate * m),
+    "charger_power": lambda inst, m: replace(inst, charger_types=tuple(
+        replace(k, power_kw=k.power_kw * m, recharge_time_min=k.recharge_time_min / m) for k in inst.charger_types
+    )),
+    "station_cost": lambda inst, m: replace(inst, stations=tuple(
+        replace(s, fixed_cost_rate=s.fixed_cost_rate * m) for s in inst.stations
+    )),
+    "charger_cost": lambda inst, m: replace(inst, charger_types=tuple(
+        replace(k, unit_cost_rate=k.unit_cost_rate * m) for k in inst.charger_types
+    )),
+}
+SWEEP_PARAMETERS = tuple(_SCALINGS)
 
 
 @dataclass(frozen=True)
@@ -89,19 +104,24 @@ def _agencies(instance: mdl.Instance) -> list[str]:
 
 @dataclass(frozen=True)
 class ScenarioRow:
-    """Aggregated outcome of one scenario."""
+    """One scenario's pool and its deployment there, None for either that
+    does not exist."""
 
     scenario: ScenarioSpec
-    feasible: bool
-    total_cost: float | None
-    stations_active: int | None
-    chargers_per_type: dict[int, int] | None
-    mean_wait: float | None
-    mean_utilization: float | None
+    pool: mdl.Instance | None
+    deployment: mdl.Solution | None
 
     @property
     def label(self) -> str:
         return self.scenario.label
+
+    @property
+    def feasible(self) -> bool:
+        return self.deployment is not None
+
+    @property
+    def total_cost(self) -> float | None:
+        return None if self.deployment is None else self.deployment.cost.total
 
 
 def _deploy(
@@ -128,29 +148,6 @@ def _deploy(
     )
 
 
-def _row(spec: ScenarioSpec, pool: mdl.Instance | None, sol: mdl.Solution | None) -> ScenarioRow:
-    """The table row of a scenario's deployment on its pool."""
-    if sol is None:
-        return ScenarioRow(spec, False, None, None, None, None, None)
-    loads = mdl.pair_loads(pool, mdl.assignment_vector(pool, sol.assignments))
-    per_type = {k.id: 0 for k in pool.charger_types}
-    waits, utils = [], []
-    for (j, k), s in sorted(sol.chargers.items()):
-        if s > 0:
-            per_type[k] += s
-            waits.append(sol.waits[(j, k)])
-            utils.append(loads.get((j, k), 0.0) / (pool.type_by_id[k].service_rate * s))
-    return ScenarioRow(
-        scenario=spec,
-        feasible=True,
-        total_cost=sol.cost.total,
-        stations_active=len(sol.active),
-        chargers_per_type=per_type,
-        mean_wait=sum(waits) / len(waits) if waits else 0.0,
-        mean_utilization=sum(utils) / len(utils) if utils else 0.0,
-    )
-
-
 def run_scenarios(instance: mdl.Instance, solve: SolveFn) -> list[ScenarioRow]:
     """A row per scenario: the cheapest of its own deployment and those of
     the scenarios it contains (pool X includes pool Y: joint-X contains
@@ -170,7 +167,7 @@ def run_scenarios(instance: mdl.Instance, solve: SolveFn) -> list[ScenarioRow]:
             sol = build_solution(pool, mdl.assignment_vector(pool, sol.assignments), sol.chargers, active=sol.active)
             if (best is None or sol.cost.total < best.cost.total) and not mdl.check_feasibility(pool, sol):
                 best = sol
-        rows.append(_row(spec, pool, best))
+        rows.append(ScenarioRow(spec, pool, best))
     return rows
 
 
@@ -194,41 +191,13 @@ class SweepSpec:
 
 
 def scale_instance(instance: mdl.Instance, parameter: str, multiplier: float) -> mdl.Instance:
-    """Instance with one parameter scaled, all else fixed. Scaling charger
-    power rescales the service rates accordingly."""
+    """Instance with one parameter of :data:`SWEEP_PARAMETERS` scaled, all
+    else fixed."""
     if multiplier <= 0:
         raise ValueError("multiplier must be positive")
-    if parameter == "wait_cost":
-        return replace(instance, wait_cost_rate=instance.wait_cost_rate * multiplier)
-    if parameter == "station_cost":
-        return replace(
-            instance,
-            stations=tuple(
-                replace(s, fixed_cost_rate=s.fixed_cost_rate * multiplier)
-                for s in instance.stations
-            ),
-        )
-    if parameter == "charger_cost":
-        return replace(
-            instance,
-            charger_types=tuple(
-                replace(k, unit_cost_rate=k.unit_cost_rate * multiplier)
-                for k in instance.charger_types
-            ),
-        )
-    if parameter == "charger_power":
-        return replace(
-            instance,
-            charger_types=tuple(
-                replace(
-                    k,
-                    power_kw=k.power_kw * multiplier,
-                    recharge_time_min=k.recharge_time_min / multiplier,
-                )
-                for k in instance.charger_types
-            ),
-        )
-    raise ValueError(f"unknown parameter {parameter!r}")
+    if parameter not in _SCALINGS:
+        raise ValueError(f"unknown parameter {parameter!r}")
+    return _SCALINGS[parameter](instance, multiplier)
 
 
 @dataclass(frozen=True)
@@ -252,11 +221,42 @@ def run_sweep(instance: mdl.Instance, sweep: SweepSpec, solve: SolveFn) -> list[
     return rows
 
 
-def charger_count_labels(instance: mdl.Instance) -> dict[int, str]:
-    """Column labels for per-type charger totals: slow/fast when there are
-    exactly two types, otherwise type ids."""
+def scenario_table(instance: mdl.Instance, rows: list[ScenarioRow]) -> tuple[list[str], list[list]]:
+    """The scenario CSV's header and a line per row of :func:`run_scenarios`,
+    whose last row, the joint-mixed baseline, must be feasible at a positive
+    cost. A feasible row gives its cost, its percent over the baseline, its
+    active stations, its chargers per type, and its mean wait and
+    utilization over equipped pairs; an infeasible row is blank after its
+    status."""
+    # per-type charger columns: slow/fast when there are exactly two types, otherwise type ids
     kinds = sorted(instance.charger_types, key=lambda k: (k.power_kw, k.id))
-    if len(kinds) == 2:
-        return {kinds[0].id: "slow", kinds[1].id: "fast"}
-    return {k.id: f"type{k.id}" for k in kinds}
-
+    names = {kinds[0].id: "slow", kinds[1].id: "fast"} if len(kinds) == 2 else {k.id: f"type{k.id}" for k in kinds}
+    type_ids = sorted(names)
+    header = (
+        ["scenario", "joint", "garage", "other", "status", "total_cost", "pct_increase_vs_baseline", "stations"]
+        + [f"chargers_{names[k]}" for k in type_ids]
+        + ["mean_wait_min", "mean_utilization"]
+    )
+    base = rows[-1].total_cost
+    table = []
+    for r in rows:
+        line = [r.label, int(r.scenario.joint), int(r.scenario.allow_garage), int(r.scenario.allow_other)]
+        pool, sol = r.pool, r.deployment
+        if sol is None:
+            table.append(line + ["infeasible"] + [""] * (len(header) - len(line) - 1))
+            continue
+        loads = mdl.pair_loads(pool, mdl.assignment_vector(pool, sol.assignments))
+        per_type = dict.fromkeys(type_ids, 0)
+        waits, utils = [], []
+        for (j, k), s in sorted(sol.chargers.items()):
+            if s > 0:
+                per_type[k] += s
+                waits.append(sol.waits[(j, k)])
+                utils.append(loads.get((j, k), 0.0) / (pool.type_by_id[k].service_rate * s))
+        table.append(
+            line
+            + ["ok", sol.cost.total, 100.0 * (sol.cost.total - base) / base, len(sol.active)]
+            + [per_type[k] for k in type_ids]
+            + [sum(waits) / len(waits) if waits else 0.0, sum(utils) / len(utils) if utils else 0.0]
+        )
+    return header, table

@@ -185,7 +185,35 @@ class TestGenDemand:
         assert named in capsys.readouterr().err
 
 
+    def test_negative_charger_cap_flag_rejected_before_any_file(self, tmp_path, capsys):
+        # the input files do not exist: the flag is checked before any is read
+        missing = str(tmp_path / "missing.csv")
+        out = tmp_path / "x.json"
+        rc = main([
+            "gen-demand", "--blocks", missing, "--stations", missing, "--range-min", "360",
+            "--max-chargers-per-type", "-2", "--out", str(out),
+        ])
+        assert rc == 3
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "--max-chargers-per-type" in err and "missing.csv" not in err
+
+
 class TestCluster:
+    @pytest.mark.parametrize("k_demand, k_station, named", [
+        ("9", "2", "--k-demand 9 outside [1, 5]"),
+        ("0", "2", "--k-demand 0 outside [1, 5]"),
+        ("3", "9", "--k-station 9 outside [1, 4]"),
+    ])
+    def test_bad_k_names_its_flag(self, tmp_path, capsys, k_demand, k_station, named):
+        inst = feasible_instance(503, n_demand=5, n_station=4)
+        src = write_instance(inst, tmp_path / "inst.json")
+        out = tmp_path / "clustered.json"
+        rc = main(["cluster", src, "--k-demand", k_demand, "--k-station", k_station, "--out", str(out)])
+        assert rc == 3
+        assert not out.exists()
+        assert named in capsys.readouterr().err
+
     def test_identity_cluster_counts(self, tmp_path):
         inst = feasible_instance(501, n_demand=4, n_station=3)
         src = write_instance(inst, tmp_path / "inst.json")
@@ -238,6 +266,22 @@ class TestSolve:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "exceed the cap" in err and "--method bnb" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("method, inst, cfg", [
+        ("sa", lambda: random_instance(6, n_demand=12, n_station=4, cap_range=(3, 7)), {}),
+        ("ga", lambda: feasible_instance(2, n_demand=16, n_station=5, cap_range=(3, 7)), {"ga": {"max_iterations": 300}}),
+    ], ids=["sa", "ga"])
+    def test_sa_or_ga_giving_up_is_not_called_infeasible(self, tmp_path, capsys, method, inst, cfg):
+        # the heuristic finds no stable sizing where branch-and-bound proves an optimum
+        src = write_instance(inst(), tmp_path / "inst.json")
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(cfg))
+        out = tmp_path / "report.json"
+        assert main(["solve", src, "--method", method, "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not a proof of infeasibility" in err and "--method bnb" in err
+        assert not out.exists()
+        assert main(["solve", src, "--method", "bnb", "--out", str(out)]) == 0
 
     def test_all_methods_produce_valid_reports(self, tmp_path):
         inst = feasible_instance(504, n_demand=3, n_station=3)
@@ -739,6 +783,31 @@ class TestScenariosCommand:
                 continue
             recomputed = 100.0 * (float(r["total_cost"]) - base_cost) / base_cost
             assert recomputed == pytest.approx(float(r["pct_increase_vs_baseline"]), abs=1e-9)
+
+
+    def test_scenario_table_pads_infeasible_rows(self, tmp_path):
+        import dataclasses
+
+        inst = two_agency_instance(6)
+        # strip every garage flag: garage-only pools lose all their stations
+        no_garage = dataclasses.replace(
+            inst, stations=tuple(dataclasses.replace(s, is_garage=False) for s in inst.stations)
+        )
+        src = write_instance(no_garage, tmp_path / "two.json")
+        out = tmp_path / "table.csv"
+        assert main(["scenarios", src, "--method", "bnb", "--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header[:8] == [
+            "scenario", "joint", "garage", "other", "status", "total_cost", "pct_increase_vs_baseline", "stations",
+        ]
+        assert header[-2:] == ["mean_wait_min", "mean_utilization"]
+        assert all(len(r) == len(header) for r in rows)
+        garage = [r for r in rows if r[0].endswith("-garage")]
+        assert [r[0] for r in garage] == ["separate-garage", "joint-garage"]
+        for r in garage:
+            assert r[4] == "infeasible" and r[5:] == [""] * (len(header) - 5)
+        assert all(r[4] == "ok" and "" not in r for r in rows if not r[0].endswith("-garage"))
 
 
 class TestSensitivityCommand:

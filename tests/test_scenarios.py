@@ -7,6 +7,7 @@ from chargeplan.exact import SolverConfig, branch_and_bound
 from chargeplan.metaheuristics import GAParams, genetic_algorithm
 from chargeplan.model import make_instance
 from chargeplan.scenarios import (
+    SWEEP_PARAMETERS,
     ScenarioSpec,
     SweepSpec,
     restrict_instance,
@@ -151,6 +152,15 @@ class TestSweep:
             a.unit_cost_rate == pytest.approx(0.5 * b.unit_cost_rate)
             for a, b in zip(ch.charger_types, inst.charger_types)
         )
+
+    def test_scale_instance_covers_every_sweep_parameter(self):
+        inst = two_agency_instance(5)
+        assert SWEEP_PARAMETERS == ("wait_cost", "charger_power", "station_cost", "charger_cost")
+        for parameter in SWEEP_PARAMETERS:
+            assert scale_instance(inst, parameter, 2.0) != inst, parameter
+            assert scale_instance(inst, parameter, 1.0) == inst, parameter
+        with pytest.raises(ValueError, match="'x'"):
+            scale_instance(inst, "x", 2.0)
 
     def test_zero_cost_baseline_rejected_before_any_scaled_solve(self):
         calls = []
