@@ -243,9 +243,8 @@ def size_pair(
     wait is convex in the count, so the first failing increment is the global
     stop. Returns None when even the minimum exceeds ``cap``.
 
-    The waits come from :func:`queueing.waits_upward`, which carries the
-    Erlang-B probability from one count to the next, so a pair that ends at
-    s chargers costs O(s) recurrence steps.
+    One :func:`queueing.cheapest_servers` walk carries the Erlang-B
+    probability from count to count: O(s) steps for a pair ending at s.
     """
     if load <= 0:
         return (0, 0.0)
@@ -253,14 +252,7 @@ def size_pair(
     s = queueing.min_chargers(load, mu, epsilon)
     if s > cap:
         return None
-    waits = queueing.waits_upward(load, mu, s)
-    _, wait = next(waits)
-    while s < cap:
-        nxt_s, nxt = next(waits)
-        if load * wait_cost_rate * (wait - nxt) <= charger_type.unit_cost_rate:
-            break
-        s, wait = nxt_s, nxt
-    return (s, wait)
+    return queueing.cheapest_servers(load, mu, s, cap, load * wait_cost_rate, charger_type.unit_cost_rate)
 
 
 class Memo(dict):

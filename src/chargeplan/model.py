@@ -90,6 +90,17 @@ def derive_service_rates(
     )
 
 
+def _off_the_globe(record: str, lat: float, lon: float) -> ValueError:
+    """The error for a ``lat``/``lon`` pair outside [-90, 90] x [-180, 180]:
+    a NaN would drop out of coverage, and an out-of-range degree would give a
+    wrapped haversine distance."""
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        return ValueError(f"{record}: lat and lon must be finite")
+    if abs(lat) > 90.0:
+        return ValueError(f"{record}: lat must lie in [-90, 90], got {lat!r}")
+    return ValueError(f"{record}: lon must lie in [-180, 180], got {lon!r}")
+
+
 @dataclass(frozen=True)
 class DemandPoint:
     """Aggregated charging demand at one terminal stop."""
@@ -102,8 +113,8 @@ class DemandPoint:
     agency: str | None = None
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):  # NaN would drop out of coverage
-            raise ValueError(f"demand point {self.id}: lat and lon must be finite")
+        if not (-90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0):  # NaN fails too
+            raise _off_the_globe(f"demand point {self.id}", self.lat, self.lon)
         if not 0 < self.rate < math.inf:
             raise ValueError(f"demand point {self.id}: rate must be positive and finite")
 
@@ -123,8 +134,8 @@ class CandidateStation:
     source_id: str | None = None  # ingest-only: the stop id in the source feed
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.lat) and math.isfinite(self.lon)):
-            raise ValueError(f"station {self.id}: lat and lon must be finite")
+        if not (-90.0 <= self.lat <= 90.0 and -180.0 <= self.lon <= 180.0):
+            raise _off_the_globe(f"station {self.id}", self.lat, self.lon)
         if not 0 <= self.fixed_cost_rate < math.inf:
             raise ValueError(f"station {self.id}: fixed_cost_rate must be nonnegative and finite")
         for k, cap in self.max_chargers.items():

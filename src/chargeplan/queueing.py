@@ -18,18 +18,20 @@ The delay probability comes from the Erlang-B recurrence
     B(0) = 1,    B(n) = a B(n-1) / (n + a B(n-1)),    a = load/service,
 
 and C = B / (1 - rho (1 - B)): the textbook factorial expression, but in
-[0, 1] at every step, so overflow-free for hundreds of servers. A wait is
-reached one way: :func:`waits_upward` runs the recurrence once and then
-carries B(s) to B(s+1) in one step, so sizing a pair that ends at s chargers
-costs O(s) steps; :func:`expected_wait` is the first value of that walk.
+[0, 1] at every step, so overflow-free for hundreds of servers. It steps over
+float counts n, exact in a double, so no step converts an int. A wait is reached
+one way: :func:`cheapest_servers` runs the recurrence once and walks upward,
+carrying B(s) to B(s+1) in one step; :func:`expected_wait` is that walk capped.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from itertools import chain
 
 from .errors import UnstableQueueError
+
+_COUNTS = tuple(map(float, range(2048)))  # fixed: _erlang_b makes larger counts per call
 
 
 def capacity(service_rate: float, servers: int, epsilon: float) -> float:
@@ -53,7 +55,8 @@ def min_chargers(load: float, service_rate: float, epsilon: float) -> int:
 
 def _erlang_b(offered_load: float, servers: int) -> float:
     b = 1.0
-    for n in range(1, servers + 1):
+    counts = _COUNTS[1 : servers + 1]
+    for n in counts if servers < len(_COUNTS) else chain(counts, map(float, range(len(_COUNTS), servers + 1))):
         ab = offered_load * b
         b = ab / (n + ab)
     return b
@@ -62,11 +65,6 @@ def _erlang_b(offered_load: float, servers: int) -> float:
 def _check_stable(rho: float, servers: int) -> None:
     if rho >= 1.0:
         raise UnstableQueueError(f"utilization {rho:.6g} >= 1 for servers={servers}")
-
-
-def _erlang_c(rho: float, b: float) -> float:
-    """Delay probability from the Erlang-B probability ``b`` at utilization ``rho``."""
-    return b / (1.0 - rho * (1.0 - b))
 
 
 def erlang_c(load: float, service_rate: float, servers: int) -> float:
@@ -79,34 +77,40 @@ def erlang_c(load: float, service_rate: float, servers: int) -> float:
         return 0.0
     rho = load / (service_rate * servers)
     _check_stable(rho, servers)
-    return _erlang_c(rho, _erlang_b(load / service_rate, servers))
+    b = _erlang_b(load / service_rate, servers)
+    return b / (1.0 - rho * (1.0 - b))
 
 
 def expected_wait(load: float, service_rate: float, servers: int) -> float:
     """Expected minutes in the system: queueing delay plus one service."""
-    return next(waits_upward(load, service_rate, servers))[1]
+    return cheapest_servers(load, service_rate, servers, servers, 0.0, 0.0)[1]
 
 
-def waits_upward(load: float, service_rate: float, servers: int) -> Iterator[tuple[int, float]]:
-    """Yield ``(s, expected wait)`` for s = ``servers``, ``servers + 1``, ...
-
-    B at the starting count comes from one Erlang-B pass; every later count
-    costs one step of the recurrence, so each wait equals
-    ``expected_wait(load, service_rate, s)`` bit for bit. Needs a stable
-    starting count of at least one server.
-    """
+def cheapest_servers(load: float, service_rate: float, servers: int, cap: int,
+                     load_cost: float, unit_cost: float) -> tuple[int, float]:
+    """``(s, wait at s)``: walks s = ``servers``, ``servers + 1``, ... to ``cap``,
+    stopping before the first step whose saving ``load_cost * (wait - next
+    wait)`` is at most ``unit_cost``; ``load_cost`` is load times wait cost rate.
+    One Erlang-B pass, then one step per count, so each wait equals
+    ``expected_wait(load, service_rate, s)`` bit for bit. Needs a stable start."""
     if servers < 1:
         raise UnstableQueueError("a charger queue needs at least one server")
     a = load / service_rate
     rho = load / (service_rate * servers)
     _check_stable(rho, servers)
     b = _erlang_b(a, servers)
+    n, wait = float(servers), None
     while True:
-        yield servers, _erlang_c(rho, b) / (service_rate * servers * (1.0 - rho)) + 1.0 / service_rate
-        servers += 1
+        nxt = b / (1.0 - rho * (1.0 - b)) / (service_rate * n * (1.0 - rho)) + 1.0 / service_rate
+        if wait is not None and load_cost * (wait - nxt) <= unit_cost:
+            return int(n) - 1, wait
+        wait = nxt
+        if n >= cap:
+            return int(n), wait
+        n += 1.0
         ab = a * b
-        b = ab / (servers + ab)
-        rho = load / (service_rate * servers)
+        b = ab / (n + ab)
+        rho = load / (service_rate * n)
 
 
 def _delay(rho: float, servers: int) -> tuple[float, float, float]:

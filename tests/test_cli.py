@@ -474,6 +474,25 @@ class TestBadInput:
         assert f"{named}: lat and lon must be finite" in capsys.readouterr().err
         assert not (tmp_path / "r.json").exists()
 
+    @pytest.mark.parametrize("records, field, value, named", [
+        ("demand_points", "lat", 400.0, "demand point 0: lat must lie in [-90, 90], got 400.0"),
+        ("demand_points", "lon", -180.5, "demand point 0: lon must lie in [-180, 180], got -180.5"),
+        ("stations", "lat", -90.25, "station 0: lat must lie in [-90, 90], got -90.25"),
+        ("stations", "lon", 181.0, "station 0: lon must lie in [-180, 180], got 181.0"),
+    ])
+    def test_out_of_range_coordinate_without_travel_exits_3(self, unit_instance_file, tmp_path, capsys, records,
+                                                            field, value, named):
+        # with no travel list, coverage comes from haversine distances, which
+        # an out-of-range degree would wrap instead of failing
+        def edit(data):
+            data.pop("travel")
+            data[records][0][field] = value
+
+        src = self.edited(unit_instance_file, tmp_path, edit)
+        assert main(["solve", src, "--method", "bnb", "--out", str(tmp_path / "r.json")]) == 3
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "r.json").exists()
+
     @pytest.mark.parametrize("csv_name, column, named", [
         ("sample_stations.csv", "lat", "bad station row: station 0: lat and lon must be finite"),
         ("sample_blocks.csv", "origin_lon", "bad trip row: trip t0: origin and dest lat/lon must be finite"),

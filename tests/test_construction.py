@@ -632,6 +632,26 @@ class TestBestChargers:
                     seen["above_min"] += 1
         assert min(seen.values()) > 0, seen
 
+    def test_sizing_across_the_float_count_table(self):
+        # the Erlang-B pass reads counts below 2048 from a table and makes
+        # larger ones per call; a walk or a pass that crosses 2048 must give
+        # the per-count scan's count and wait
+        kt = ChargerType(id=0, power_kw=100.0, unit_cost_rate=1.0, recharge_time_min=1.0)
+        crossed = set()
+        for s_min in (2040, 2047, 2048, 2049):
+            load = 0.95 * s_min - 0.25
+            assert min_chargers(load, 1.0, 0.05) == s_min
+            for c_wait, cap in ((10.0, 5000), (100.0, 5000), (1e3, 5000), (1e5, 2060)):
+                s, wait = s_min, expected_wait(load, 1.0, s_min)
+                while s < cap:
+                    nxt = expected_wait(load, 1.0, s + 1)
+                    if load * c_wait * (wait - nxt) <= kt.unit_cost_rate:
+                        break
+                    s, wait = s + 1, nxt
+                assert size_pair(load, kt, cap, c_wait, 0.05) == (s, wait)
+                crossed.add((s_min < 2048, s >= 2048))
+        assert crossed >= {(True, True), (False, True)}, crossed
+
     def test_sizer_returns_size_pair_once_per_key(self, monkeypatch):
         # caps 1-3 leave some pairs unsizable, so None is memoized too
         inst = random_instance(5, n_demand=6, n_station=3, cap_range=(1, 3))

@@ -6,11 +6,12 @@ import pytest
 
 from chargeplan.errors import UnstableQueueError
 from chargeplan.queueing import (
+    _erlang_b,
+    cheapest_servers,
     delay_factor,
     erlang_c,
     expected_wait,
     tangent_cut,
-    waits_upward,
 )
 
 
@@ -85,26 +86,46 @@ class TestExpectedWait:
         waits = [expected_wait(lam, mu, s) for s in range(46, 97)]
         assert all(b < a for a, b in zip(waits, waits[1:]))
 
-    def test_upward_walk_matches_per_count_waits(self):
-        # an off-by-one in the carried count shifts every value after the first
+    def test_cheapest_servers_capped_walk_matches_per_count_waits(self):
+        # a stopping test that never fires walks to the cap; an off-by-one in
+        # the carried count shows as a different wait at every cap but the first
         rng = random.Random(31)
         for _ in range(40):
             mu = rng.uniform(0.02, 2.0)
             s0 = rng.randint(1, 300)
             load = mu * s0 * rng.uniform(0.05, 0.999)
-            walk = waits_upward(load, mu, s0)
-            for s in range(s0, s0 + 60):
-                assert next(walk) == (s, expected_wait(load, mu, s))
+            for cap in range(s0, s0 + 60):
+                got = cheapest_servers(load, mu, s0, cap, 1.0, -math.inf)
+                assert got == (cap, expected_wait(load, mu, cap)) and type(got[0]) is int
 
-    def test_upward_walk_rejects_unstable_start(self):
+    def test_cheapest_servers_rejects_unstable_start(self):
         with pytest.raises(UnstableQueueError):
-            next(waits_upward(3.0, 1.0, 3))
+            cheapest_servers(3.0, 1.0, 3, 10, 1.0, 0.0)
+        with pytest.raises(UnstableQueueError):
+            cheapest_servers(3.0, 1.0, 0, 10, 1.0, 0.0)
 
     def test_marginal_improvement_shrinks_with_servers(self):
         lam, mu = 45.0, 1.0
         waits = [expected_wait(lam, mu, s) for s in range(46, 98)]
         gains = [a - b for a, b in zip(waits, waits[1:])]
         assert all(g2 < g1 for g1, g2 in zip(gains, gains[1:]))
+
+
+class TestErlangB:
+    @staticmethod
+    def int_recurrence(a, s):
+        b = 1.0
+        for n in range(1, s + 1):
+            ab = a * b
+            b = ab / (n + ab)
+        return b
+
+    def test_float_counts_match_int_recurrence(self):
+        # the pass reads counts below 2048 from a table and makes larger ones
+        # per call; both must give the int recurrence's float at every step
+        for s in (0, 1, 2, 2047, 2048, 2049, 4999):
+            for a in (1e-9, 0.5, 0.9 * s, 0.999 * s, 1.5 * s + 1.0, 1e5):
+                assert _erlang_b(a, s) == self.int_recurrence(a, s)
 
 
 class TestDelayFactor:
